@@ -11,7 +11,7 @@ bypass the automaton entirely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -236,6 +236,12 @@ def state_sort_key(state: str):
     return (1, 0, state)
 
 
+@dataclass(frozen=True)
+class EffectSets:
+    inserted: frozenset[ActionSymbol]
+    suppressible: frozenset[ActionSymbol]
+
+
 @dataclass(frozen=True, eq=False)
 class EditAutomaton:
     """Deterministic, vocabulary-complete edit automaton.
@@ -270,14 +276,25 @@ class EditAutomaton:
         return frozenset(symbols)
 
     @cached_property
-    def _by_state(self) -> dict[str, tuple[Transition, ...]]:
-        index: dict[str, list[Transition]] = {s: [] for s in self.states}
+    def table(self) -> dict[tuple[str, ActionSymbol], tuple[Transition, ...]]:
+        """(source state, vocabulary symbol) -> matching transitions in
+        declaration order; the one place guards are matched."""
+        table: dict[tuple[str, ActionSymbol], list[Transition]] = {}
         for t in self.transitions:
-            index.setdefault(t.source, []).append(t)
-        return {s: tuple(ts) for s, ts in index.items()}
+            for symbol in self.vocabulary:
+                if t.guard.matches(symbol):
+                    table.setdefault((t.source, symbol), []).append(t)
+        return {key: tuple(ts) for key, ts in table.items()}
 
-    def transitions_from(self, state: str) -> tuple[Transition, ...]:
-        return self._by_state.get(state, ())
+    @cached_property
+    def effects(self) -> EffectSets:
+        """effect_sets of this automaton, derived once from the table."""
+        inserted = {i.symbol for t in self.transitions
+                    for i in t.output if not i.is_forward}
+        suppressible = {symbol for (_, symbol), ts in self.table.items()
+                        if any(not any(i.is_forward for i in t.output)
+                               for t in ts)}
+        return EffectSets(frozenset(inserted), frozenset(suppressible))
 
 
 @dataclass(frozen=True)
@@ -286,6 +303,7 @@ class Diagnostic:
     message: str
     state: Optional[str] = None
     symbol: Optional[ActionSymbol] = None
+    transition: Optional[Transition] = None  # the one the finding points at
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
@@ -305,25 +323,24 @@ def validate(automaton: EditAutomaton) -> list[Diagnostic]:
                     "dangling-state",
                     f"transition {t.source!r} -> {t.target!r} references "
                     f"undeclared state {endpoint!r}",
-                    state=endpoint))
+                    state=endpoint, transition=t))
         forwards = sum(1 for i in t.output if i.is_forward)
         if forwards > 1:
             diags.append(Diagnostic(
                 "multiple-forwards",
                 f"transition from {t.source!r} on {t.guard.text()} forwards "
                 f"the input {forwards} times",
-                state=t.source))
-    vocabulary = automaton.vocabulary
+                state=t.source, transition=t))
+    vocabulary = sorted(automaton.vocabulary, key=str)
     for state in sorted(automaton.states, key=state_sort_key):
-        outgoing = [t for t in automaton.transitions if t.source == state]
-        for symbol in sorted(vocabulary, key=str):
-            matching = [t for t in outgoing if t.guard.matches(symbol)]
+        for symbol in vocabulary:
+            matching = automaton.table.get((state, symbol), ())
             if len(matching) > 1:
                 diags.append(Diagnostic(
                     "nondeterministic",
                     f"state {state!r} has {len(matching)} transitions matching "
                     f"{symbol} ({', '.join(t.guard.text() for t in matching)})",
-                    state=state, symbol=symbol))
+                    state=state, symbol=symbol, transition=matching[1]))
             elif not matching:
                 diags.append(Diagnostic(
                     "incomplete",
@@ -366,12 +383,16 @@ class BindingContext:
         return self.instances.get(symbol.interface)
 
 
-def _match(automaton: EditAutomaton, state: str, symbol: ActionSymbol) -> Transition:
-    for t in automaton.transitions_from(state):
-        if t.guard.matches(symbol):
-            return t
-    raise MissingTransitionError(
-        f"no transition from state {state!r} matches vocabulary symbol {symbol}")
+def _match(automaton: EditAutomaton, state: str,
+           symbol: ActionSymbol) -> Optional[Transition]:
+    """The first-declared matching transition; None bypasses the automaton."""
+    matching = automaton.table.get((state, symbol))
+    if matching is not None:
+        return matching[0]
+    if symbol in automaton.vocabulary:
+        raise MissingTransitionError(
+            f"no transition from state {state!r} matches vocabulary symbol {symbol}")
+    return None
 
 
 def _instantiate(item: OutputItem, trigger: Event, context: BindingContext) -> Event:
@@ -398,12 +419,12 @@ def step(automaton: EditAutomaton, state: str, event: Event,
     forwarded input, when present, appears in the output as the very
     event object that was passed in.
     """
-    if event.symbol not in automaton.vocabulary:
+    transition = _match(automaton, state, event.symbol)
+    if transition is None:
         return state, [event]
     if context is None:
         context = BindingContext()
     context.observe(event)
-    transition = _match(automaton, state, event.symbol)
     emitted: list[Event] = []
     for item in transition.output:
         if item.is_forward:
@@ -437,26 +458,13 @@ def run(automaton: EditAutomaton, trace: Trace) -> Trace:
     return Trace.of(emitted)
 
 
-@dataclass(frozen=True)
-class EffectSets:
-    inserted: frozenset[ActionSymbol]
-    suppressible: frozenset[ActionSymbol]
-
-
 def effect_sets(automaton: EditAutomaton) -> EffectSets:
     """Symbols the automaton can insert, and symbols it can suppress.
 
-    Forwarding the matched input counts as neither.  For Any/AnyExcept
-    guards the suppressible set is the matching vocabulary subset.
+    Forwarding the matched input counts as neither.  A vocabulary symbol
+    is suppressible when some transition matching it omits the input.
     """
-    vocabulary = automaton.vocabulary
-    inserted: set[ActionSymbol] = set()
-    suppressible: set[ActionSymbol] = set()
-    for t in automaton.transitions:
-        inserted.update(i.symbol for i in t.output if not i.is_forward)
-        if not any(i.is_forward for i in t.output):
-            suppressible.update(s for s in vocabulary if t.guard.matches(s))
-    return EffectSets(frozenset(inserted), frozenset(suppressible))
+    return automaton.effects
 
 
 def violations(automaton: EditAutomaton, trace: Trace) -> list[Event]:
@@ -468,9 +476,9 @@ def violations(automaton: EditAutomaton, trace: Trace) -> list[Event]:
     found: list[Event] = []
     forward_only = (OutputItem.forward(),)
     for event in trace:
-        if event.symbol not in automaton.vocabulary:
-            continue
         transition = _match(automaton, state, event.symbol)
+        if transition is None:
+            continue
         if transition.output != forward_only:
             found.append(event)
         state = transition.target

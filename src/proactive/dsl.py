@@ -26,7 +26,7 @@ states sorted by id and transitions sorted by (from, guard text).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .automata import (
@@ -42,6 +42,8 @@ from .automata import (
 )
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
+_SINGLE_USE = ("policy", "version", "experimental", "statement", "target",
+               "states", "initial")
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}(),]|[^\s{}(),"]+')
 
 
@@ -149,12 +151,10 @@ def _quote(text: str) -> str:
 class _LineParser:
     """Cursor over one line's tokens; errors carry position + hint."""
 
-    def __init__(self, tokens: list[_Token], lineno: int,
-                 diags: list[DslDiagnostic]) -> None:
+    def __init__(self, tokens: list[_Token], lineno: int) -> None:
         self.tokens = tokens
         self.lineno = lineno
         self.pos = 0
-        self.diags = diags
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -331,15 +331,22 @@ def parse(text: str) -> PolicyDoc:
     states: list[str] = []
     initial: Optional[str] = None
     transitions: list[Transition] = []
-    seen: dict[str, int] = {}
+    line_of: dict[int, int] = {}  # id(transition) -> its line
+    seen: dict[str, int] = {}  # single-use directive -> its line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, lineno, diags)
         if not tokens:
             continue
-        lp = _LineParser(tokens, lineno, diags)
+        lp = _LineParser(tokens, lineno)
         head = tokens[0].text
         try:
+            if head in seen:
+                raise _Fail(DslDiagnostic(
+                    "semantic", lineno, tokens[0].column,
+                    f"duplicate {head!r} directive (first on line {seen[head]})"))
+            if head in _SINGLE_USE:
+                seen[head] = lineno
             if head == "policy":
                 lp.next("'policy'")
                 tok = lp.next("policy name")
@@ -392,7 +399,7 @@ def parse(text: str) -> PolicyDoc:
             elif head == "on":
                 lp.next("'on'")
                 transitions.append(_parse_transition(lp))
-                seen[f"t{len(transitions)}"] = lineno
+                line_of[id(transitions[-1])] = lineno
             else:
                 raise _Fail(DslDiagnostic(
                     "syntax", tokens[0].line, tokens[0].column,
@@ -404,33 +411,22 @@ def parse(text: str) -> PolicyDoc:
 
     last = len(text.splitlines()) or 1
     for field_name, value in (("policy", name), ("statement", statement),
-                              ("target", target), ("initial", initial)):
+                              ("target", target), ("initial", initial),
+                              ("states", states or None)):
         if value is None:
             diags.append(DslDiagnostic("syntax", last, 1,
                                        f"missing {field_name!r} directive",
                                        f"{field_name} ..."))
-    if not states:
-        diags.append(DslDiagnostic("syntax", last, 1,
-                                   "missing 'states' directive", "states ..."))
-    if diags:
-        raise PolicyParseError(diags)
-
-    declared = set(states)
-    for t in transitions:
-        for endpoint in (t.source, t.target):
-            if endpoint not in declared:
-                diags.append(DslDiagnostic(
-                    "semantic", 1, 1,
-                    f"transition references undeclared state {endpoint!r}"))
-    if initial not in declared:
-        diags.append(DslDiagnostic("semantic", 1, 1,
-                                   f"initial state {initial!r} is not declared"))
     if diags:
         raise PolicyParseError(diags)
 
     automaton = EditAutomaton(frozenset(states), initial, tuple(transitions))
     for d in validate(automaton):
-        diags.append(DslDiagnostic("semantic", 1, 1, str(d)))
+        if d.transition is not None:
+            line = line_of[id(d.transition)]
+        else:
+            line = seen["initial" if d.code == "bad-initial" else "states"]
+        diags.append(DslDiagnostic("semantic", line, 1, str(d)))
     if diags:
         raise PolicyParseError(diags)
 

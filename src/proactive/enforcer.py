@@ -5,11 +5,15 @@ against the event sink through a transparent resource manager.
 One enforcer serves one simulated app session.  Synthesized events are
 executed immediately and never re-offered to any module, so enforcement
 cannot recurse.
+
+Modules enter only through `PolicyEnforcer.deploy`, which files each one
+under every symbol it watches; an event reaches only the modules filed
+under its symbol.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Protocol
 
 from .automata import (
@@ -88,16 +92,10 @@ class ProactiveModule:
     state: str
     enabled: bool = True
     cached_ctor_args: Optional[tuple] = None
-    managed_instance: Optional[str] = None
-
-    @property
-    def vocabulary(self) -> frozenset[ActionSymbol]:
-        return self.policy.automaton.vocabulary
 
     def reset(self) -> None:
         self.state = self.policy.automaton.initial
         self.cached_ctor_args = None
-        self.managed_instance = None
 
 
 @dataclass(frozen=True)
@@ -128,12 +126,13 @@ class PolicyEnforcer:
     def __init__(self, sink: Optional[EventSink] = None) -> None:
         self.sink: EventSink = sink if sink is not None else RecordingSink()
         self.modules: list[ProactiveModule] = []
+        self.watchers: dict[ActionSymbol, list[ProactiveModule]] = {}
         self.manager = ResourceManager()
         self.intervention_log: list[InterventionRecord] = []
 
     def deploy(self, policy: PolicyDoc) -> ProactiveModule:
-        """Append a module for the policy; rejects interference and
-        duplicate names."""
+        """Append a module for the policy and file it under every symbol
+        it watches; rejects interference and duplicate names."""
         if any(m.policy.name == policy.name for m in self.modules):
             raise DuplicatePolicyError(policy.name)
         report = check_set([m.policy for m in self.modules] + [policy])
@@ -141,6 +140,8 @@ class PolicyEnforcer:
             raise InterferenceError(report)
         module = ProactiveModule(policy=policy, state=policy.automaton.initial)
         self.modules.append(module)
+        for symbol in policy.automaton.vocabulary:
+            self.watchers.setdefault(symbol, []).append(module)
         return module
 
     def set_enabled(self, handle: ProactiveModule, on: bool) -> None:
@@ -163,21 +164,18 @@ class PolicyEnforcer:
             raise ValueError("only app events may enter the enforcer")
         suppressed = False
         records: list[InterventionRecord] = []
-        matched_ctor_modules: list[ProactiveModule] = []
         matches: list[tuple[ProactiveModule, list[Event], list[Event]]] = []
 
-        for module in self.modules:
-            if not module.enabled or event.symbol not in module.vocabulary:
+        for module in self.watchers.get(event.symbol, ()):
+            if not module.enabled:
                 continue
-            context = BindingContext(
-                cached_ctor_args=module.cached_ctor_args,
-                instances=dict(self.manager.bindings))
+            context = BindingContext(module.cached_ctor_args,
+                                     self.manager.bindings)
             next_state, emitted = step(module.policy.automaton, module.state,
                                        event, context)
             module.state = next_state
             if event.symbol.kind is Kind.CONSTRUCTOR:
                 module.cached_ctor_args = event.args
-                matched_ctor_modules.append(module)
             pre: list[Event] = []
             post: list[Event] = []
             forwarded = False
@@ -218,8 +216,6 @@ class PolicyEnforcer:
                 if instance is not None and event.instance is None:
                     executed = replace(event, instance=instance)
                 self.manager.bind(event.symbol.interface, executed.instance)
-                for module in matched_ctor_modules:
-                    module.managed_instance = executed.instance
             delivered.append(executed)
         for module, synth in after:
             delivered.append(self._execute_synthesized(module, synth))
@@ -236,7 +232,6 @@ class PolicyEnforcer:
             if instance is not None:
                 event = replace(event, instance=instance)
             self.manager.bind(event.symbol.interface, event.instance)
-            module.managed_instance = event.instance
         return event
 
     def run_enforced(self, trace: Trace) -> tuple[Trace, list[InterventionRecord]]:

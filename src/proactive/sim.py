@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .automata import ActionSymbol, Event, Kind, Origin, Trace

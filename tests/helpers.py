@@ -1,5 +1,6 @@
 """Shared builders for the test suite: small hand-made automata, random
-trace generation, and a seeded generator of valid policy documents."""
+trace generation, a seeded generator of valid policy documents, and
+guard-walking reference forms of the compiled transition table."""
 
 from __future__ import annotations
 
@@ -9,13 +10,16 @@ from pathlib import Path
 from proactive.automata import (
     ActionSymbol,
     ArgSource,
+    Diagnostic,
     EditAutomaton,
+    EffectSets,
     Event,
     Guard,
     Kind,
     OutputItem,
     Trace,
     Transition,
+    state_sort_key,
 )
 from proactive.dsl import PolicyDoc
 
@@ -165,3 +169,67 @@ def random_policy_doc(seed: int) -> PolicyDoc:
         version=rng.randint(0, 3),
         experimental=rng.random() < 0.3,
     )
+
+
+# -- reference implementations ------------------------------------------
+# Each walks the guards directly, as the automaton did before it was
+# compiled into EditAutomaton.table; the table-driven forms must agree.
+
+def reference_matching(automaton: EditAutomaton, state: str,
+                       symbol: ActionSymbol) -> list[Transition]:
+    """Every transition from state whose guard accepts symbol, in
+    declaration order."""
+    return [t for t in automaton.transitions
+            if t.source == state and t.guard.matches(symbol)]
+
+
+def reference_effect_sets(automaton: EditAutomaton) -> EffectSets:
+    vocabulary = automaton.vocabulary
+    inserted: set[ActionSymbol] = set()
+    suppressible: set[ActionSymbol] = set()
+    for t in automaton.transitions:
+        inserted.update(i.symbol for i in t.output if not i.is_forward)
+        if not any(i.is_forward for i in t.output):
+            suppressible.update(s for s in vocabulary if t.guard.matches(s))
+    return EffectSets(frozenset(inserted), frozenset(suppressible))
+
+
+def reference_validate(automaton: EditAutomaton) -> list[Diagnostic]:
+    """validate's findings from a state x vocabulary x transition walk,
+    without the transition each finding points at."""
+    diags: list[Diagnostic] = []
+    if automaton.initial not in automaton.states:
+        diags.append(Diagnostic("bad-initial",
+                                f"initial state {automaton.initial!r} is not declared",
+                                state=automaton.initial))
+    for t in automaton.transitions:
+        for endpoint in (t.source, t.target):
+            if endpoint not in automaton.states:
+                diags.append(Diagnostic(
+                    "dangling-state",
+                    f"transition {t.source!r} -> {t.target!r} references "
+                    f"undeclared state {endpoint!r}",
+                    state=endpoint))
+        forwards = sum(1 for i in t.output if i.is_forward)
+        if forwards > 1:
+            diags.append(Diagnostic(
+                "multiple-forwards",
+                f"transition from {t.source!r} on {t.guard.text()} forwards "
+                f"the input {forwards} times",
+                state=t.source))
+    for state in sorted(automaton.states, key=state_sort_key):
+        for symbol in sorted(automaton.vocabulary, key=str):
+            matching = reference_matching(automaton, state, symbol)
+            if len(matching) > 1:
+                diags.append(Diagnostic(
+                    "nondeterministic",
+                    f"state {state!r} has {len(matching)} transitions matching "
+                    f"{symbol} ({', '.join(t.guard.text() for t in matching)})",
+                    state=state, symbol=symbol))
+            elif not matching:
+                diags.append(Diagnostic(
+                    "incomplete",
+                    f"state {state!r} has no transition matching {symbol}; "
+                    "add an any self-loop to forward unlisted symbols",
+                    state=state, symbol=symbol))
+    return diags

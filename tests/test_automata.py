@@ -22,11 +22,14 @@ from proactive.automata import (
     validate,
     violations,
 )
+from proactive.dsl import parse
+from proactive.pack import bundled_pack_dir
 
 from helpers import (
     DOA,
     DOB,
     DOX,
+    FIXTURES,
     NEW_AR,
     ON_STOP,
     RELEASE_AR,
@@ -34,12 +37,45 @@ from helpers import (
     STOP_REC,
     event_shapes,
     fwd,
+    random_policy_doc,
+    reference_effect_sets,
+    reference_matching,
+    reference_validate,
     synth,
 )
 
 
 def loop(state, guard, output, target=None):
     return Transition(state, guard, output, target if target is not None else state)
+
+
+NONDETERMINISTIC = EditAutomaton(
+    frozenset({"0"}), "0",
+    (loop("0", Guard.exactly(DOA), (fwd(),)),
+     loop("0", Guard.any(), (fwd(),))))
+DANGLING_TARGET = EditAutomaton(
+    frozenset({"0"}), "0",
+    (Transition("0", Guard.any(), (fwd(),), "9"),))
+BAD_INITIAL = EditAutomaton(frozenset({"0"}), "9",
+                            (loop("0", Guard.any(), (fwd(),)),))
+MULTIPLE_FORWARDS = EditAutomaton(frozenset({"0"}), "0",
+                                  (loop("0", Guard.any(), (fwd(), fwd())),))
+# A clash declared catch-all first, where only the catch-all suppresses.
+SUPPRESSING_CLASH = EditAutomaton(
+    frozenset({"0"}), "0",
+    (loop("0", Guard.any(), ()),
+     loop("0", Guard.exactly(DOA), (fwd(),))))
+# doB enters the vocabulary through the template only; state 0 has no
+# transition matching it.
+INCOMPLETE = EditAutomaton(
+    frozenset({"0"}), "0",
+    (loop("0", Guard.exactly(DOA), (synth(DOB), fwd())),))
+INVALID = {"nondeterministic": NONDETERMINISTIC,
+           "dangling-target": DANGLING_TARGET,
+           "bad-initial": BAD_INITIAL,
+           "multiple-forwards": MULTIPLE_FORWARDS,
+           "suppressing-clash": SUPPRESSING_CLASH,
+           "incomplete": INCOMPLETE}
 
 
 class TestActionSymbol:
@@ -103,38 +139,22 @@ class TestValidate:
         assert is_valid(automaton)
 
     def test_nondeterminism_names_state_and_symbol(self):
-        automaton = EditAutomaton(
-            frozenset({"0"}), "0",
-            (loop("0", Guard.exactly(DOA), (fwd(),)),
-             loop("0", Guard.any(), (fwd(),))))
-        diags = validate(automaton)
+        diags = validate(NONDETERMINISTIC)
         assert [d.code for d in diags] == ["nondeterministic"]
         assert diags[0].state == "0"
         assert diags[0].symbol == DOA
 
     def test_dangling_target_state(self):
-        automaton = EditAutomaton(
-            frozenset({"0"}), "0",
-            (Transition("0", Guard.any(), (fwd(),), "9"),))
-        assert "dangling-state" in [d.code for d in validate(automaton)]
+        assert "dangling-state" in [d.code for d in validate(DANGLING_TARGET)]
 
     def test_bad_initial(self):
-        automaton = EditAutomaton(frozenset({"0"}), "9",
-                                  (loop("0", Guard.any(), (fwd(),)),))
-        assert "bad-initial" in [d.code for d in validate(automaton)]
+        assert "bad-initial" in [d.code for d in validate(BAD_INITIAL)]
 
     def test_multiple_forwards(self):
-        automaton = EditAutomaton(frozenset({"0"}), "0",
-                                  (loop("0", Guard.any(), (fwd(), fwd())),))
-        assert "multiple-forwards" in [d.code for d in validate(automaton)]
+        assert "multiple-forwards" in [d.code for d in validate(MULTIPLE_FORWARDS)]
 
     def test_incomplete_over_synthesized_symbol(self):
-        # doB enters the vocabulary through the template only; state 0
-        # has no transition matching it.
-        automaton = EditAutomaton(
-            frozenset({"0"}), "0",
-            (loop("0", Guard.exactly(DOA), (synth(DOB), fwd())),))
-        diags = validate(automaton)
+        diags = validate(INCOMPLETE)
         assert [d.code for d in diags] == ["incomplete"]
         assert diags[0].symbol == DOB
 
@@ -208,11 +228,8 @@ class TestStep:
     def test_missing_transition_signals_skipped_validation(self):
         # doB is in the vocabulary via the template, but no transition
         # matches it; validation would have caught this.
-        automaton = EditAutomaton(
-            frozenset({"0"}), "0",
-            (loop("0", Guard.exactly(DOA), (synth(DOB), fwd())),))
         with pytest.raises(MissingTransitionError):
-            step(automaton, "0", Event(DOB, seq=1))
+            step(INCOMPLETE, "0", Event(DOB, seq=1))
 
 
 class TestRun:
@@ -308,3 +325,47 @@ class TestAutomatonEquality:
         other = EditAutomaton(forced_release.states, "1",
                               forced_release.transitions)
         assert other != forced_release
+
+
+def reference_cases():
+    """Every bundled policy and fixture, 200 generated policies and the
+    invalid automata above, by name."""
+    files = sorted(bundled_pack_dir().glob("*.pol")) + sorted(FIXTURES.glob("*.pol"))
+    cases = {p.name: parse(p.read_text(encoding="utf-8")).automaton for p in files}
+    cases.update((f"generated-{seed}", random_policy_doc(seed).automaton)
+                 for seed in range(200))
+    cases.update(INVALID)
+    return cases
+
+
+class TestTableAgreesWithReference:
+    def test_table_lists_every_match_in_declaration_order(self):
+        for name, automaton in reference_cases().items():
+            sources = automaton.states | {t.source for t in automaton.transitions}
+            expected = {}
+            for state in sources:
+                for symbol in automaton.vocabulary:
+                    matching = reference_matching(automaton, state, symbol)
+                    if matching:
+                        expected[(state, symbol)] = tuple(matching)
+            assert automaton.table == expected, name
+
+    def test_step_takes_the_first_match(self):
+        for name, automaton in reference_cases().items():
+            for (state, symbol), matching in automaton.table.items():
+                first = matching[0]
+                target, out = step(automaton, state, Event(symbol, seq=1),
+                                   BindingContext(cached_ctor_args=()))
+                assert (target, [e.symbol for e in out]) == (
+                    first.target, [i.symbol or symbol for i in first.output]), \
+                    (name, state, symbol)
+
+    def test_effect_sets(self):
+        for name, automaton in reference_cases().items():
+            assert effect_sets(automaton) == reference_effect_sets(automaton), name
+
+    def test_validate_codes_and_order(self):
+        for name, automaton in reference_cases().items():
+            def key(diags):
+                return [(d.code, d.message, d.state, d.symbol) for d in diags]
+            assert key(validate(automaton)) == key(reference_validate(automaton)), name

@@ -86,8 +86,44 @@ class TestParse:
         text = ('policy p\nstatement "s"\ntarget T\nstates 0\ninitial 0\n'
                 "on any from 0 to 0 emit input\n"
                 "on call T.x from 0 to 0 emit input\n")
-        with pytest.raises(PolicyParseError, match="nondeterministic"):
+        with pytest.raises(PolicyParseError, match="nondeterministic") as exc:
             parse(text)
+        assert [str(d).split(": ")[0] for d in exc.value.diagnostics] == ["7:1"]
+
+    @pytest.mark.parametrize("initial, body, code, line", [
+        ("0", "on any from 0 to 9 emit input\n", "dangling-state", 6),
+        ("0", "on any from 0 to 0 emit input\n"
+              "on any from 0 to 0 emit input, input\n", "multiple-forwards", 7),
+        ("0", "on call T.x from 0 to 0 emit input\n"
+              "on call T.x from 0 to 0 emit input\n", "nondeterministic", 7),
+        ("9", "on any from 0 to 0 emit input\n", "bad-initial", 5),
+        ("0", "on call T.x from 0 to 0 emit insert call T.y, input\n",
+         "incomplete", 4),
+    ])
+    def test_semantic_finding_names_its_line(self, initial, body, code, line):
+        text = ('policy p\nstatement "s"\ntarget T\nstates 0\n'
+                f"initial {initial}\n{body}")
+        with pytest.raises(PolicyParseError) as exc:
+            parse(text)
+        found = [(d.line, d.column) for d in exc.value.diagnostics
+                 if d.kind == "semantic" and code in d.message]
+        assert found == [(line, 1)]
+
+    @pytest.mark.parametrize("repeat, first", [
+        ("policy q", 1), ("version 1", 2), ("experimental", 3),
+        ('statement "t"', 4), ("target U", 5), ("states 1", 6), ("initial 0", 7),
+    ])
+    def test_duplicate_directive_is_rejected(self, repeat, first):
+        text = ('policy p\nversion 0\nexperimental\nstatement "s"\n'
+                "target T\nstates 0\ninitial 0\n"
+                f"on any from 0 to 0 emit input\n{repeat}\n")
+        directive = repeat.split()[0]
+        with pytest.raises(PolicyParseError) as exc:
+            parse(text)
+        [d] = exc.value.diagnostics
+        assert (d.kind, d.line, d.column) == ("semantic", 9, 1)
+        assert f"duplicate {directive!r} directive (first on line {first})" \
+            in d.message
 
     def test_literals(self):
         text = ('policy p\nstatement "s"\ntarget T\nstates 0\ninitial 0\n'

@@ -9,12 +9,12 @@ from proactive.automata import (
     Transition,
 )
 from proactive.dsl import parse
+from proactive.interference import InterferenceReport
 from proactive.enforcer import (
     DuplicatePolicyError,
     HealingFailureError,
     InterferenceError,
     PolicyEnforcer,
-    ProactiveModule,
     RecordingSink,
     StaleHandleError,
 )
@@ -184,10 +184,10 @@ class TestOnEvent:
         assert handle.state == "0"
         assert len(enforcer.intervention_log) == 1
 
-    def test_suppression_dominates_forwarding(self):
+    def test_suppression_dominates_forwarding(self, monkeypatch):
         # Two modules matching doA, one suppressing and one inserting:
-        # interfering by construction, so they are injected directly,
-        # bypassing the deploy-time gate.
+        # interfering by construction, so the deploy-time gate is
+        # stubbed out to let both through.
         suppressor = make_doc("suppressor", EditAutomaton(
             frozenset({"0"}), "0",
             (Transition("0", Guard.exactly(DOA), (), "0"),
@@ -196,10 +196,11 @@ class TestOnEvent:
             frozenset({"0"}), "0",
             (Transition("0", Guard.exactly(DOA), (fwd(), synth(DOB)), "0"),
              Transition("0", Guard.any_except([DOA]), (fwd(),), "0"))))
+        monkeypatch.setattr("proactive.enforcer.check_set",
+                            lambda policies: InterferenceReport())
         enforcer = PolicyEnforcer()
         for policy in (suppressor, inserter):
-            enforcer.modules.append(ProactiveModule(
-                policy=policy, state=policy.automaton.initial))
+            enforcer.deploy(policy)
         outcome = enforcer.on_event(Event(DOA, seq=1))
         assert outcome.suppressed
         delivered_symbols = [e.symbol for e in outcome.delivered]
