@@ -19,7 +19,6 @@ from .automata import (
     OutputItem,
     Trace,
     Transition,
-    effect_sets,
     is_valid,
     run,
     step,
@@ -51,7 +50,7 @@ __all__ = [
     "Kind", "LeakReport", "Origin", "OutputItem", "PolicyDoc",
     "PolicyEnforcer", "PolicyPack", "PolicyParseError", "ProactiveModule",
     "ScenarioScript", "SimWorld", "Trace", "Transition", "check_pair",
-    "check_set", "effect_sets", "is_valid", "load_bundled_pack", "load_pack",
+    "check_set", "is_valid", "load_bundled_pack", "load_pack",
     "parse", "run", "run_scenario", "serialize", "step", "validate",
     "violations",
 ]

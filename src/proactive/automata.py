@@ -288,7 +288,10 @@ class EditAutomaton:
 
     @cached_property
     def effects(self) -> EffectSets:
-        """effect_sets of this automaton, derived once from the table."""
+        """Symbols the automaton can insert, and symbols it can suppress.
+        Forwarding the matched input counts as neither.  A vocabulary
+        symbol is suppressible when some transition matching it omits
+        the input."""
         inserted = {i.symbol for t in self.transitions
                     for i in t.output if not i.is_forward}
         suppressible = {symbol for (_, symbol), ts in self.table.items()
@@ -456,15 +459,6 @@ def run(automaton: EditAutomaton, trace: Trace) -> Trace:
     """
     _, emitted = run_from(automaton, automaton.initial, trace)
     return Trace.of(emitted)
-
-
-def effect_sets(automaton: EditAutomaton) -> EffectSets:
-    """Symbols the automaton can insert, and symbols it can suppress.
-
-    Forwarding the matched input counts as neither.  A vocabulary symbol
-    is suppressible when some transition matching it omits the input.
-    """
-    return automaton.effects
 
 
 def violations(automaton: EditAutomaton, trace: Trace) -> list[Event]:

@@ -8,7 +8,8 @@ cannot recurse.
 
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
 under every symbol it watches; an event reaches only the modules filed
-under its symbol.
+under its symbol.  Every deployed pair has passed deploy's interference
+gate, so a deploy checks only the new policy against the deployed ones.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .automata import (
     step,
 )
 from .dsl import PolicyDoc
-from .interference import InterferenceReport, check_set
+# check_set is unused here; the benchmark's self-test calls enforcer.check_set.
+from .interference import InterferenceReport, check_pair, check_set
 
 
 class InterferenceError(Exception):
@@ -44,7 +46,9 @@ class StaleHandleError(Exception):
 
 
 class HealingFailureError(Exception):
-    """The sink rejected a synthesized event; healing could not complete."""
+    """The sink rejected a synthesized event; healing could not complete.
+    No module moves and no record is logged, but events the sink executed
+    before the rejected one stay executed."""
 
     def __init__(self, policy: str, event: Event, cause: Exception) -> None:
         self.policy = policy
@@ -132,12 +136,14 @@ class PolicyEnforcer:
 
     def deploy(self, policy: PolicyDoc) -> ProactiveModule:
         """Append a module for the policy and file it under every symbol
-        it watches; rejects interference and duplicate names."""
+        it watches; rejects interference and duplicate names.  Every
+        deployed pair passed this gate, so only the new pairs are checked."""
         if any(m.policy.name == policy.name for m in self.modules):
             raise DuplicatePolicyError(policy.name)
-        report = check_set([m.policy for m in self.modules] + [policy])
-        if not report.ok:
-            raise InterferenceError(report)
+        pairs = [pair for m in self.modules
+                 for pair in check_pair(m.policy, policy).pairs]
+        if pairs:
+            raise InterferenceError(InterferenceReport(tuple(pairs)))
         module = ProactiveModule(policy=policy, state=policy.automaton.initial)
         self.modules.append(module)
         for symbol in policy.automaton.vocabulary:
@@ -147,7 +153,7 @@ class PolicyEnforcer:
     def set_enabled(self, handle: ProactiveModule, on: bool) -> None:
         """Enable/disable a module; turning on resets it to the initial
         state and clears the cached constructor args."""
-        if handle not in self.modules:
+        if not any(m is handle for m in self.modules):
             raise StaleHandleError(handle.policy.name)
         if on and not handle.enabled:
             handle.reset()
@@ -159,12 +165,13 @@ class PolicyEnforcer:
         Synthesized events positioned before the forwarded input execute
         before the app event reaches the sink; items after it execute
         after.  If any matching module's template omits the input, the
-        app event is suppressed (suppression dominates forwarding)."""
+        app event is suppressed (suppression dominates forwarding).
+        Matched modules move only after every delivered event executed."""
         if event.origin is not Origin.APP:
             raise ValueError("only app events may enter the enforcer")
         suppressed = False
         records: list[InterventionRecord] = []
-        matches: list[tuple[ProactiveModule, list[Event], list[Event]]] = []
+        matches: list[tuple[ProactiveModule, str, list[Event], list[Event]]] = []
 
         for module in self.watchers.get(event.symbol, ()):
             if not module.enabled:
@@ -173,9 +180,6 @@ class PolicyEnforcer:
                                      self.manager.bindings)
             next_state, emitted = step(module.policy.automaton, module.state,
                                        event, context)
-            module.state = next_state
-            if event.symbol.kind is Kind.CONSTRUCTOR:
-                module.cached_ctor_args = event.args
             pre: list[Event] = []
             post: list[Event] = []
             forwarded = False
@@ -194,21 +198,14 @@ class PolicyEnforcer:
                     trigger=event, policy=module.policy.name,
                     synthesized=synthesized, suppressed=not forwarded,
                     at_seq=event.seq))
-            matches.append((module, pre, post))
+            matches.append((module, next_state, pre, post))
 
         # Synthesized events from different modules execute in policy-name
         # order so the delivered stream is independent of deployment order
         # (template order within one policy is preserved).
-        before: list[tuple[ProactiveModule, Event]] = []
-        after: list[tuple[ProactiveModule, Event]] = []
-        for module, pre, post in sorted(matches,
-                                        key=lambda m: m[0].policy.name):
-            before.extend((module, e) for e in pre)
-            after.extend((module, e) for e in post)
-
-        delivered: list[Event] = []
-        for module, synth in before:
-            delivered.append(self._execute_synthesized(module, synth))
+        ordered = sorted(matches, key=lambda m: m[0].policy.name)
+        delivered = [self._execute_synthesized(module, synth)
+                     for module, _, pre, _ in ordered for synth in pre]
         if not suppressed:
             instance = self.sink.execute(event)
             executed = event
@@ -217,9 +214,13 @@ class PolicyEnforcer:
                     executed = replace(event, instance=instance)
                 self.manager.bind(event.symbol.interface, executed.instance)
             delivered.append(executed)
-        for module, synth in after:
-            delivered.append(self._execute_synthesized(module, synth))
+        delivered.extend(self._execute_synthesized(module, synth)
+                         for module, _, _, post in ordered for synth in post)
 
+        for module, next_state, _, _ in matches:
+            module.state = next_state
+            if event.symbol.kind is Kind.CONSTRUCTOR:
+                module.cached_ctor_args = event.args
         self.intervention_log.extend(records)
         return EnforcementOutcome(tuple(delivered), tuple(records), suppressed)
 

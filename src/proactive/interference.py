@@ -15,7 +15,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .automata import ActionSymbol, effect_sets
+from .automata import ActionSymbol
 from .dsl import PolicyDoc
 
 
@@ -67,8 +67,8 @@ class InterferenceReport:
 
 def check_pair(a: PolicyDoc, b: PolicyDoc) -> InterferenceReport:
     """Report every symbol a's effects touch in b's vocabulary and vice versa."""
-    effects_a = effect_sets(a.automaton)
-    effects_b = effect_sets(b.automaton)
+    effects_a = a.automaton.effects
+    effects_b = b.automaton.effects
     vocab_a = a.automaton.vocabulary
     vocab_b = b.automaton.vocabulary
     pairs: list[InterferencePair] = []

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: small hand-made automata, random
-trace generation, a seeded generator of valid policy documents, and
-guard-walking reference forms of the compiled transition table."""
+trace generation, a seeded generator of valid policy documents,
+guard-walking reference forms of the compiled transition table, and the
+all-pairs reference form of the deploy gate."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from proactive.automata import (
     state_sort_key,
 )
 from proactive.dsl import PolicyDoc
+from proactive.interference import InterferenceReport, check_set
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -233,3 +235,9 @@ def reference_validate(automaton: EditAutomaton) -> list[Diagnostic]:
                     "add an any self-loop to forward unlisted symbols",
                     state=state, symbol=symbol))
     return diags
+
+
+def reference_gate(enforcer, policy: PolicyDoc) -> InterferenceReport:
+    """The deploy gate as an all-pairs re-check: check_set over every
+    deployed policy followed by the new one."""
+    return check_set([m.policy for m in enforcer.modules] + [policy])

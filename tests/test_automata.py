@@ -14,7 +14,6 @@ from proactive.automata import (
     PolicyAuthoringError,
     Trace,
     Transition,
-    effect_sets,
     is_valid,
     run,
     run_from,
@@ -271,14 +270,14 @@ class TestRun:
 
 class TestEffectSets:
     def test_forced_release(self, forced_release):
-        effects = effect_sets(forced_release)
+        effects = forced_release.effects
         assert effects.inserted == frozenset({STOP_REC, RELEASE_AR})
         assert effects.suppressible == frozenset()
 
     def test_pure_forwarder(self):
         automaton = EditAutomaton(frozenset({"0"}), "0",
                                   (loop("0", Guard.any(), (fwd(),)),))
-        effects = effect_sets(automaton)
+        effects = automaton.effects
         assert effects.inserted == frozenset()
         assert effects.suppressible == frozenset()
 
@@ -287,7 +286,7 @@ class TestEffectSets:
             frozenset({"0"}), "0",
             (loop("0", Guard.exactly(DOA), ()),
              loop("0", Guard.any_except([DOA]), (fwd(),))))
-        assert effect_sets(automaton).suppressible == frozenset({DOA})
+        assert automaton.effects.suppressible == frozenset({DOA})
 
     def test_suppressing_catch_all_covers_matching_vocabulary(self):
         automaton = EditAutomaton(
@@ -295,7 +294,7 @@ class TestEffectSets:
             (loop("0", Guard.exactly(DOA), (fwd(),)),
              loop("0", Guard.exactly(DOB), (synth(DOX), fwd())),
              loop("0", Guard.any_except([DOA, DOB]), ()),))
-        assert effect_sets(automaton).suppressible == frozenset({DOX})
+        assert automaton.effects.suppressible == frozenset({DOX})
 
 
 class TestViolations:
@@ -362,7 +361,7 @@ class TestTableAgreesWithReference:
 
     def test_effect_sets(self):
         for name, automaton in reference_cases().items():
-            assert effect_sets(automaton) == reference_effect_sets(automaton), name
+            assert automaton.effects == reference_effect_sets(automaton), name
 
     def test_validate_codes_and_order(self):
         for name, automaton in reference_cases().items():

@@ -1,5 +1,6 @@
 import pytest
 
+import proactive.enforcer as enforcer_module
 from proactive.automata import (
     EditAutomaton,
     Event,
@@ -32,6 +33,8 @@ from helpers import (
     forced_release_automaton,
     fwd,
     make_doc,
+    random_policy_doc,
+    reference_gate,
     synth,
 )
 
@@ -64,6 +67,20 @@ class FailingSink(RecordingSink):
         return super().execute(event)
 
 
+def deploy_like_reference(enforcer, policy) -> bool:
+    """Deploy, asserting that accept/reject and the report text match the
+    all-pairs reference gate; returns whether the policy was rejected."""
+    expected = reference_gate(enforcer, policy)
+    if expected.ok:
+        enforcer.deploy(policy)
+        return False
+    with pytest.raises(InterferenceError) as exc:
+        enforcer.deploy(policy)
+    assert str(exc.value.report) == str(expected)
+    assert str(exc.value) == f"policies interfere:\n{expected}"
+    return True
+
+
 class TestDeploy:
     def test_fresh_module_state(self):
         enforcer = PolicyEnforcer()
@@ -93,6 +110,44 @@ class TestDeploy:
         enforcer.deploy(release_policy())
         with pytest.raises(DuplicatePolicyError):
             enforcer.deploy(release_policy())
+
+
+class TestGateMatchesAllPairsReference:
+    def test_conflict_at_every_position_of_the_pack(self, pack):
+        deployable = pack.deployable()
+        conflict = parse((FIXTURES / "conflict-camera.pol").read_text())
+        for position in range(len(deployable) + 1):
+            order = deployable[:position] + [conflict] + deployable[position:]
+            enforcer = PolicyEnforcer()
+            rejected = [deploy_like_reference(enforcer, policy)
+                        for policy in order]
+            assert any(rejected), position
+
+    def test_seeded_random_policy_sets(self):
+        rejections = 0
+        for first in range(0, 300, 5):
+            enforcer = PolicyEnforcer()
+            for seed in range(first, first + 5):
+                rejections += deploy_like_reference(enforcer,
+                                                    random_policy_doc(seed))
+        assert rejections > 0
+
+    def test_each_pair_is_checked_once(self, pack, monkeypatch):
+        checked = []
+        original = enforcer_module.check_pair
+
+        def counting(a, b):
+            checked.append(frozenset({a.name, b.name}))
+            return original(a, b)
+
+        monkeypatch.setattr(enforcer_module, "check_pair", counting)
+        enforcer = PolicyEnforcer()
+        policies = pack.deployable()
+        for policy in policies:
+            enforcer.deploy(policy)
+        n = len(policies)
+        assert len(checked) == n * (n - 1) // 2 == 21
+        assert len(set(checked)) == len(checked)
 
 
 class TestSetEnabled:
@@ -127,6 +182,17 @@ class TestSetEnabled:
         handle = other.deploy(release_policy())
         with pytest.raises(StaleHandleError):
             enforcer.set_enabled(handle, False)
+
+    def test_equal_handle_from_another_enforcer_is_stale(self):
+        # Both modules compare equal as dataclasses; only identity tells
+        # them apart.
+        a, b = PolicyEnforcer(), PolicyEnforcer()
+        a_handle = a.deploy(release_policy())
+        b_handle = b.deploy(release_policy())
+        assert a_handle == b_handle
+        with pytest.raises(StaleHandleError):
+            b.set_enabled(a_handle, False)
+        assert a_handle.enabled and b_handle.enabled
 
 
 class TestOnEvent:
@@ -196,8 +262,8 @@ class TestOnEvent:
             frozenset({"0"}), "0",
             (Transition("0", Guard.exactly(DOA), (fwd(), synth(DOB)), "0"),
              Transition("0", Guard.any_except([DOA]), (fwd(),), "0"))))
-        monkeypatch.setattr("proactive.enforcer.check_set",
-                            lambda policies: InterferenceReport())
+        monkeypatch.setattr("proactive.enforcer.check_pair",
+                            lambda a, b: InterferenceReport())
         enforcer = PolicyEnforcer()
         for policy in (suppressor, inserter):
             enforcer.deploy(policy)
@@ -211,13 +277,15 @@ class TestOnEvent:
 
     def test_healing_failure_surfaces_with_attribution(self):
         enforcer = PolicyEnforcer(FailingSink())
-        enforcer.deploy(release_policy())
+        handle = enforcer.deploy(release_policy())
         enforcer.on_event(Event(NEW_AR, seq=1))
         enforcer.on_event(Event(START_REC, seq=2))
         with pytest.raises(HealingFailureError) as exc:
             enforcer.on_event(Event(ON_STOP, seq=3))
         assert exc.value.policy == "forced-release"
         assert exc.value.event.symbol == STOP_REC
+        assert handle.state == "2"
+        assert enforcer.intervention_log == []
 
     def test_synthesized_constructor_rebinds_manager(self, pack):
         from proactive.automata import ActionSymbol
