@@ -11,6 +11,7 @@ bypass the automaton entirely.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -206,16 +207,29 @@ class OutputItem:
         if self.arg_source is ArgSource.CACHED:
             return f"{base} args cached"
         if self.arg_source is ArgSource.LITERALS:
-            rendered = " ".join(_literal_text(v) for v in self.literals)
+            rendered = " ".join(str(v) if isinstance(v, int) else quote(v)
+                                for v in self.literals)
             return f"{base} args ({rendered})"
         return base
 
 
-def _literal_text(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
+# The string codec of .pol text: quote escapes exactly the characters
+# that unquote restores, so every string survives a round trip.
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def quote(text: str) -> str:
+    escaped = (text.replace("\\", "\\\\")
+                   .replace('"', '\\"')
+                   .replace("\n", "\\n"))
     return f'"{escaped}"'
+
+
+def unquote(quoted: str) -> str:
+    """Inverse of quote: backslash-n is a newline, a backslash before any
+    other character stands for that character."""
+    return _ESCAPE.sub(lambda m: "\n" if m.group(1) == "n" else m.group(1),
+                       quoted[1:-1])
 
 
 @dataclass(frozen=True)
@@ -231,8 +245,9 @@ class Transition:
 
 
 def state_sort_key(state: str):
-    if state.isdigit():
-        return (0, int(state), "")
+    """Numeric ids first, by value; the id itself breaks ties ("3", "03")."""
+    if state.isdecimal():
+        return (0, int(state), state)
     return (1, 0, state)
 
 

@@ -1,6 +1,8 @@
-"""Textual policy format: parse, validate, and serialize enforcement models.
+r"""Textual policy format: parse, validate, and serialize enforcement models.
 
-Grammar (line-oriented, '#' starts a comment):
+Grammar (line-oriented; '#' outside a string starts a comment that runs
+to the end of the line; strings are double-quoted, with the escapes \",
+\\ and \n):
 
     policy <name>
     version <n>
@@ -37,14 +39,20 @@ from .automata import (
     GuardKind,
     OutputItem,
     Transition,
+    quote,
     state_sort_key,
+    unquote,
     validate,
 )
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 _SINGLE_USE = ("policy", "version", "experimental", "statement", "target",
                "states", "initial")
-_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}(),]|[^\s{}(),"]+')
+# One lexeme per match: a token, an unterminated string's opening quote,
+# or a comment running to the end of the line.  finditer skips what no
+# alternative matches, which is exactly the whitespace between lexemes.
+_LEXEME = re.compile(r'(?P<token>"(?:[^"\\]|\\.)*"|[{}(),]|[^\s{}(),"#]+)'
+                     r'|(?P<bad>")|#.*')
 
 
 @dataclass(frozen=True)
@@ -85,67 +93,17 @@ class _Token:
     column: int
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if in_string:
-            if ch == "\\" and i + 1 < len(line):
-                out.append(line[i:i + 2])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "#":
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 def _tokenize_line(raw: str, lineno: int, diags: list[DslDiagnostic]) -> list[_Token]:
-    text = _strip_comment(raw)
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
+    for m in _LEXEME.finditer(raw):
+        if m.lastgroup == "token":
+            tokens.append(_Token(m.group(), lineno, m.start() + 1))
+        elif m.lastgroup == "bad":
             diags.append(DslDiagnostic(
-                "lexical", lineno, pos + 1,
-                f"unterminated string or bad character {text[pos]!r}"))
-            return tokens
-        tokens.append(_Token(m.group(0), lineno, pos + 1))
-        pos = m.end()
+                "lexical", lineno, m.start() + 1,
+                f"unterminated string or bad character {m.group()!r}"))
+            break
     return tokens
-
-
-def _unquote(token: _Token) -> str:
-    body = token.text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append("\n" if nxt == "n" else nxt)
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
-
-
-def _quote(text: str) -> str:
-    escaped = (text.replace("\\", "\\\\")
-                   .replace('"', '\\"')
-                   .replace("\n", "\\n"))
-    return f'"{escaped}"'
 
 
 class _LineParser:
@@ -254,7 +212,7 @@ def _parse_literals(lp: _LineParser) -> tuple:
         if tok.text == ")":
             return tuple(values)
         if tok.text.startswith('"'):
-            values.append(_unquote(tok))
+            values.append(unquote(tok.text))
         else:
             try:
                 values.append(int(tok.text))
@@ -334,21 +292,22 @@ def parse(text: str) -> PolicyDoc:
     line_of: dict[int, int] = {}  # id(transition) -> its line
     seen: dict[str, int] = {}  # single-use directive -> its line
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         tokens = _tokenize_line(raw, lineno, diags)
         if not tokens:
             continue
         lp = _LineParser(tokens, lineno)
-        head = tokens[0].text
+        first = lp.next("directive")
+        head = first.text
         try:
             if head in seen:
                 raise _Fail(DslDiagnostic(
-                    "semantic", lineno, tokens[0].column,
+                    "semantic", lineno, first.column,
                     f"duplicate {head!r} directive (first on line {seen[head]})"))
             if head in _SINGLE_USE:
                 seen[head] = lineno
             if head == "policy":
-                lp.next("'policy'")
                 tok = lp.next("policy name")
                 if not _IDENT.match(tok.text):
                     raise _Fail(DslDiagnostic("semantic", tok.line, tok.column,
@@ -356,7 +315,6 @@ def parse(text: str) -> PolicyDoc:
                 name = tok.text
                 lp.done()
             elif head == "version":
-                lp.next("'version'")
                 tok = lp.next("non-negative integer")
                 try:
                     version = int(tok.text)
@@ -367,25 +325,20 @@ def parse(text: str) -> PolicyDoc:
                                               f"invalid version {tok.text!r}"))
                 lp.done()
             elif head == "experimental":
-                lp.next("'experimental'")
                 experimental = True
                 lp.done()
             elif head == "statement":
-                lp.next("'statement'")
                 tok = lp.next("quoted statement text")
-                if not (tok.text.startswith('"') and tok.text.endswith('"')
-                        and len(tok.text) >= 2):
+                if not tok.text.startswith('"'):
                     raise _Fail(DslDiagnostic("syntax", tok.line, tok.column,
                                               "statement text must be quoted",
                                               '"<text>"'))
-                statement = _unquote(tok)
+                statement = unquote(tok.text)
                 lp.done()
             elif head == "target":
-                lp.next("'target'")
                 target = lp.next("interface name").text
                 lp.done()
             elif head == "states":
-                lp.next("'states'")
                 while lp.peek() is not None:
                     tok = lp.next("state id")
                     if tok.text in states:
@@ -393,23 +346,21 @@ def parse(text: str) -> PolicyDoc:
                                                   f"duplicate state {tok.text!r}"))
                     states.append(tok.text)
             elif head == "initial":
-                lp.next("'initial'")
                 initial = lp.next("state id").text
                 lp.done()
             elif head == "on":
-                lp.next("'on'")
                 transitions.append(_parse_transition(lp))
                 line_of[id(transitions[-1])] = lineno
             else:
                 raise _Fail(DslDiagnostic(
-                    "syntax", tokens[0].line, tokens[0].column,
+                    "syntax", lineno, first.column,
                     f"unknown directive {head!r}",
                     "'policy', 'version', 'experimental', 'statement', "
                     "'target', 'states', 'initial' or 'on'"))
         except _Fail as fail:
             diags.append(fail.diagnostic)
 
-    last = len(text.splitlines()) or 1
+    last = len(lines) or 1
     for field_name, value in (("policy", name), ("statement", statement),
                               ("target", target), ("initial", initial),
                               ("states", states or None)):
@@ -444,7 +395,7 @@ def serialize(doc: PolicyDoc) -> str:
     lines = [f"policy {doc.name}", f"version {doc.version}"]
     if doc.experimental:
         lines.append("experimental")
-    lines.append(f"statement {_quote(doc.statement)}")
+    lines.append(f"statement {quote(doc.statement)}")
     lines.append(f"target {doc.target_interface}")
     ordered_states = sorted(doc.automaton.states, key=state_sort_key)
     lines.append("states " + " ".join(ordered_states))

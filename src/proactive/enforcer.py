@@ -171,7 +171,9 @@ class PolicyEnforcer:
             raise ValueError("only app events may enter the enforcer")
         suppressed = False
         records: list[InterventionRecord] = []
-        matches: list[tuple[ProactiveModule, str, list[Event], list[Event]]] = []
+        # (module, next state, next cached constructor args, pre, post)
+        matches: list[tuple[ProactiveModule, str, Optional[tuple],
+                            list[Event], list[Event]]] = []
 
         for module in self.watchers.get(event.symbol, ()):
             if not module.enabled:
@@ -198,14 +200,15 @@ class PolicyEnforcer:
                     trigger=event, policy=module.policy.name,
                     synthesized=synthesized, suppressed=not forwarded,
                     at_seq=event.seq))
-            matches.append((module, next_state, pre, post))
+            matches.append((module, next_state, context.cached_ctor_args,
+                            pre, post))
 
         # Synthesized events from different modules execute in policy-name
         # order so the delivered stream is independent of deployment order
         # (template order within one policy is preserved).
         ordered = sorted(matches, key=lambda m: m[0].policy.name)
         delivered = [self._execute_synthesized(module, synth)
-                     for module, _, pre, _ in ordered for synth in pre]
+                     for module, _, _, pre, _ in ordered for synth in pre]
         if not suppressed:
             instance = self.sink.execute(event)
             executed = event
@@ -215,12 +218,11 @@ class PolicyEnforcer:
                 self.manager.bind(event.symbol.interface, executed.instance)
             delivered.append(executed)
         delivered.extend(self._execute_synthesized(module, synth)
-                         for module, _, _, post in ordered for synth in post)
+                         for module, _, _, _, post in ordered for synth in post)
 
-        for module, next_state, _, _ in matches:
+        for module, next_state, cached_ctor_args, _, _ in matches:
             module.state = next_state
-            if event.symbol.kind is Kind.CONSTRUCTOR:
-                module.cached_ctor_args = event.args
+            module.cached_ctor_args = cached_ctor_args
         self.intervention_log.extend(records)
         return EnforcementOutcome(tuple(delivered), tuple(records), suppressed)
 

@@ -65,6 +65,7 @@ def load_policies(directory: Path) -> tuple[dict[str, PolicyDoc], list[str]]:
 
 def _load_manifest(directory: Path) -> tuple[dict[str, Expectation], list[str]]:
     expectations: dict[str, Expectation] = {}
+    first_line: dict[str, int] = {}
     problems: list[str] = []
     manifest = directory / "manifest"
     if not manifest.exists():
@@ -80,6 +81,11 @@ def _load_manifest(directory: Path) -> tuple[dict[str, Expectation], list[str]]:
                             f"healed|no-violation', got {raw!r}")
             continue
         scenario, expectation = parts
+        if scenario in first_line:
+            problems.append(f"manifest:{lineno}: duplicate scenario {scenario!r} "
+                            f"(first on line {first_line[scenario]})")
+            continue
+        first_line[scenario] = lineno
         try:
             expectations[scenario] = Expectation(expectation)
         except ValueError:

@@ -9,6 +9,7 @@ attached) before its effect is applied to the world.
 from __future__ import annotations
 
 import enum
+import re
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -188,10 +189,14 @@ APP_BUTTONS: dict[tuple[str, str], tuple[tuple[ActionSymbol, tuple], ...]] = {
 }
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse_scenario(text: str, name: str,
                    expected: Optional[Expectation] = None) -> ScenarioScript:
     """Parse a .scn file: `app <name>` header then one command per line."""
     app: Optional[str] = None
+    app_line = 0
     steps: list[ScenarioStep] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -202,7 +207,11 @@ def parse_scenario(text: str, name: str,
         if head == "app":
             if len(tokens) != 2:
                 raise ScenarioError("app directive takes one name", lineno)
-            app = tokens[1]
+            if app is not None:
+                raise ScenarioError(
+                    f"duplicate 'app' directive (first on line {app_line})",
+                    lineno)
+            app, app_line = tokens[1], lineno
         elif head in ("launch", "background", "foreground", "rotate", "destroy"):
             if len(tokens) != 1:
                 raise ScenarioError(f"{head} takes no arguments", lineno)
@@ -226,7 +235,7 @@ def parse_scenario(text: str, name: str,
                 iface, method = tokens[1].split(".", 1)
                 symbol = ActionSymbol.call(iface, method)
                 raw_args = tokens[2:]
-            args = tuple(int(a) if a.lstrip("-").isdigit() else a
+            args = tuple(int(a) if _INTEGER.fullmatch(a) else a
                          for a in raw_args)
             steps.append(ScenarioStep("call", symbol=symbol, args=args,
                                       line=lineno))
@@ -344,11 +353,6 @@ class SimWorld:
 # clears it.  Releases and stops are tolerant no-ops when idle so that a
 # synthesized cleanup after an app-side release cannot fail.
 
-def _require_held(resource: SimResource, what: str) -> None:
-    if not resource.held:
-        raise SimProtocolError(f"{what} on an unheld {resource.interface}")
-
-
 def _simple_acquire(world, resource, event):
     resource.acquire(world.activity, event.seq)
 
@@ -357,12 +361,14 @@ def _release(world, resource, event):
     resource.release_all()
 
 
-def _start_recording(world, resource, event):
-    _require_held(resource, "startRecording")
+def _start(world, resource, event):
+    if not resource.held:
+        raise SimProtocolError(
+            f"{event.symbol.method} on an unheld {resource.interface}")
     resource.active = True
 
 
-def _stop_recording(world, resource, event):
+def _stop(world, resource, event):
     resource.active = False
 
 
@@ -370,15 +376,6 @@ def _camera_open(world, resource, event):
     if resource.held:
         raise SimProtocolError("Camera is exclusively held; cannot open it twice")
     resource.acquire(world.activity, event.seq)
-
-
-def _start_preview(world, resource, event):
-    _require_held(resource, "startPreview")
-    resource.active = True
-
-
-def _stop_preview(world, resource, event):
-    resource.active = False
 
 
 def _register(world, resource, event):
@@ -393,18 +390,13 @@ def _unregister(world, resource, event):
         resource.release_all()
 
 
-def _kill(world, resource, event):
-    # kill unregisters every registered callback without unregister calls
-    resource.release_all()
-
-
 _PROTOCOLS = {
-    ("AudioRecord", "startRecording"): _start_recording,
-    ("AudioRecord", "stop"): _stop_recording,
+    ("AudioRecord", "startRecording"): _start,
+    ("AudioRecord", "stop"): _stop,
     ("AudioRecord", "release"): _release,
     ("Camera", "open"): _camera_open,
-    ("Camera", "startPreview"): _start_preview,
-    ("Camera", "stopPreview"): _stop_preview,
+    ("Camera", "startPreview"): _start,
+    ("Camera", "stopPreview"): _stop,
     ("Camera", "release"): _release,
     ("LocationManager", "requestLocationUpdates"): _simple_acquire,
     ("LocationManager", "removeUpdates"): _release,
@@ -414,7 +406,8 @@ _PROTOCOLS = {
     ("BluetoothAdapter", "disable"): _release,
     ("RemoteCallbackList", "register"): _register,
     ("RemoteCallbackList", "unregister"): _unregister,
-    ("RemoteCallbackList", "kill"): _kill,
+    # kill unregisters every registered callback without unregister calls
+    ("RemoteCallbackList", "kill"): _release,
 }
 
 

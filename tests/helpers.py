@@ -1,11 +1,13 @@
 """Shared builders for the test suite: small hand-made automata, random
 trace generation, a seeded generator of valid policy documents,
-guard-walking reference forms of the compiled transition table, and the
-all-pairs reference form of the deploy gate."""
+guard-walking reference forms of the compiled transition table, the
+all-pairs reference form of the deploy gate, and the character-walking
+reference form of the `.pol` lexer."""
 
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 from proactive.automata import (
@@ -22,7 +24,7 @@ from proactive.automata import (
     Transition,
     state_sort_key,
 )
-from proactive.dsl import PolicyDoc
+from proactive.dsl import DslDiagnostic, PolicyDoc
 from proactive.interference import InterferenceReport, check_set
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,7 +117,7 @@ _SYMBOL_POOL = (
     ActionSymbol.constructor("Api"),
 )
 
-_STATEMENT_CHARS = 'abc XY.,:#"()\\{}'
+_STRING_CHARS = 'abc XY.,:#"()\\{}\n'
 
 
 def _random_template(rng: random.Random) -> tuple[OutputItem, ...]:
@@ -125,7 +127,7 @@ def _random_template(rng: random.Random) -> tuple[OutputItem, ...]:
         if source is ArgSource.LITERALS:
             literals = tuple(
                 rng.choice([rng.randint(-99, 99),
-                            "".join(rng.choices(_STATEMENT_CHARS, k=4))])
+                            "".join(rng.choices(_STRING_CHARS, k=4))])
                 for _ in range(rng.randint(0, 3)))
         return synth(rng.choice(_SYMBOL_POOL), source, literals)
 
@@ -161,8 +163,7 @@ def random_policy_doc(seed: int) -> PolicyDoc:
         transitions.append(Transition(state, catch_all, (fwd(),),
                                       rng.choice(states)))
     automaton = EditAutomaton(frozenset(states), states[0], tuple(transitions))
-    statement = "".join(rng.choices(_STATEMENT_CHARS + "\n",
-                                    k=rng.randint(0, 40)))
+    statement = "".join(rng.choices(_STRING_CHARS, k=rng.randint(0, 40)))
     return PolicyDoc(
         name=f"generated-{seed}",
         statement=statement,
@@ -241,3 +242,90 @@ def reference_gate(enforcer, policy: PolicyDoc) -> InterferenceReport:
     """The deploy gate as an all-pairs re-check: check_set over every
     deployed policy followed by the new one."""
     return check_set([m.policy for m in enforcer.modules] + [policy])
+
+
+# -- reference lexer -----------------------------------------------------
+# The `.pol` lexer as it was before one regex pass replaced it: strip the
+# comment, then tokenize, then unquote, each walking the characters.
+
+_REFERENCE_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}(),]|[^\s{}(),"]+')
+
+
+def reference_strip_comment(line: str) -> str:
+    out = []
+    in_string = False
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if in_string:
+            if ch == "\\" and i + 1 < len(line):
+                out.append(line[i:i + 2])
+                i += 2
+                continue
+            if ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == "#":
+            break
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def reference_tokenize_line(raw: str, lineno: int) -> tuple[list, list]:
+    """(tokens as (text, line, column), lexical diagnostics) of one line."""
+    text = reference_strip_comment(raw)
+    tokens: list[tuple[str, int, int]] = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            return tokens, [DslDiagnostic(
+                "lexical", lineno, pos + 1,
+                f"unterminated string or bad character {text[pos]!r}")]
+        tokens.append((m.group(0), lineno, pos + 1))
+        pos = m.end()
+    return tokens, []
+
+
+def reference_unquote(token: str) -> str:
+    body = token[1:-1]
+    out: list[str] = []
+    i = 0
+    while i < len(body):
+        if body[i] == "\\" and i + 1 < len(body):
+            nxt = body[i + 1]
+            out.append("\n" if nxt == "n" else nxt)
+            i += 2
+        else:
+            out.append(body[i])
+            i += 1
+    return "".join(out)
+
+
+_MUTATIONS = ("#", '"', "\\", '\\"', "\t", "\f", "\r", " ", "\x1f",
+              '"a # b"', "{", ")", ",", "\\n")
+
+
+def mutated_policy_text(rng: random.Random, text: str) -> str:
+    """text with a few seeded edits: comment marks and quotes inside and
+    outside strings, unterminated strings, tabs, form feeds, carriage
+    returns, trailing whitespace and stray escapes."""
+    for _ in range(rng.randint(1, 6)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i] + rng.choice(_MUTATIONS) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + 1:]
+        elif edit == 2:
+            end = text.find("\n", i)
+            end = len(text) if end < 0 else end
+            text = text[:end] + " \t " + text[end:]
+        else:
+            text = text[:i] + rng.choice(_MUTATIONS) + text[i + 1:]
+    return text

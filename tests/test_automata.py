@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from proactive.automata import (
@@ -17,6 +19,7 @@ from proactive.automata import (
     is_valid,
     run,
     run_from,
+    state_sort_key,
     step,
     validate,
     violations,
@@ -129,6 +132,14 @@ class TestGuard:
     def test_text_sorts_set_elements(self):
         guard = Guard.any_except([DOB, DOA])
         assert guard.text() == "any-except {call Api.doA call Api.doB}"
+
+
+class TestStateOrder:
+    def test_every_permutation_sorts_the_same_way(self):
+        states = ["3", "03", "003", "\u00b2", "a"]
+        orders = {tuple(sorted(p, key=state_sort_key))
+                  for p in itertools.permutations(states)}
+        assert orders == {("003", "03", "3", "a", "\u00b2")}
 
 
 class TestValidate:

@@ -25,6 +25,14 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_decimal_digit_state_id(self, tmp_path, capsys):
+        path = tmp_path / "p.pol"
+        path.write_text('policy p\nstatement "s"\ntarget T\nstates 0 \u00b2\n'
+                        "initial 0\non any from 0 to 0 emit input\n",
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: ok (policy p)\n"
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.pol")]) == 2
         assert capsys.readouterr().err
@@ -110,6 +118,13 @@ class TestRun:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("healed") == 2
+
+    def test_non_integer_call_args_run(self, tmp_path, capsys):
+        path = tmp_path / "odd.scn"
+        path.write_text("app HearHere\nlaunch\ncall AudioRecord.stop --5 \u00b2\n",
+                        encoding="utf-8")
+        assert main(["run", "--scenario", str(path)]) == 0
+        assert "no-violation" in capsys.readouterr().out
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "x.scn")]) == 2

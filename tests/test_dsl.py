@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from proactive.automata import (
@@ -6,11 +8,23 @@ from proactive.automata import (
     Guard,
     Transition,
     is_valid,
+    unquote,
 )
-from proactive.dsl import PolicyParseError, parse, serialize
+from proactive.dsl import PolicyParseError, _tokenize_line, parse, serialize
 from proactive.pack import bundled_pack_dir
 
-from helpers import DOA, DOB, FIXTURES, fwd, make_doc, random_policy_doc, synth
+from helpers import (
+    DOA,
+    DOB,
+    FIXTURES,
+    fwd,
+    make_doc,
+    mutated_policy_text,
+    random_policy_doc,
+    reference_tokenize_line,
+    reference_unquote,
+    synth,
+)
 
 
 def parse_fixture(name):
@@ -20,6 +34,11 @@ def parse_fixture(name):
 def bundled_texts():
     return {p.name: p.read_text(encoding="utf-8")
             for p in sorted(bundled_pack_dir().glob("*.pol"))}
+
+
+def fixture_texts():
+    return {p.name: p.read_text(encoding="utf-8")
+            for p in sorted(FIXTURES.glob("*.pol"))}
 
 
 class TestParse:
@@ -135,6 +154,26 @@ class TestParse:
         assert items[0].arg_source is ArgSource.LITERALS
         assert items[0].literals == (1, -2, "a b")
 
+    def test_comments_end_the_line_outside_strings(self):
+        text = ('# leading comment\npolicy p # trailing\n'
+                'statement "a # b" #"c"\ntarget T#U\nstates 0\ninitial 0\n'
+                "on any from 0 to 0 emit input#none\n")
+        doc = parse(text)
+        assert (doc.name, doc.statement, doc.target_interface) \
+            == ("p", "a # b", "T")
+
+    def test_string_escapes(self):
+        text = ('policy p\nstatement "q\\"\\\\n\\n\\x"\ntarget T\nstates 0\n'
+                "initial 0\non any from 0 to 0 emit input\n")
+        assert parse(text).statement == 'q"\\n\nx'
+
+    def test_non_decimal_digit_state_ids(self):
+        text = ('policy p\nstatement "s"\ntarget T\nstates 3 \u00b2 03 0\n'
+                "initial 0\non any from 0 to 0 emit input\n")
+        canonical = serialize(parse(text))
+        assert "states 0 03 3 \u00b2\n" in canonical
+        assert serialize(parse(canonical)) == canonical
+
     def test_comment_hash_inside_statement_is_kept(self):
         text = ('policy p\nstatement "a # b"\ntarget T\nstates 0\ninitial 0\n'
                 "on any from 0 to 0 emit input\n")
@@ -202,6 +241,19 @@ class TestSerialize:
             doc = random_policy_doc(seed)
             assert parse(serialize(doc)) == doc, seed
 
+    def test_literal_newline_round_trip(self):
+        text = ('policy p\nstatement "s"\ntarget T\nstates 0\ninitial 0\n'
+                'on call T.x from 0 to 0 emit insert call T.y '
+                'args ("a\\nb" "q\\"\\\\"), input\n'
+                "on any-except {call T.x} from 0 to 0 emit input\n")
+        doc = parse(text)
+        [item] = [i for t in doc.automaton.transitions for i in t.output
+                  if not i.is_forward]
+        assert item.literals == ("a\nb", 'q"\\')
+        canonical = serialize(doc)
+        assert parse(canonical) == doc
+        assert serialize(parse(canonical)) == canonical
+
     def test_statement_escaping(self):
         import dataclasses
         base = make_doc("p", EditAutomaton(
@@ -210,3 +262,46 @@ class TestSerialize:
         for statement in ['say "hi"', "a\\nb", "line\nbreak", "tricky \\ # end"]:
             doc = dataclasses.replace(base, statement=statement)
             assert parse(serialize(doc)).statement == statement
+
+
+class TestLexerAgreesWithReference:
+    """The one-pass lexer gives the reference lexer's tokens, positions,
+    lexical diagnostics and unquoted strings."""
+
+    @staticmethod
+    def corpus():
+        texts = list(bundled_texts().values()) + list(fixture_texts().values())
+        rng = random.Random(4)
+        return texts + [mutated_policy_text(rng, rng.choice(texts))
+                        for _ in range(2000)]
+
+    def test_tokens_diagnostics_and_strings(self):
+        # Split on LF only, so form feeds and carriage returns, which
+        # parse treats as line breaks, also reach the lexer inside a line.
+        lexical = strings = 0
+        for text in self.corpus():
+            for lineno, raw in enumerate(text.split("\n"), start=1):
+                diags = []
+                tokens = _tokenize_line(raw, lineno, diags)
+                expected_tokens, expected_diags = \
+                    reference_tokenize_line(raw, lineno)
+                assert [(t.text, t.line, t.column) for t in tokens] \
+                    == expected_tokens, raw
+                assert diags == expected_diags, raw
+                lexical += len(diags)
+                for t in tokens:
+                    if t.text.startswith('"'):
+                        strings += 1
+                        assert unquote(t.text) == reference_unquote(t.text)
+        assert lexical > 100 and strings > 1000
+
+    def test_parse_reports_the_reference_lexical_diagnostics(self):
+        for text in self.corpus():
+            expected = [d for lineno, raw in enumerate(text.splitlines(), 1)
+                        for d in reference_tokenize_line(raw, lineno)[1]]
+            try:
+                parse(text)
+                found = []
+            except PolicyParseError as exc:
+                found = [d for d in exc.diagnostics if d.kind == "lexical"]
+            assert found == expected, text

@@ -116,6 +116,14 @@ class TestLoadPack:
         with pytest.raises(PackLoadError, match="unknown expectation"):
             load_pack(tmp_path)
 
+    def test_scenario_listed_twice_in_manifest(self, tmp_path):
+        (tmp_path / "manifest").write_text(
+            "a healed\nb healed\na no-violation\n", encoding="utf-8")
+        with pytest.raises(PackLoadError) as exc:
+            load_pack(tmp_path)
+        assert exc.value.problems \
+            == ["manifest:3: duplicate scenario 'a' (first on line 1)"]
+
     def test_interfering_deployable_pack_rejected(self, tmp_path):
         base = ('policy {name}\nstatement "s"\ntarget T\nstates 0 1\ninitial 0\n'
                 "on any-except {{call T.x}} from 0 to 0 emit input\n"

@@ -2,13 +2,14 @@
 
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from proactive.automata import (
     ActionSymbol,
     BindingContext,
     Event,
+    PolicyAuthoringError,
     Trace,
     run,
     run_from,
@@ -108,15 +109,39 @@ def test_order_independence_of_non_interfering_modules(seed, size):
     assert enforced(list(reversed(policies))) == baseline
 
 
+def assert_enforcer_matches_plain_run(policy, trace):
+    """A single deployed policy emits what run emits, or both raise
+    PolicyAuthoringError."""
+    def emitted(transform):
+        try:
+            return [(e.symbol, e.origin, e.args) for e in transform()]
+        except PolicyAuthoringError:
+            return PolicyAuthoringError
+
+    def enforced():
+        enforcer = PolicyEnforcer()
+        enforcer.deploy(policy)
+        return enforcer.run_enforced(trace)[0]
+
+    assert emitted(enforced) == emitted(lambda: run(policy.automaton, trace))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_enforcer_matches_plain_run_for_single_policy(seed):
     rng = random.Random(seed)
     policy = rng.choice(PACK.deployable())
     trace = random_trace(rng, policy.automaton.vocabulary, max_len=20)
-    enforcer = PolicyEnforcer()
-    enforcer.deploy(policy)
-    out, _ = enforcer.run_enforced(trace)
-    expected = run(policy.automaton, trace)
-    assert [ (e.symbol, e.origin, e.args) for e in out ] \
-        == [ (e.symbol, e.origin, e.args) for e in expected ]
+    assert_enforcer_matches_plain_run(policy, trace)
+
+
+# Seed 81 inserts `new Api` with no args and later inserts events with
+# cached constructor args: both sides must replay the inserted (empty) args.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(81)
+def test_enforcer_matches_plain_run_for_random_policy(seed):
+    policy = random_policy_doc(seed)
+    trace = random_trace(random.Random(seed), policy.automaton.vocabulary,
+                         max_len=20, extra=[ALIEN])
+    assert_enforcer_matches_plain_run(policy, trace)

@@ -88,6 +88,17 @@ class TestParseScenario:
         script = parse_scenario("app X\nlaunch\ncall A.m 3 -4 hz\n", "x")
         assert script.steps[1].args == (3, -4, "hz")
 
+    def test_only_decimal_integers_become_ints(self):
+        script = parse_scenario(
+            "app X\nlaunch\ncall A.m --5 \u00b2 -0 +4 12 -3x\n", "x")
+        assert script.steps[1].args == ("--5", "\u00b2", 0, "+4", 12, "-3x")
+
+    def test_duplicate_app_directive(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("app X\nlaunch\napp Y\n", "x")
+        assert exc.value.line == 3
+        assert "duplicate 'app' directive (first on line 1)" in str(exc.value)
+
     def test_constructor_step(self):
         script = parse_scenario("app X\nlaunch\ncall new AudioRecord 8000\n",
                                 "x")
@@ -126,6 +137,28 @@ class TestProtocols:
              ActionSymbol.call("RemoteCallbackList", "kill"))
         resource = world.resources["RemoteCallbackList"]
         assert not resource.held and resource.registrations == 0
+
+    @pytest.mark.parametrize("interface, method", [
+        ("AudioRecord", "startRecording"), ("Camera", "startPreview")])
+    def test_start_on_unheld_names_the_method(self, interface, method):
+        world = SimWorld("X")
+        with pytest.raises(SimProtocolError,
+                           match=f"^{method} on an unheld {interface}$"):
+            feed(world, ActionSymbol.call(interface, method))
+
+    @pytest.mark.parametrize("acquire, start, stop", [
+        (ActionSymbol.constructor("AudioRecord"),
+         ActionSymbol.call("AudioRecord", "startRecording"),
+         ActionSymbol.call("AudioRecord", "stop")),
+        (ActionSymbol.call("Camera", "open"),
+         ActionSymbol.call("Camera", "startPreview"),
+         ActionSymbol.call("Camera", "stopPreview")),
+    ])
+    def test_stop_deactivates_and_keeps_the_hold(self, acquire, start, stop):
+        world = SimWorld("X")
+        feed(world, acquire, start, stop)
+        resource = world.resources[acquire.interface]
+        assert resource.held and not resource.active
 
     def test_unknown_method(self):
         world = SimWorld("X")
