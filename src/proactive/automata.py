@@ -251,6 +251,12 @@ def state_sort_key(state: str):
     return (1, 0, state)
 
 
+# A compiled move: the target state, and the transition whose template
+# runs there, or None when the transition only forwards its input.
+Move = tuple[str, Optional[Transition]]
+_FORWARD_ONLY = (OutputItem.forward(),)
+
+
 @dataclass(frozen=True)
 class EffectSets:
     inserted: frozenset[ActionSymbol]
@@ -300,6 +306,19 @@ class EditAutomaton:
                 if t.guard.matches(symbol):
                     table.setdefault((t.source, symbol), []).append(t)
         return {key: tuple(ts) for key, ts in table.items()}
+
+    @cached_property
+    def moves(self) -> dict[ActionSymbol, dict[str, Move]]:
+        """symbol -> source state -> (target, transition) of the first
+        matching transition, the transition None when its template is
+        exactly (input,): a forward-only move.  Derived from table, so it
+        holds the same (state, symbol) pairs."""
+        moves: dict[ActionSymbol, dict[str, Move]] = {}
+        for (state, symbol), matching in self.table.items():
+            first = matching[0]
+            moves.setdefault(symbol, {})[state] = (
+                first.target, None if first.output == _FORWARD_ONLY else first)
+        return moves
 
     @cached_property
     def effects(self) -> EffectSets:
@@ -402,15 +421,14 @@ class BindingContext:
 
 
 def _match(automaton: EditAutomaton, state: str,
-           symbol: ActionSymbol) -> Optional[Transition]:
-    """The first-declared matching transition; None bypasses the automaton."""
-    matching = automaton.table.get((state, symbol))
-    if matching is not None:
-        return matching[0]
-    if symbol in automaton.vocabulary:
+           symbol: ActionSymbol) -> Optional[Move]:
+    """The move of the first-declared matching transition; None bypasses
+    the automaton."""
+    move = automaton.moves.get(symbol, {}).get(state)
+    if move is None and symbol in automaton.vocabulary:
         raise MissingTransitionError(
             f"no transition from state {state!r} matches vocabulary symbol {symbol}")
-    return None
+    return move
 
 
 def _instantiate(item: OutputItem, trigger: Event, context: BindingContext) -> Event:
@@ -437,12 +455,15 @@ def step(automaton: EditAutomaton, state: str, event: Event,
     forwarded input, when present, appears in the output as the very
     event object that was passed in.
     """
-    transition = _match(automaton, state, event.symbol)
-    if transition is None:
+    move = _match(automaton, state, event.symbol)
+    if move is None:
         return state, [event]
+    target, transition = move
     if context is None:
         context = BindingContext()
     context.observe(event)
+    if transition is None:
+        return target, [event]
     emitted: list[Event] = []
     for item in transition.output:
         if item.is_forward:
@@ -451,7 +472,7 @@ def step(automaton: EditAutomaton, state: str, event: Event,
             synthesized = _instantiate(item, event, context)
             context.observe(synthesized)
             emitted.append(synthesized)
-    return transition.target, emitted
+    return target, emitted
 
 
 def run_from(automaton: EditAutomaton, state: str, events: Iterable[Event],
@@ -483,12 +504,11 @@ def violations(automaton: EditAutomaton, trace: Trace) -> list[Event]:
     have modified the execution)."""
     state = automaton.initial
     found: list[Event] = []
-    forward_only = (OutputItem.forward(),)
     for event in trace:
-        transition = _match(automaton, state, event.symbol)
-        if transition is None:
+        move = _match(automaton, state, event.symbol)
+        if move is None:
             continue
-        if transition.output != forward_only:
+        state, transition = move
+        if transition is not None:
             found.append(event)
-        state = transition.target
     return found

@@ -46,6 +46,10 @@ from .automata import (
 )
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
+# Integers are ASCII digits with an optional minus: `args (...)` literals
+# here and `.scn` call args; a version takes no sign.
+INTEGER = re.compile(r"-?[0-9]+")
+_VERSION = re.compile(r"[0-9]+")
 _SINGLE_USE = ("policy", "version", "experimental", "statement", "target",
                "states", "initial")
 # One lexeme per match: a token, an unterminated string's opening quote,
@@ -213,13 +217,12 @@ def _parse_literals(lp: _LineParser) -> tuple:
             return tuple(values)
         if tok.text.startswith('"'):
             values.append(unquote(tok.text))
+        elif INTEGER.fullmatch(tok.text):
+            values.append(int(tok.text))
         else:
-            try:
-                values.append(int(tok.text))
-            except ValueError:
-                raise _Fail(DslDiagnostic("syntax", tok.line, tok.column,
-                                          f"bad literal {tok.text!r}",
-                                          "integer or quoted string"))
+            raise _Fail(DslDiagnostic("syntax", tok.line, tok.column,
+                                      f"bad literal {tok.text!r}",
+                                      "integer or quoted string"))
 
 
 def _parse_item(lp: _LineParser) -> OutputItem:
@@ -316,13 +319,10 @@ def parse(text: str) -> PolicyDoc:
                 lp.done()
             elif head == "version":
                 tok = lp.next("non-negative integer")
-                try:
-                    version = int(tok.text)
-                    if version < 0:
-                        raise ValueError
-                except ValueError:
+                if not _VERSION.fullmatch(tok.text):
                     raise _Fail(DslDiagnostic("semantic", tok.line, tok.column,
                                               f"invalid version {tok.text!r}"))
+                version = int(tok.text)
                 lp.done()
             elif head == "experimental":
                 experimental = True

@@ -22,6 +22,7 @@ from .automata import (
     BindingContext,
     Event,
     Kind,
+    Move,
     Origin,
     Trace,
     step,
@@ -130,7 +131,9 @@ class PolicyEnforcer:
     def __init__(self, sink: Optional[EventSink] = None) -> None:
         self.sink: EventSink = sink if sink is not None else RecordingSink()
         self.modules: list[ProactiveModule] = []
-        self.watchers: dict[ActionSymbol, list[ProactiveModule]] = {}
+        # symbol -> (module, the module's moves on symbol by state)
+        self.watchers: dict[ActionSymbol,
+                            list[tuple[ProactiveModule, dict[str, Move]]]] = {}
         self.manager = ResourceManager()
         self.intervention_log: list[InterventionRecord] = []
 
@@ -146,8 +149,10 @@ class PolicyEnforcer:
             raise InterferenceError(InterferenceReport(tuple(pairs)))
         module = ProactiveModule(policy=policy, state=policy.automaton.initial)
         self.modules.append(module)
+        moves = policy.automaton.moves
         for symbol in policy.automaton.vocabulary:
-            self.watchers.setdefault(symbol, []).append(module)
+            self.watchers.setdefault(symbol, []).append(
+                (module, moves.get(symbol, {})))
         return module
 
     def set_enabled(self, handle: ProactiveModule, on: bool) -> None:
@@ -166,18 +171,37 @@ class PolicyEnforcer:
         before the app event reaches the sink; items after it execute
         after.  If any matching module's template omits the input, the
         app event is suppressed (suppression dominates forwarding).
-        Matched modules move only after every delivered event executed."""
+        Matched modules move only after every delivered event executed.
+        Forward-only moves take no step; when every matched module only
+        forwards, the event executes as is."""
         if event.origin is not Origin.APP:
             raise ValueError("only app events may enter the enforcer")
-        suppressed = False
-        records: list[InterventionRecord] = []
-        # (module, next state, next cached constructor args, pre, post)
-        matches: list[tuple[ProactiveModule, str, Optional[tuple],
-                            list[Event], list[Event]]] = []
-
-        for module in self.watchers.get(event.symbol, ()):
+        constructor = event.symbol.kind is Kind.CONSTRUCTOR
+        # (module, next state, next cached constructor args)
+        moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
+        editing: list[ProactiveModule] = []
+        for module, moves in self.watchers.get(event.symbol, ()):
             if not module.enabled:
                 continue
+            move = moves.get(module.state)  # None: step raises MissingTransitionError
+            if move is None or move[1] is not None:
+                editing.append(module)
+            else:
+                moved.append((module, move[0], event.args if constructor
+                              else module.cached_ctor_args))
+
+        if not editing:
+            delivered = (self._execute(event),)
+            for module, next_state, cached_ctor_args in moved:
+                module.state = next_state
+                module.cached_ctor_args = cached_ctor_args
+            return EnforcementOutcome(delivered, (), False)
+
+        suppressed = False
+        records: list[InterventionRecord] = []
+        # (module, pre, post)
+        emitting: list[tuple[ProactiveModule, list[Event], list[Event]]] = []
+        for module in editing:
             context = BindingContext(module.cached_ctor_args,
                                      self.manager.bindings)
             next_state, emitted = step(module.policy.automaton, module.state,
@@ -200,42 +224,43 @@ class PolicyEnforcer:
                     trigger=event, policy=module.policy.name,
                     synthesized=synthesized, suppressed=not forwarded,
                     at_seq=event.seq))
-            matches.append((module, next_state, context.cached_ctor_args,
-                            pre, post))
+            moved.append((module, next_state, context.cached_ctor_args))
+            emitting.append((module, pre, post))
 
         # Synthesized events from different modules execute in policy-name
         # order so the delivered stream is independent of deployment order
         # (template order within one policy is preserved).
-        ordered = sorted(matches, key=lambda m: m[0].policy.name)
+        emitting.sort(key=lambda m: m[0].policy.name)
         delivered = [self._execute_synthesized(module, synth)
-                     for module, _, _, pre, _ in ordered for synth in pre]
+                     for module, pre, _ in emitting for synth in pre]
         if not suppressed:
-            instance = self.sink.execute(event)
-            executed = event
-            if event.symbol.kind is Kind.CONSTRUCTOR:
-                if instance is not None and event.instance is None:
-                    executed = replace(event, instance=instance)
-                self.manager.bind(event.symbol.interface, executed.instance)
-            delivered.append(executed)
+            delivered.append(self._execute(event))
         delivered.extend(self._execute_synthesized(module, synth)
-                         for module, _, _, _, post in ordered for synth in post)
+                         for module, _, post in emitting for synth in post)
 
-        for module, next_state, cached_ctor_args, _, _ in matches:
+        for module, next_state, cached_ctor_args in moved:
             module.state = next_state
             module.cached_ctor_args = cached_ctor_args
         self.intervention_log.extend(records)
         return EnforcementOutcome(tuple(delivered), tuple(records), suppressed)
 
-    def _execute_synthesized(self, module: ProactiveModule, event: Event) -> Event:
-        try:
-            instance = self.sink.execute(event)
-        except Exception as exc:
-            raise HealingFailureError(module.policy.name, event, exc) from exc
+    def _execute(self, event: Event) -> Event:
+        """Execute an event on the sink and bind a constructor's instance.
+        The sink's instance replaces a synthesized event's, and fills in
+        an app event's only when the app gave none."""
+        instance = self.sink.execute(event)
         if event.symbol.kind is Kind.CONSTRUCTOR:
-            if instance is not None:
+            if instance is not None and (event.instance is None
+                                         or event.origin is Origin.SYNTHESIZED):
                 event = replace(event, instance=instance)
             self.manager.bind(event.symbol.interface, event.instance)
         return event
+
+    def _execute_synthesized(self, module: ProactiveModule, event: Event) -> Event:
+        try:
+            return self._execute(event)
+        except Exception as exc:
+            raise HealingFailureError(module.policy.name, event, exc) from exc
 
     def run_enforced(self, trace: Trace) -> tuple[Trace, list[InterventionRecord]]:
         """Batch driver: fold of on_event with output seq renumbered."""

@@ -9,12 +9,12 @@ attached) before its effect is applied to the world.
 from __future__ import annotations
 
 import enum
-import re
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .automata import ActionSymbol, Event, Kind, Origin, Trace
+from .dsl import INTEGER
 from .enforcer import InterventionRecord, PolicyEnforcer
 
 
@@ -189,9 +189,6 @@ APP_BUTTONS: dict[tuple[str, str], tuple[tuple[ActionSymbol, tuple], ...]] = {
 }
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
 def parse_scenario(text: str, name: str,
                    expected: Optional[Expectation] = None) -> ScenarioScript:
     """Parse a .scn file: `app <name>` header then one command per line."""
@@ -235,7 +232,7 @@ def parse_scenario(text: str, name: str,
                 iface, method = tokens[1].split(".", 1)
                 symbol = ActionSymbol.call(iface, method)
                 raw_args = tokens[2:]
-            args = tuple(int(a) if _INTEGER.fullmatch(a) else a
+            args = tuple(int(a) if INTEGER.fullmatch(a) else a
                          for a in raw_args)
             steps.append(ScenarioStep("call", symbol=symbol, args=args,
                                       line=lineno))

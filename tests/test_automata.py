@@ -379,3 +379,19 @@ class TestTableAgreesWithReference:
             def key(diags):
                 return [(d.code, d.message, d.state, d.symbol) for d in diags]
             assert key(validate(automaton)) == key(reference_validate(automaton)), name
+
+
+class TestMovesAgreeWithTable:
+    def test_each_move_is_the_first_match(self):
+        forward_only = (fwd(),)
+        for name, automaton in reference_cases().items():
+            pairs = set()
+            for (state, symbol), matching in automaton.table.items():
+                first = matching[0]
+                expected = (first.target,
+                            None if first.output == forward_only else first)
+                assert automaton.moves[symbol][state] == expected, \
+                    (name, state, symbol)
+                pairs.add((symbol, state))
+            assert {(symbol, state) for symbol, by_state in automaton.moves.items()
+                    for state in by_state} == pairs, name

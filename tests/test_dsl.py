@@ -154,6 +154,37 @@ class TestParse:
         assert items[0].arg_source is ArgSource.LITERALS
         assert items[0].literals == (1, -2, "a b")
 
+    @pytest.mark.parametrize("literal", ["1_000", "+5", "\u0663", "-\u0663",
+                                         "\u00b2", "1e3", "0x1", "--5", "-"])
+    def test_only_ascii_integer_literals(self, literal):
+        text = ('policy p\nstatement "s"\ntarget T\nstates 0\ninitial 0\n'
+                f"on call T.x from 0 to 0 emit insert call T.y args (1 {literal}), input\n"
+                "on any-except {call T.x} from 0 to 0 emit input\n")
+        with pytest.raises(PolicyParseError) as exc:
+            parse(text)
+        [d] = exc.value.diagnostics
+        assert (d.kind, d.line, d.column) == ("syntax", 6, 54)
+        assert d.message == f"bad literal {literal!r}"
+
+    @pytest.mark.parametrize("version", ["1_0", "+1", "-0", "-1", "\u0663",
+                                         "\u00b2", "1e3"])
+    def test_only_ascii_digit_versions(self, version):
+        text = (f'policy p\nversion {version}\nstatement "s"\ntarget T\n'
+                "states 0\ninitial 0\non any from 0 to 0 emit input\n")
+        with pytest.raises(PolicyParseError) as exc:
+            parse(text)
+        [d] = exc.value.diagnostics
+        assert (d.kind, d.line, d.column) == ("semantic", 2, 9)
+        assert d.message == f"invalid version {version!r}"
+
+    def test_ascii_integers_keep_their_value(self):
+        text = ('policy p\nversion 007\nstatement "s"\ntarget T\nstates 0\n'
+                "initial 0\n"
+                "on any from 0 to 0 emit input, insert call T.y args (-05 0 12)\n")
+        doc = parse(text)
+        assert doc.version == 7
+        assert doc.automaton.transitions[0].output[1].literals == (-5, 0, 12)
+
     def test_comments_end_the_line_outside_strings(self):
         text = ('# leading comment\npolicy p # trailing\n'
                 'statement "a # b" #"c"\ntarget T#U\nstates 0\ninitial 0\n'

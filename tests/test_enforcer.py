@@ -2,9 +2,11 @@ import pytest
 
 import proactive.enforcer as enforcer_module
 from proactive.automata import (
+    ActionSymbol,
     EditAutomaton,
     Event,
     Guard,
+    MissingTransitionError,
     Origin,
     Trace,
     Transition,
@@ -39,6 +41,10 @@ from helpers import (
 )
 
 FAULTY = Trace.from_symbols([NEW_AR, START_REC, ON_STOP])
+ON_PAUSE = ActionSymbol.callback("onPause")
+ON_RESTART = ActionSymbol.callback("onRestart")
+CAMERA_OPEN = ActionSymbol.call("Camera", "open")
+REQUEST_UPDATES = ActionSymbol.call("LocationManager", "requestLocationUpdates")
 
 
 def release_policy():
@@ -79,6 +85,26 @@ def deploy_like_reference(enforcer, policy) -> bool:
     assert str(exc.value.report) == str(expected)
     assert str(exc.value) == f"policies interfere:\n{expected}"
     return True
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The automata the enforcer calls `step` on, one entry per call."""
+    calls = []
+    original = enforcer_module.step
+
+    def counting(automaton, state, event, context=None):
+        calls.append(automaton)
+        return original(automaton, state, event, context)
+
+    monkeypatch.setattr(enforcer_module, "step", counting)
+    return calls
+
+
+def deploy_pack(pack):
+    enforcer = PolicyEnforcer()
+    handles = {p.name: enforcer.deploy(p) for p in pack.deployable()}
+    return enforcer, handles
 
 
 class TestDeploy:
@@ -216,6 +242,15 @@ class TestOnEvent:
         assert enforcer.manager.lookup("AudioRecord") == "AudioRecord#1"
         assert outcome.delivered[0].instance == "AudioRecord#1"
 
+    def test_app_constructor_keeps_its_own_instance(self):
+        # The sink's instance fills in an app constructor's only when the
+        # app gave none; a synthesized constructor always takes the sink's.
+        enforcer = PolicyEnforcer(InstanceSink())
+        enforcer.deploy(release_policy())
+        outcome = enforcer.on_event(Event(NEW_AR, seq=1, instance="app#7"))
+        assert outcome.delivered[0].instance == "app#7"
+        assert enforcer.manager.lookup("AudioRecord") == "app#7"
+
     def test_out_of_vocabulary_event_passes_untouched(self):
         enforcer = PolicyEnforcer()
         enforcer.deploy(release_policy())
@@ -288,7 +323,6 @@ class TestOnEvent:
         assert enforcer.intervention_log == []
 
     def test_synthesized_constructor_rebinds_manager(self, pack):
-        from proactive.automata import ActionSymbol
         enforcer = PolicyEnforcer(InstanceSink())
         enforcer.deploy(pack.policies["hearhere-audiorecord-release"])
         script = ((NEW_AR, (8000, 16, 2, 1024, 0)), (START_REC, ()),
@@ -296,12 +330,78 @@ class TestOnEvent:
         for seq, (symbol, args) in enumerate(script, start=1):
             enforcer.on_event(Event(symbol, seq=seq, args=args))
         first = enforcer.manager.lookup("AudioRecord")
-        enforcer.on_event(Event(ActionSymbol.callback("onRestart"), seq=4))
+        enforcer.on_event(Event(ON_RESTART, seq=4))
         second = enforcer.manager.lookup("AudioRecord")
         assert first != second
         recreated = [e for e in enforcer.sink.events
                      if e.symbol == NEW_AR and e.origin is Origin.SYNTHESIZED]
         assert recreated and recreated[0].args == (8000, 16, 2, 1024, 0)
+
+
+    def test_forward_only_event_takes_no_step(self, pack, step_calls):
+        enforcer, _ = deploy_pack(pack)
+        event = Event(ON_PAUSE, seq=1)
+        assert len(enforcer.watchers[ON_PAUSE]) == 3
+        outcome = enforcer.on_event(event)
+        assert step_calls == []
+        assert outcome.delivered == (event,)
+        assert enforcer.sink.events == [event]
+        assert outcome.records == () and not outcome.suppressed
+        assert enforcer.intervention_log == []
+
+    def test_editing_event_steps_once_per_editing_module(self, pack, step_calls):
+        enforcer, handles = deploy_pack(pack)
+        enforcer.on_event(Event(CAMERA_OPEN, seq=1))
+        enforcer.on_event(Event(REQUEST_UPDATES, seq=2))
+        assert step_calls == []
+        outcome = enforcer.on_event(Event(ON_PAUSE, seq=3))
+        editing = [handles["foocam-camera-open-release"],
+                   handles["getbackgps-location-updates"]]
+        assert step_calls == [m.policy.automaton for m in editing]
+        assert {r.policy for r in outcome.records} \
+            == {m.policy.name for m in editing}
+        assert [m.state for m in editing] == ["0", "0"]
+        assert handles["getbackgps-sensor-listener"].state == "0"
+
+    def test_forward_only_constructor_caches_its_args(self, pack, step_calls):
+        enforcer = PolicyEnforcer(InstanceSink())
+        handle = enforcer.deploy(pack.policies["hearhere-audiorecord-release"])
+        args = (8000, 16, 2, 1024, 0)
+        enforcer.on_event(Event(NEW_AR, seq=1, args=args))
+        assert step_calls == []
+        assert (handle.state, handle.cached_ctor_args) == ("1", args)
+        for seq, symbol in enumerate((START_REC, ON_STOP, ON_RESTART), start=2):
+            enforcer.on_event(Event(symbol, seq=seq))
+        assert len(step_calls) == 2
+        recreated = [e for e in enforcer.sink.events
+                     if e.symbol == NEW_AR and e.origin is Origin.SYNTHESIZED]
+        assert [e.args for e in recreated] == [args]
+
+    def test_unmatched_vocabulary_symbol_signals_skipped_validation(self):
+        # Incomplete by construction: nothing matches doA in state 1, and
+        # doB, which the template inserts, is matched in no state.
+        enforcer = PolicyEnforcer()
+        enforcer.deploy(make_doc("incomplete", EditAutomaton(
+            frozenset({"0", "1"}), "0",
+            (Transition("0", Guard.exactly(DOA), (fwd(), synth(DOB)), "1"),))))
+        with pytest.raises(MissingTransitionError):
+            enforcer.on_event(Event(DOB, seq=1))
+        enforcer.on_event(Event(DOA, seq=2))
+        with pytest.raises(MissingTransitionError):
+            enforcer.on_event(Event(DOA, seq=3))
+
+    def test_disabled_module_does_not_move_on_the_fast_path(self, pack,
+                                                            step_calls):
+        enforcer, handles = deploy_pack(pack)
+        camera = handles["foocam-camera-open-release"]
+        enforcer.set_enabled(camera, False)
+        event = Event(CAMERA_OPEN, seq=1)
+        assert enforcer.on_event(event).delivered == (event,)
+        assert camera.state == "0"
+        enforcer.set_enabled(camera, True)
+        enforcer.on_event(Event(CAMERA_OPEN, seq=2))
+        assert camera.state == "1"
+        assert step_calls == []
 
 
 class TestRunEnforced:
