@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional
 
 CALLBACK_INTERFACE = "Activity"
@@ -31,7 +31,10 @@ class ActionSymbol:
 
     Equality is structural on (kind, interface, method); argument values
     never participate in matching.  Constructor symbols reuse the
-    interface name as the method name.
+    interface name as the method name.  The factories return one object
+    per distinct symbol, so a dict keyed by symbols matches a factory-built
+    key on identity; a directly built, copied or unpickled symbol is
+    equal to it and matches too, only slower.
     """
 
     kind: Kind
@@ -39,16 +42,24 @@ class ActionSymbol:
     method: str
 
     @staticmethod
+    @cache
     def callback(method: str) -> "ActionSymbol":
         return ActionSymbol(Kind.CALLBACK, CALLBACK_INTERFACE, method)
 
     @staticmethod
+    @cache
     def call(interface: str, method: str) -> "ActionSymbol":
         return ActionSymbol(Kind.API_CALL, interface, method)
 
     @staticmethod
+    @cache
     def constructor(interface: str) -> "ActionSymbol":
         return ActionSymbol(Kind.CONSTRUCTOR, interface, interface)
+
+    def __hash__(self) -> int:
+        # Equal symbols have equal (interface, method); leaving kind out
+        # skips the Python-level Enum.__hash__.
+        return hash((self.interface, self.method))
 
     def __str__(self) -> str:
         if self.kind is Kind.CALLBACK:
@@ -214,21 +225,25 @@ class OutputItem:
 
 
 # The string codec of .pol text: quote escapes exactly the characters
-# that unquote restores, so every string survives a round trip.
-_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# that unquote restores, so every string survives a round trip.  The line
+# breaks other than LF, at which str.splitlines would also cut a line,
+# are written as \uXXXX.
+_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_QUOTED = {"\\": "\\\\", '"': '\\"', "\n": "\\n",
+           **{c: f"\\u{ord(c):04x}" for c in _LINE_BREAKS}}
+_UNQUOTED = {escape[1:]: c for c, escape in _QUOTED.items()}
+_TO_ESCAPE = re.compile("[" + re.escape("".join(_QUOTED)) + "]")
+_ESCAPE = re.compile(r"\\(u[0-9a-f]{4}|.)", re.DOTALL)
 
 
 def quote(text: str) -> str:
-    escaped = (text.replace("\\", "\\\\")
-                   .replace('"', '\\"')
-                   .replace("\n", "\\n"))
-    return f'"{escaped}"'
+    return '"' + _TO_ESCAPE.sub(lambda m: _QUOTED[m.group()], text) + '"'
 
 
 def unquote(quoted: str) -> str:
-    """Inverse of quote: backslash-n is a newline, a backslash before any
-    other character stands for that character."""
-    return _ESCAPE.sub(lambda m: "\n" if m.group(1) == "n" else m.group(1),
+    """Inverse of quote: every escape quote writes is restored, and a
+    backslash before anything else stands for the character after it."""
+    return _ESCAPE.sub(lambda m: _UNQUOTED.get(m.group(1), m.group(1)),
                        quoted[1:-1])
 
 

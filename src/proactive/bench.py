@@ -35,6 +35,11 @@ class ActionTiming:
     overhead_percent: float
     interventions: int
 
+    @property
+    def overhead_us(self) -> float:
+        """Absolute cost of enforcement on the action: with minus without."""
+        return (self.median_with_ms - self.median_without_ms) * 1000.0
+
 
 @dataclass(frozen=True)
 class BenchResult:

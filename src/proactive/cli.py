@@ -247,7 +247,8 @@ def cmd_bench(args) -> int:
             print(f"  [{action.index}] {action.label}: "
                   f"with {action.median_with_ms:.3f} ms, "
                   f"without {action.median_without_ms:.3f} ms, "
-                  f"overhead {action.overhead_percent:+.2f}%"
+                  f"overhead {action.overhead_us:+.1f} us "
+                  f"({action.overhead_percent:+.2f}%)"
                   f" ({action.interventions} interventions){marker}")
         payloads.append({"scenario": script.name, **_bench_to_dict(result)})
     if args.out:

@@ -2,7 +2,7 @@ r"""Textual policy format: parse, validate, and serialize enforcement models.
 
 Grammar (line-oriented; '#' outside a string starts a comment that runs
 to the end of the line; strings are double-quoted, with the escapes \",
-\\ and \n):
+\\, \n and \uXXXX for the other line breaks that str.splitlines knows):
 
     policy <name>
     version <n>

@@ -15,7 +15,7 @@ gate, so a deploy checks only the new policy against the deployed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from .automata import (
     ActionSymbol,
@@ -49,7 +49,10 @@ class StaleHandleError(Exception):
 class HealingFailureError(Exception):
     """The sink rejected a synthesized event; healing could not complete.
     No module moves and no record is logged, but events the sink executed
-    before the rejected one stay executed."""
+    before the rejected one stay executed.  Offering the app event again
+    re-runs the whole heal, those events included, so a sink must
+    tolerate a synthesized cleanup it has already executed (SimWorld's
+    stop and release are no-ops when idle)."""
 
     def __init__(self, policy: str, event: Event, cause: Exception) -> None:
         self.policy = policy
@@ -118,8 +121,9 @@ class InterventionRecord:
             raise ValueError("intervention records exist only for modifications")
 
 
-@dataclass(frozen=True)
-class EnforcementOutcome:
+class EnforcementOutcome(NamedTuple):
+    """What one on_event did: a (delivered, records, suppressed) tuple."""
+
     delivered: tuple[Event, ...]
     records: tuple[InterventionRecord, ...]
     suppressed: bool

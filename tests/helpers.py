@@ -117,7 +117,10 @@ _SYMBOL_POOL = (
     ActionSymbol.constructor("Api"),
 )
 
-_STRING_CHARS = 'abc XY.,:#"()\\{}\n'
+# Every line break str.splitlines knows is here, so the round trips
+# cover the codec's escapes for them.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_STRING_CHARS = 'abc XY.,:#"()\\{}' + LINE_BREAKS
 
 
 def _random_template(rng: random.Random) -> tuple[OutputItem, ...]:
@@ -292,13 +295,23 @@ def reference_tokenize_line(raw: str, lineno: int) -> tuple[list, list]:
     return tokens, []
 
 
+_LINE_BREAK_CODES = {f"{ord(c):04x}": c for c in LINE_BREAKS if c != "\n"}
+
+
 def reference_unquote(token: str) -> str:
+    """Also reads the \\uXXXX escapes (lowercase hex) that quote writes
+    for the line breaks other than LF."""
     body = token[1:-1]
     out: list[str] = []
     i = 0
     while i < len(body):
         if body[i] == "\\" and i + 1 < len(body):
             nxt = body[i + 1]
+            code = body[i + 2:i + 6]
+            if nxt == "u" and code in _LINE_BREAK_CODES:
+                out.append(_LINE_BREAK_CODES[code])
+                i += 6
+                continue
             out.append("\n" if nxt == "n" else nxt)
             i += 2
         else:
@@ -308,7 +321,7 @@ def reference_unquote(token: str) -> str:
 
 
 _MUTATIONS = ("#", '"', "\\", '\\"', "\t", "\f", "\r", " ", "\x1f",
-              '"a # b"', "{", ")", ",", "\\n")
+              '"a # b"', "{", ")", ",", "\\n", "\\u2028", "\\u000D", "\\u00")
 
 
 def mutated_policy_text(rng: random.Random, text: str) -> str:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -95,6 +97,49 @@ class TestActionSymbol:
         assert str(DOA) == "call Api.doA"
         assert str(ON_STOP) == "callback onStop"
         assert str(NEW_AR) == "new AudioRecord"
+
+    def test_factories_return_one_object_per_symbol(self):
+        assert ActionSymbol.call("Api", "doA") is DOA
+        assert ActionSymbol.callback("onStop") is ON_STOP
+        assert ActionSymbol.constructor("AudioRecord") is NEW_AR
+        assert ActionSymbol.call("Api", "doB") is not DOA
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy,
+        lambda symbol: pickle.loads(pickle.dumps(symbol)),
+        lambda symbol: ActionSymbol(symbol.kind, symbol.interface, symbol.method),
+    ], ids=["deepcopy", "pickle", "direct"])
+    def test_a_copy_is_equal_and_hashes_equal(self, duplicate):
+        for symbol in (DOA, ON_STOP, NEW_AR):
+            copied = duplicate(symbol)
+            assert copied is not symbol
+            assert copied == symbol and hash(copied) == hash(symbol)
+            assert {symbol: "found"}.get(copied) == "found"
+
+    def test_equal_hashes_do_not_make_symbols_equal(self):
+        # The hash leaves the kind out, so these two share a hash.
+        callback = ActionSymbol.callback("onStop")
+        call = ActionSymbol.call(callback.interface, "onStop")
+        assert hash(call) == hash(callback) and call != callback
+        assert {callback: "callback"}.get(call) is None
+
+    def test_hash_agrees_with_equality_on_every_known_symbol(self):
+        symbols = [symbol for automaton in reference_cases().values()
+                   for t in automaton.transitions
+                   for symbol in itertools.chain(
+                       t.guard.symbols, (i.symbol for i in t.output
+                                         if not i.is_forward))]
+        by_fields: dict[tuple, list[ActionSymbol]] = {}
+        for symbol in symbols:
+            by_fields.setdefault((symbol.kind, symbol.interface, symbol.method),
+                                 []).append(symbol)
+        assert len(by_fields) > 10
+        for fields, equal in by_fields.items():
+            pickled = pickle.loads(pickle.dumps(equal[0]))
+            assert {hash(s) for s in equal} == {hash(pickled)}, fields
+            assert all(s == pickled for s in equal), fields
+            # parse and the test builders use the factories: one object each.
+            assert all(s is equal[0] for s in equal), fields
 
 
 class TestTrace:

@@ -36,6 +36,8 @@ class TestRunBenchmark:
             assert action.median_without_ms > 0
             assert action.overhead_percent == overhead_percent(
                 action.median_with_ms, action.median_without_ms)
+            assert action.overhead_us == pytest.approx(
+                (action.median_with_ms - action.median_without_ms) * 1000.0)
 
     def test_highest_overhead_is_an_action(self, pack, scenarios):
         result = run_benchmark(scenarios["bluechat"], pack.deployable(),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -143,6 +144,10 @@ class TestBench:
         assert "highest overhead" in out
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         bench = payload["benchmarks"][0]
+        for action in bench["actions"]:
+            percent = f"({action['overhead_percent']:+.2f}%)"
+            assert re.search(rf"{action['label']}: .* overhead [+-]\d+\.\d us "
+                             + re.escape(percent), out)
         assert bench["repetitions"] == 3
         assert len(bench["actions"]) == 3
         intervention_counts = [a["interventions"] for a in bench["actions"]]

@@ -8,6 +8,7 @@ from proactive.automata import (
     Guard,
     Transition,
     is_valid,
+    quote,
     unquote,
 )
 from proactive.dsl import PolicyParseError, _tokenize_line, parse, serialize
@@ -17,6 +18,7 @@ from helpers import (
     DOA,
     DOB,
     FIXTURES,
+    LINE_BREAKS,
     fwd,
     make_doc,
     mutated_policy_text,
@@ -293,6 +295,33 @@ class TestSerialize:
         for statement in ['say "hi"', "a\\nb", "line\nbreak", "tricky \\ # end"]:
             doc = dataclasses.replace(base, statement=statement)
             assert parse(serialize(doc)).statement == statement
+
+
+    @pytest.mark.parametrize("char", LINE_BREAKS,
+                             ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+    def test_every_line_break_round_trips(self, char):
+        import dataclasses
+        base = make_doc("p", EditAutomaton(
+            frozenset({"0"}), "0",
+            (Transition("0", Guard.exactly(DOA),
+                        (synth(DOB, ArgSource.LITERALS, (f"x{char}y",)), fwd()),
+                        "0"),
+             Transition("0", Guard.exactly(DOB), (fwd(),), "0"))))
+        doc = dataclasses.replace(base, statement=f"a{char}b")
+        canonical = serialize(doc)
+        assert len(canonical.splitlines()) == len(serialize(base).splitlines())
+        assert parse(canonical) == doc
+        assert parse(canonical).statement == f"a{char}b"
+        assert serialize(parse(canonical)) == canonical
+
+    def test_only_written_escapes_are_restored(self):
+        assert quote("\r\u2028") == '"\\u000d\\u2028"'
+        # A backslash before anything quote does not write stands for the
+        # character after it, as before the line-break escapes.
+        for text, expected in [('"\\r"', "r"), ('"\\u0041"', "u0041"),
+                               ('"\\u000D"', "u000D"), ('"\\u00"', "u00"),
+                               ('"\\\\u000d"', "\\u000d")]:
+            assert unquote(text) == expected, text
 
 
 class TestLexerAgreesWithReference:

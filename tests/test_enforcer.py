@@ -1,3 +1,6 @@
+import copy
+import random
+
 import pytest
 
 import proactive.enforcer as enforcer_module
@@ -15,12 +18,14 @@ from proactive.dsl import parse
 from proactive.interference import InterferenceReport
 from proactive.enforcer import (
     DuplicatePolicyError,
+    EnforcementOutcome,
     HealingFailureError,
     InterferenceError,
     PolicyEnforcer,
     RecordingSink,
     StaleHandleError,
 )
+from proactive.sim import SimProtocolError, SimWorld
 
 from helpers import (
     DOA,
@@ -36,6 +41,7 @@ from helpers import (
     fwd,
     make_doc,
     random_policy_doc,
+    random_trace,
     reference_gate,
     synth,
 )
@@ -70,6 +76,19 @@ class FailingSink(RecordingSink):
     def execute(self, event):
         if event.origin is Origin.SYNTHESIZED:
             raise RuntimeError("device busy")
+        return super().execute(event)
+
+
+class ReleaseRejectingWorld(SimWorld):
+    """Rejects the first synthesized AudioRecord.release, then accepts."""
+
+    rejected = False
+
+    def execute(self, event):
+        if (event.symbol == RELEASE_AR and event.origin is Origin.SYNTHESIZED
+                and not self.rejected):
+            self.rejected = True
+            raise SimProtocolError("device busy")
         return super().execute(event)
 
 
@@ -322,6 +341,31 @@ class TestOnEvent:
         assert handle.state == "2"
         assert enforcer.intervention_log == []
 
+    def test_retry_after_a_failed_heal_reruns_the_whole_heal(self):
+        # The contract: a retry re-runs the whole heal, so the sink sees
+        # the synthesized stop twice; SimWorld tolerates the repeat.
+        world = ReleaseRejectingWorld("HearHere")
+        enforcer = PolicyEnforcer(world)
+        handle = enforcer.deploy(release_policy())
+        lifecycle = [ActionSymbol.callback(m)
+                     for m in ("onCreate", "onStart", "onResume", "onPause")]
+        for symbol in lifecycle[:3] + [NEW_AR, START_REC, lifecycle[3]]:
+            enforcer.on_event(Event(symbol, seq=world.next_seq()))
+        stop = Event(ON_STOP, seq=world.next_seq())
+        with pytest.raises(HealingFailureError) as exc:
+            enforcer.on_event(stop)
+        assert exc.value.event.symbol == RELEASE_AR
+        assert handle.state == "2" and enforcer.intervention_log == []
+        outcome = enforcer.on_event(stop)
+        assert [e.symbol for e in world.trace] == lifecycle[:3] + [
+            NEW_AR, START_REC, lifecycle[3],
+            STOP_REC, STOP_REC, RELEASE_AR, ON_STOP]
+        assert [e.symbol for e in outcome.delivered] \
+            == [STOP_REC, RELEASE_AR, ON_STOP]
+        assert handle.state == "0" and len(enforcer.intervention_log) == 1
+        assert not world.resources["AudioRecord"].held
+        assert world.leak_report().leaks == ()
+
     def test_synthesized_constructor_rebinds_manager(self, pack):
         enforcer = PolicyEnforcer(InstanceSink())
         enforcer.deploy(pack.policies["hearhere-audiorecord-release"])
@@ -402,6 +446,41 @@ class TestOnEvent:
         enforcer.on_event(Event(CAMERA_OPEN, seq=2))
         assert camera.state == "1"
         assert step_calls == []
+
+
+class TestEnforcementOutcome:
+    def test_is_a_delivered_records_suppressed_tuple(self):
+        assert EnforcementOutcome._fields == ("delivered", "records",
+                                              "suppressed")
+        event = Event(DOA, seq=1)
+        outcome = PolicyEnforcer().on_event(event)
+        delivered, records, suppressed = outcome
+        assert outcome == ((event,), (), False)
+        assert (delivered, records, suppressed) \
+            == (outcome.delivered, outcome.records, outcome.suppressed)
+
+
+class TestCopiedSymbols:
+    def test_a_copied_symbol_dispatches_like_the_original(self, pack):
+        vocabulary = set().union(*(p.automaton.vocabulary
+                                   for p in pack.deployable()))
+        interventions = 0
+        for seed in range(30):
+            trace = random_trace(random.Random(seed), vocabulary, max_len=80)
+            original = PolicyEnforcer(InstanceSink())
+            copied = PolicyEnforcer(InstanceSink())
+            for policy in pack.deployable():
+                original.deploy(policy)
+                copied.deploy(policy)
+            for event in trace:
+                clone = copy.deepcopy(event)
+                assert clone.symbol == event.symbol
+                assert clone.symbol is not event.symbol
+                assert copied.on_event(clone) == original.on_event(event)
+                assert [(m.state, m.cached_ctor_args) for m in copied.modules] \
+                    == [(m.state, m.cached_ctor_args) for m in original.modules]
+            interventions += len(original.intervention_log)
+        assert interventions > 0
 
 
 class TestRunEnforced:
