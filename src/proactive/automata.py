@@ -277,6 +277,11 @@ class EffectSets:
     inserted: frozenset[ActionSymbol]
     suppressible: frozenset[ActionSymbol]
 
+    @cached_property
+    def touched(self) -> frozenset[ActionSymbol]:
+        """Insertable or suppressible symbols: what deploy and check_pair read."""
+        return self.inserted | self.suppressible
+
 
 @dataclass(frozen=True, eq=False)
 class EditAutomaton:

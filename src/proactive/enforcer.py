@@ -9,12 +9,13 @@ cannot recurse.
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
 under every symbol it watches; an event reaches only the modules filed
 under its symbol.  Every deployed pair has passed deploy's interference
-gate, so a deploy checks only the new policy against the deployed ones.
+gate, so a deploy tests the new policy against the deployed union: a
+clean deploy tests two sets; pairs are listed only to report a conflict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
 
 from .automata import (
@@ -140,21 +141,31 @@ class PolicyEnforcer:
                             list[tuple[ProactiveModule, dict[str, Move]]]] = {}
         self.manager = ResourceManager()
         self.intervention_log: list[InterventionRecord] = []
+        self._names: set[str] = set()
+        # Deployed touched symbols; the deployed vocabularies are watchers' keys.
+        self._touched: set[ActionSymbol] = set()
 
     def deploy(self, policy: PolicyDoc) -> ProactiveModule:
         """Append a module for the policy and file it under every symbol
-        it watches; rejects interference and duplicate names.  Every
-        deployed pair passed this gate, so only the new pairs are checked."""
-        if any(m.policy.name == policy.name for m in self.modules):
+        it watches; rejects interference and duplicate names.  A clean
+        deploy tests two sets against the deployed union; pairs are
+        listed with check_pair only to report a conflict."""
+        if policy.name in self._names:
             raise DuplicatePolicyError(policy.name)
-        pairs = [pair for m in self.modules
-                 for pair in check_pair(m.policy, policy).pairs]
-        if pairs:
-            raise InterferenceError(InterferenceReport(tuple(pairs)))
-        module = ProactiveModule(policy=policy, state=policy.automaton.initial)
+        automaton = policy.automaton
+        touched = automaton.effects.touched
+        if (not self.watchers.keys().isdisjoint(touched)
+                or not self._touched.isdisjoint(automaton.vocabulary)):
+            pairs = [pair for m in self.modules
+                     for pair in check_pair(m.policy, policy).pairs]
+            if pairs:
+                raise InterferenceError(InterferenceReport(tuple(pairs)))
+        module = ProactiveModule(policy=policy, state=automaton.initial)
         self.modules.append(module)
-        moves = policy.automaton.moves
-        for symbol in policy.automaton.vocabulary:
+        self._names.add(policy.name)
+        self._touched |= touched
+        moves = automaton.moves
+        for symbol in automaton.vocabulary:
             self.watchers.setdefault(symbol, []).append(
                 (module, moves.get(symbol, {})))
         return module
@@ -256,7 +267,8 @@ class PolicyEnforcer:
         if event.symbol.kind is Kind.CONSTRUCTOR:
             if instance is not None and (event.instance is None
                                          or event.origin is Origin.SYNTHESIZED):
-                event = replace(event, instance=instance)
+                event = Event(event.symbol, event.seq, instance, event.args,
+                              event.origin)
             self.manager.bind(event.symbol.interface, event.instance)
         return event
 

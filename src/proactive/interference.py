@@ -1,9 +1,12 @@
 """Non-interference check across policies.
 
 Two policies may run concurrently with order-independent results when
-neither inserts nor suppresses a symbol the other monitors.  Forwarding
-the matched input counts as neither insertion nor suppression, so
-policies that merely share a lifecycle callback do not interfere.
+neither inserts nor suppresses a symbol the other monitors, that is when
+neither's touched set (`EffectSets.touched`) meets the other's vocabulary.
+Forwarding the matched input counts as neither insertion nor suppression,
+so policies that merely share a lifecycle callback do not interfere.
+check_pair takes the four directed intersections only to report a hit;
+the deploy gate runs the same two tests against the deployed union.
 
 This is a sound syntactic sufficient condition, not a product-automaton
 analysis; a set with an empty report is safe to co-deploy.
@@ -65,12 +68,18 @@ class InterferenceReport:
         return "\n".join(str(p) for p in self.pairs)
 
 
+_NO_INTERFERENCE = InterferenceReport()
+
+
 def check_pair(a: PolicyDoc, b: PolicyDoc) -> InterferenceReport:
     """Report every symbol a's effects touch in b's vocabulary and vice versa."""
     effects_a = a.automaton.effects
     effects_b = b.automaton.effects
     vocab_a = a.automaton.vocabulary
     vocab_b = b.automaton.vocabulary
+    if (effects_a.touched.isdisjoint(vocab_b)
+            and effects_b.touched.isdisjoint(vocab_a)):
+        return _NO_INTERFERENCE
     pairs: list[InterferencePair] = []
     for direction, symbols in (
         (Direction.A_INSERTS_INTO_B, effects_a.inserted & vocab_b),

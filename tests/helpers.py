@@ -1,8 +1,9 @@
 """Shared builders for the test suite: small hand-made automata, random
-trace generation, a seeded generator of valid policy documents,
-guard-walking reference forms of the compiled transition table, the
-all-pairs reference form of the deploy gate, and the character-walking
-reference form of the `.pol` lexer."""
+trace generation, a seeded generator of valid policy documents, the
+policy files, guard-walking reference forms of the compiled transition
+table, the all-pairs reference form of the deploy gate, the
+four-intersection reference form of check_pair, and the
+character-walking reference form of the `.pol` lexer."""
 
 from __future__ import annotations
 
@@ -24,8 +25,14 @@ from proactive.automata import (
     Transition,
     state_sort_key,
 )
-from proactive.dsl import DslDiagnostic, PolicyDoc
-from proactive.interference import InterferenceReport, check_set
+from proactive.dsl import DslDiagnostic, PolicyDoc, parse
+from proactive.interference import (
+    Direction,
+    InterferencePair,
+    InterferenceReport,
+    check_set,
+)
+from proactive.pack import bundled_pack_dir
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,6 +95,14 @@ def forced_release_automaton() -> EditAutomaton:
                        (synth(STOP_REC), synth(RELEASE_AR), fwd()), "0"),
         ),
     )
+
+
+def policy_files() -> list[PolicyDoc]:
+    """Every `.pol` file: the bundled policies, experimental included,
+    then the test fixtures."""
+    paths = (sorted(bundled_pack_dir().glob("*.pol"))
+             + sorted(FIXTURES.glob("*.pol")))
+    return [parse(path.read_text(encoding="utf-8")) for path in paths]
 
 
 def event_shapes(events) -> list[tuple]:
@@ -245,6 +260,26 @@ def reference_gate(enforcer, policy: PolicyDoc) -> InterferenceReport:
     """The deploy gate as an all-pairs re-check: check_set over every
     deployed policy followed by the new one."""
     return check_set([m.policy for m in enforcer.modules] + [policy])
+
+
+def reference_check_pair(a: PolicyDoc, b: PolicyDoc) -> InterferenceReport:
+    """check_pair without its disjointness test: the four directed
+    intersections of effect sets and vocabularies, always taken."""
+    effects_a = a.automaton.effects
+    effects_b = b.automaton.effects
+    vocab_a = a.automaton.vocabulary
+    vocab_b = b.automaton.vocabulary
+    pairs: list[InterferencePair] = []
+    for direction, symbols in (
+        (Direction.A_INSERTS_INTO_B, effects_a.inserted & vocab_b),
+        (Direction.A_SUPPRESSES_FROM_B, effects_a.suppressible & vocab_b),
+        (Direction.B_INSERTS_INTO_A, effects_b.inserted & vocab_a),
+        (Direction.B_SUPPRESSES_FROM_A, effects_b.suppressible & vocab_a),
+    ):
+        if symbols:
+            pairs.append(InterferencePair(a.name, b.name, direction,
+                                          frozenset(symbols)))
+    return InterferenceReport(tuple(pairs))
 
 
 # -- reference lexer -----------------------------------------------------

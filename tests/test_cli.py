@@ -1,8 +1,10 @@
 import json
 import re
+import traceback
 
 import pytest
 
+from proactive import enforcer, interference
 from proactive.cli import main
 from proactive.pack import bundled_pack_dir, bundled_scenarios_dir
 
@@ -129,6 +131,27 @@ class TestRun:
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "x.scn")]) == 2
+
+    def test_only_load_pack_checks_pairs(self, monkeypatch, capsys):
+        # Each scenario deploys the clean pack again; those deploys test
+        # two sets and check no pair.
+        callers = []
+        original = interference.check_pair
+
+        def recording(a, b):
+            callers.append({frame.name for frame in traceback.extract_stack()})
+            return original(a, b)
+
+        monkeypatch.setattr(interference, "check_pair", recording)
+        monkeypatch.setattr(enforcer, "check_pair", recording)
+        scenarios = sorted(bundled_scenarios_dir().glob("*.scn"))
+        assert len(scenarios) == 7
+        args = ["run"]
+        for path in scenarios:
+            args += ["--scenario", str(path)]
+        assert main(args) == 0
+        assert len(callers) == 21
+        assert all("load_pack" in names for names in callers)
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 import copy
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -40,6 +42,7 @@ from helpers import (
     forced_release_automaton,
     fwd,
     make_doc,
+    policy_files,
     random_policy_doc,
     random_trace,
     reference_gate,
@@ -178,11 +181,14 @@ class TestGateMatchesAllPairsReference:
         assert rejections > 0
 
     def test_each_pair_is_checked_once(self, pack, monkeypatch):
+        # A clean deploy tests two sets and checks no pair; a conflicting
+        # deploy checks each deployed policy against the new one once, to
+        # list the pairs in its report.
         checked = []
         original = enforcer_module.check_pair
 
         def counting(a, b):
-            checked.append(frozenset({a.name, b.name}))
+            checked.append((a.name, b.name))
             return original(a, b)
 
         monkeypatch.setattr(enforcer_module, "check_pair", counting)
@@ -190,9 +196,25 @@ class TestGateMatchesAllPairsReference:
         policies = pack.deployable()
         for policy in policies:
             enforcer.deploy(policy)
-        n = len(policies)
-        assert len(checked) == n * (n - 1) // 2 == 21
-        assert len(set(checked)) == len(checked)
+        assert checked == []
+        conflict = parse((FIXTURES / "conflict-camera.pol").read_text())
+        expected = reference_gate(enforcer, conflict)
+        with pytest.raises(InterferenceError) as exc:
+            enforcer.deploy(conflict)
+        assert checked == [(p.name, conflict.name) for p in policies]
+        assert len(checked) == 7
+        assert exc.value.report == expected
+
+    def test_every_ordered_pair_and_triple_of_the_policy_files(self):
+        files = policy_files()
+        assert len({p.name for p in files}) == len(files) == 10
+        rejections = 0
+        for length in (2, 3):
+            for order in itertools.permutations(files, length):
+                enforcer = PolicyEnforcer()
+                rejections += sum(deploy_like_reference(enforcer, policy)
+                                  for policy in order)
+        assert rejections > 0
 
 
 class TestSetEnabled:
@@ -381,6 +403,26 @@ class TestOnEvent:
                      if e.symbol == NEW_AR and e.origin is Origin.SYNTHESIZED]
         assert recreated and recreated[0].args == (8000, 16, 2, 1024, 0)
 
+    def test_bound_constructor_keeps_every_other_field(self, pack):
+        # Binding the sink's instance rebuilds the event: for an app
+        # constructor that gave none and for a synthesized one, only the
+        # instance may differ from the event the sink executed.
+        enforcer = PolicyEnforcer(InstanceSink())
+        enforcer.deploy(pack.policies["hearhere-audiorecord-release"])
+        script = ((NEW_AR, (8000, 16, 2, 1024, 0)), (START_REC, ()),
+                  (ON_STOP, ()), (ON_RESTART, ()))
+        delivered = []
+        for seq, (symbol, args) in enumerate(script, start=1):
+            outcome = enforcer.on_event(Event(symbol, seq=seq, args=args))
+            delivered.extend(outcome.delivered)
+        executed = enforcer.sink.events
+        assert len(executed) == len(delivered)
+        bound = [(sent, out) for sent, out in zip(executed, delivered)
+                 if out.symbol == NEW_AR]
+        assert [(out.origin, out.instance) for _, out in bound] == [
+            (Origin.APP, "AudioRecord#1"), (Origin.SYNTHESIZED, "AudioRecord#2")]
+        for sent, out in bound:
+            assert out == replace(sent, instance=out.instance)
 
     def test_forward_only_event_takes_no_step(self, pack, step_calls):
         enforcer, _ = deploy_pack(pack)

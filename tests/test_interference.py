@@ -1,3 +1,5 @@
+import itertools
+
 from proactive.automata import EditAutomaton, Guard, Transition
 from proactive.dsl import parse
 from proactive.interference import Direction, check_pair, check_set
@@ -10,6 +12,9 @@ from helpers import (
     forced_release_automaton,
     fwd,
     make_doc,
+    policy_files,
+    random_policy_doc,
+    reference_check_pair,
     synth,
 )
 
@@ -91,3 +96,18 @@ class TestCheckSet:
                             conflict])
         assert "call Camera.release" in str(report)
         assert str(check_set(pack.deployable())) == "no interference"
+
+
+class TestCheckPairMatchesFourIntersections:
+    def test_every_pair_of_policy_files_and_random_policies(self):
+        # The disjointness test must return early exactly when all four
+        # directed intersections are empty.
+        files = policy_files()
+        randoms = [random_policy_doc(seed) for seed in range(200)]
+        outcomes = set()
+        for a, b in itertools.chain(itertools.permutations(files, 2),
+                                    itertools.permutations(randoms, 2)):
+            expected = reference_check_pair(a, b)
+            assert check_pair(a, b) == expected, (a.name, b.name)
+            outcomes.add(expected.ok)
+        assert outcomes == {True, False}
