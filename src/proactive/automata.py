@@ -14,7 +14,7 @@ import enum
 import re
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 CALLBACK_INTERFACE = "Activity"
 
@@ -74,7 +74,7 @@ class Origin(enum.Enum):
     SYNTHESIZED = "synthesized"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     symbol: ActionSymbol
     seq: int = 0
@@ -266,9 +266,32 @@ def state_sort_key(state: str):
     return (1, 0, state)
 
 
-# A compiled move: the target state, and the transition whose template
-# runs there, or None when the transition only forwards its input.
-Move = tuple[str, Optional[Transition]]
+class Template(NamedTuple):
+    """A transition's template compiled once: the synthesized items in
+    order as (symbol, args or None for cached, is a constructor), how many
+    precede the input (all when it is dropped), and whether it forwards."""
+
+    transition: Transition
+    items: tuple[tuple[ActionSymbol, Optional[tuple], bool], ...]
+    pre: int
+    forwards: bool
+
+    @staticmethod
+    def of(transition: Transition) -> "Template":
+        output = transition.output
+        items = tuple((i.symbol, None if i.arg_source is ArgSource.CACHED
+                       else i.literals if i.arg_source is ArgSource.LITERALS
+                       else (), i.symbol.kind is Kind.CONSTRUCTOR)
+                      for i in output if not i.is_forward)
+        # Only synthesized items precede the first input, so its position
+        # counts them; the end of the output stands in when there is none.
+        inputs = [n for n, i in enumerate(output) if i.is_forward] + [len(output)]
+        return Template(transition, items, inputs[0], len(inputs) > 1)
+
+
+# A compiled move: the target state, and the template that runs there,
+# or None when the transition only forwards its input.
+Move = tuple[str, Optional[Template]]
 _FORWARD_ONLY = (OutputItem.forward(),)
 
 
@@ -329,15 +352,16 @@ class EditAutomaton:
 
     @cached_property
     def moves(self) -> dict[ActionSymbol, dict[str, Move]]:
-        """symbol -> source state -> (target, transition) of the first
-        matching transition, the transition None when its template is
-        exactly (input,): a forward-only move.  Derived from table, so it
-        holds the same (state, symbol) pairs."""
+        """symbol -> source state -> (target, template) of the first
+        matching transition, the template None when it is exactly
+        (input,): a forward-only move.  Derived from table, so it holds
+        the same (state, symbol) pairs."""
         moves: dict[ActionSymbol, dict[str, Move]] = {}
         for (state, symbol), matching in self.table.items():
             first = matching[0]
             moves.setdefault(symbol, {})[state] = (
-                first.target, None if first.output == _FORWARD_ONLY else first)
+                first.target,
+                None if first.output == _FORWARD_ONLY else Template.of(first))
         return moves
 
     @cached_property
@@ -418,6 +442,10 @@ class PolicyAuthoringError(Exception):
 class MissingTransitionError(Exception):
     """A vocabulary symbol had no matching transition; validation was skipped."""
 
+    def __init__(self, state: str, symbol: ActionSymbol) -> None:
+        super().__init__(f"no transition from state {state!r} matches "
+                         f"vocabulary symbol {symbol}")
+
 
 class BindingContext:
     """Caller-owned state resolving synthesized instances and cached args.
@@ -436,9 +464,6 @@ class BindingContext:
             self.cached_ctor_args = event.args
             self.instances[event.symbol.interface] = event.instance
 
-    def instance_for(self, symbol: ActionSymbol) -> Optional[str]:
-        return self.instances.get(symbol.interface)
-
 
 def _match(automaton: EditAutomaton, state: str,
            symbol: ActionSymbol) -> Optional[Move]:
@@ -446,25 +471,34 @@ def _match(automaton: EditAutomaton, state: str,
     the automaton."""
     move = automaton.moves.get(symbol, {}).get(state)
     if move is None and symbol in automaton.vocabulary:
-        raise MissingTransitionError(
-            f"no transition from state {state!r} matches vocabulary symbol {symbol}")
+        raise MissingTransitionError(state, symbol)
     return move
 
 
-def _instantiate(item: OutputItem, trigger: Event, context: BindingContext) -> Event:
-    if item.arg_source is ArgSource.CACHED:
-        if context.cached_ctor_args is None:
-            raise PolicyAuthoringError(
-                f"template synthesizes {item.symbol} with cached constructor "
-                "args, but no constructor has been intercepted yet")
-        args = context.cached_ctor_args
-    elif item.arg_source is ArgSource.LITERALS:
-        args = item.literals
-    else:
-        args = ()
-    return Event(symbol=item.symbol, seq=trigger.seq,
-                 instance=context.instance_for(item.symbol),
-                 args=args, origin=Origin.SYNTHESIZED)
+def instantiate(template: Template, trigger: Event, cached_ctor_args: Optional[tuple],
+                instances: Mapping[str, Optional[str]]
+                ) -> tuple[tuple[Event, ...], Optional[tuple]]:
+    """The events template synthesizes for trigger, in order, and the
+    cached constructor args after them.  Every constructor, the trigger or
+    a synthesized one, caches its args.  An item gets the trigger's
+    instance on the trigger constructor's interface, else instances'."""
+    own = trigger.symbol.interface if trigger.symbol.kind is Kind.CONSTRUCTOR else None
+    if own is not None:
+        cached_ctor_args = trigger.args
+    events = []
+    for symbol, args, constructs in template.items:
+        if args is None:
+            if cached_ctor_args is None:
+                raise PolicyAuthoringError(
+                    f"template synthesizes {symbol} with cached constructor "
+                    "args, but no constructor has been intercepted yet")
+            args = cached_ctor_args
+        interface = symbol.interface
+        events.append(Event(symbol, trigger.seq, trigger.instance if interface == own
+                            else instances.get(interface), args, Origin.SYNTHESIZED))
+        if constructs:
+            cached_ctor_args = args
+    return tuple(events), cached_ctor_args
 
 
 def step(automaton: EditAutomaton, state: str, event: Event,
@@ -473,26 +507,22 @@ def step(automaton: EditAutomaton, state: str, event: Event,
 
     Out-of-vocabulary events bypass the automaton unchanged.  The
     forwarded input, when present, appears in the output as the very
-    event object that was passed in.
+    event object that was passed in, at each input position.
     """
     move = _match(automaton, state, event.symbol)
     if move is None:
         return state, [event]
-    target, transition = move
+    target, template = move
     if context is None:
         context = BindingContext()
     context.observe(event)
-    if transition is None:
+    if template is None:
         return target, [event]
-    emitted: list[Event] = []
-    for item in transition.output:
-        if item.is_forward:
-            emitted.append(event)
-        else:
-            synthesized = _instantiate(item, event, context)
-            context.observe(synthesized)
-            emitted.append(synthesized)
-    return target, emitted
+    synthesized, context.cached_ctor_args = instantiate(
+        template, event, context.cached_ctor_args, context.instances)
+    rest = iter(synthesized)
+    return target, [event if item.is_forward else next(rest)
+                    for item in template.transition.output]
 
 
 def run_from(automaton: EditAutomaton, state: str, events: Iterable[Event],
@@ -528,7 +558,7 @@ def violations(automaton: EditAutomaton, trace: Trace) -> list[Event]:
         move = _match(automaton, state, event.symbol)
         if move is None:
             continue
-        state, transition = move
-        if transition is not None:
+        state, template = move
+        if template is not None:
             found.append(event)
     return found

@@ -20,13 +20,13 @@ from typing import NamedTuple, Optional, Protocol
 
 from .automata import (
     ActionSymbol,
-    BindingContext,
     Event,
     Kind,
+    MissingTransitionError,
     Move,
     Origin,
     Trace,
-    step,
+    instantiate,
 )
 from .dsl import PolicyDoc
 # check_set is unused here; the benchmark's self-test calls enforcer.check_set.
@@ -107,7 +107,7 @@ class ProactiveModule:
         self.cached_ctor_args = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterventionRecord:
     """One enforcement modification: synthesized non-empty or suppressed."""
 
@@ -187,20 +187,20 @@ class PolicyEnforcer:
         after.  If any matching module's template omits the input, the
         app event is suppressed (suppression dominates forwarding).
         Matched modules move only after every delivered event executed.
-        Forward-only moves take no step; when every matched module only
-        forwards, the event executes as is."""
+        Each editing move instantiates its compiled template once; when
+        every matched module only forwards, the event executes as is."""
         if event.origin is not Origin.APP:
             raise ValueError("only app events may enter the enforcer")
         constructor = event.symbol.kind is Kind.CONSTRUCTOR
         # (module, next state, next cached constructor args)
         moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
-        editing: list[ProactiveModule] = []
+        editing: list[tuple[ProactiveModule, Optional[Move]]] = []
         for module, moves in self.watchers.get(event.symbol, ()):
             if not module.enabled:
                 continue
-            move = moves.get(module.state)  # None: step raises MissingTransitionError
+            move = moves.get(module.state)
             if move is None or move[1] is not None:
-                editing.append(module)
+                editing.append((module, move))
             else:
                 moved.append((module, move[0], event.args if constructor
                               else module.cached_ctor_args))
@@ -214,44 +214,35 @@ class PolicyEnforcer:
 
         suppressed = False
         records: list[InterventionRecord] = []
-        # (module, pre, post)
-        emitting: list[tuple[ProactiveModule, list[Event], list[Event]]] = []
-        for module in editing:
-            context = BindingContext(module.cached_ctor_args,
-                                     self.manager.bindings)
-            next_state, emitted = step(module.policy.automaton, module.state,
-                                       event, context)
-            pre: list[Event] = []
-            post: list[Event] = []
-            forwarded = False
-            for out in emitted:
-                if out is event:
-                    forwarded = True
-                elif forwarded:
-                    post.append(out)
-                else:
-                    pre.append(out)
-            if not forwarded:
+        # (module, synthesized, how many execute before the input)
+        emitting: list[tuple[ProactiveModule, tuple[Event, ...], int]] = []
+        bindings = self.manager.bindings
+        for module, move in editing:
+            if move is None:
+                raise MissingTransitionError(module.state, event.symbol)
+            next_state, template = move
+            synthesized, cached_ctor_args = instantiate(
+                template, event, module.cached_ctor_args, bindings)
+            forwards = template.forwards
+            if not forwards:
                 suppressed = True
-            synthesized = tuple(pre + post)
-            if synthesized or not forwarded:
+            if synthesized or not forwards:
                 records.append(InterventionRecord(
-                    trigger=event, policy=module.policy.name,
-                    synthesized=synthesized, suppressed=not forwarded,
-                    at_seq=event.seq))
-            moved.append((module, next_state, context.cached_ctor_args))
-            emitting.append((module, pre, post))
+                    event, module.policy.name, synthesized, not forwards,
+                    event.seq))
+            moved.append((module, next_state, cached_ctor_args))
+            emitting.append((module, synthesized, template.pre))
 
         # Synthesized events from different modules execute in policy-name
         # order so the delivered stream is independent of deployment order
         # (template order within one policy is preserved).
         emitting.sort(key=lambda m: m[0].policy.name)
         delivered = [self._execute_synthesized(module, synth)
-                     for module, pre, _ in emitting for synth in pre]
+                     for module, out, pre in emitting for synth in out[:pre]]
         if not suppressed:
             delivered.append(self._execute(event))
         delivered.extend(self._execute_synthesized(module, synth)
-                         for module, _, post in emitting for synth in post)
+                         for module, out, pre in emitting for synth in out[pre:])
 
         for module, next_state, cached_ctor_args in moved:
             module.state = next_state

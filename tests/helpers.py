@@ -1,15 +1,17 @@
 """Shared builders for the test suite: small hand-made automata, random
 trace generation, a seeded generator of valid policy documents, the
 policy files, guard-walking reference forms of the compiled transition
-table, the all-pairs reference form of the deploy gate, the
-four-intersection reference form of check_pair, and the
-character-walking reference form of the `.pol` lexer."""
+table, the item-by-item reference form of step, the all-pairs reference
+form of the deploy gate, the four-intersection reference form of
+check_pair, and the character-walking reference form of the `.pol`
+lexer."""
 
 from __future__ import annotations
 
 import random
 import re
 from pathlib import Path
+from typing import Optional
 
 from proactive.automata import (
     ActionSymbol,
@@ -20,7 +22,10 @@ from proactive.automata import (
     Event,
     Guard,
     Kind,
+    MissingTransitionError,
+    Origin,
     OutputItem,
+    PolicyAuthoringError,
     Trace,
     Transition,
     state_sort_key,
@@ -254,6 +259,67 @@ def reference_validate(automaton: EditAutomaton) -> list[Diagnostic]:
                     "add an any self-loop to forward unlisted symbols",
                     state=state, symbol=symbol))
     return diags
+
+
+class ReferenceBindingContext:
+    """BindingContext as step used it before templates were compiled:
+    it also resolves an item's instance through instance_for."""
+
+    def __init__(self, cached_ctor_args: Optional[tuple] = None,
+                 instances: Optional[dict[str, Optional[str]]] = None) -> None:
+        self.cached_ctor_args = cached_ctor_args
+        self.instances: dict[str, Optional[str]] = dict(instances or {})
+
+    def observe(self, event: Event) -> None:
+        if event.symbol.kind is Kind.CONSTRUCTOR:
+            self.cached_ctor_args = event.args
+            self.instances[event.symbol.interface] = event.instance
+
+    def instance_for(self, symbol: ActionSymbol) -> Optional[str]:
+        return self.instances.get(symbol.interface)
+
+
+def _reference_instantiate(item: OutputItem, trigger: Event,
+                           context: ReferenceBindingContext) -> Event:
+    if item.arg_source is ArgSource.CACHED:
+        if context.cached_ctor_args is None:
+            raise PolicyAuthoringError(
+                f"template synthesizes {item.symbol} with cached constructor "
+                "args, but no constructor has been intercepted yet")
+        args = context.cached_ctor_args
+    elif item.arg_source is ArgSource.LITERALS:
+        args = item.literals
+    else:
+        args = ()
+    return Event(symbol=item.symbol, seq=trigger.seq,
+                 instance=context.instance_for(item.symbol),
+                 args=args, origin=Origin.SYNTHESIZED)
+
+
+def reference_step(automaton: EditAutomaton, state: str, event: Event,
+                   context: Optional[ReferenceBindingContext] = None,
+                   ) -> tuple[str, list[Event]]:
+    """step as it was before templates were compiled: match the guards,
+    then walk the first match's output item by item, observing every
+    event it synthesizes."""
+    matching = reference_matching(automaton, state, event.symbol)
+    if not matching:
+        if event.symbol in automaton.vocabulary:
+            raise MissingTransitionError(state, event.symbol)
+        return state, [event]
+    transition = matching[0]
+    if context is None:
+        context = ReferenceBindingContext()
+    context.observe(event)
+    emitted: list[Event] = []
+    for item in transition.output:
+        if item.is_forward:
+            emitted.append(event)
+        else:
+            synthesized = _reference_instantiate(item, event, context)
+            context.observe(synthesized)
+            emitted.append(synthesized)
+    return transition.target, emitted
 
 
 def reference_gate(enforcer, policy: PolicyDoc) -> InterferenceReport:

@@ -382,6 +382,24 @@ class TestAutomatonEquality:
         assert other != forced_release
 
 
+def reference_template(transition):
+    """(items, pre, forwards) of a transition's template, walking its
+    output: each synthesized item as (symbol, its args or None when they
+    are cached, whether it constructs), how many come before the first
+    input (all of them when there is none), and whether there is one."""
+    items, pre, forwards = [], 0, False
+    for item in transition.output:
+        if item.is_forward:
+            forwards = True
+            continue
+        args = {ArgSource.CACHED: None, ArgSource.LITERALS: item.literals,
+                ArgSource.NONE: ()}[item.arg_source]
+        items.append((item.symbol, args, item.symbol.kind is Kind.CONSTRUCTOR))
+        if not forwards:
+            pre += 1
+    return tuple(items), pre, forwards
+
+
 def reference_cases():
     """Every bundled policy and fixture, 200 generated policies and the
     invalid automata above, by name."""
@@ -428,15 +446,21 @@ class TestTableAgreesWithReference:
 
 class TestMovesAgreeWithTable:
     def test_each_move_is_the_first_match(self):
+        # The move's target and template both come from the first
+        # matching transition; the template keeps that very transition.
         forward_only = (fwd(),)
         for name, automaton in reference_cases().items():
             pairs = set()
             for (state, symbol), matching in automaton.table.items():
                 first = matching[0]
-                expected = (first.target,
-                            None if first.output == forward_only else first)
-                assert automaton.moves[symbol][state] == expected, \
-                    (name, state, symbol)
+                target, template = automaton.moves[symbol][state]
+                assert target == first.target, (name, state, symbol)
+                if first.output == forward_only:
+                    assert template is None, (name, state, symbol)
+                else:
+                    assert template.transition is first, (name, state, symbol)
+                    assert template[1:] == reference_template(first), \
+                        (name, state, symbol)
                 pairs.add((symbol, state))
             assert {(symbol, state) for symbol, by_state in automaton.moves.items()
                     for state in by_state} == pairs, name

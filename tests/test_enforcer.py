@@ -110,16 +110,16 @@ def deploy_like_reference(enforcer, policy) -> bool:
 
 
 @pytest.fixture
-def step_calls(monkeypatch):
-    """The automata the enforcer calls `step` on, one entry per call."""
+def instantiations(monkeypatch):
+    """The templates the enforcer instantiates, one entry per call."""
     calls = []
-    original = enforcer_module.step
+    original = enforcer_module.instantiate
 
-    def counting(automaton, state, event, context=None):
-        calls.append(automaton)
-        return original(automaton, state, event, context)
+    def counting(template, trigger, cached_ctor_args, instances):
+        calls.append(template)
+        return original(template, trigger, cached_ctor_args, instances)
 
-    monkeypatch.setattr(enforcer_module, "step", counting)
+    monkeypatch.setattr(enforcer_module, "instantiate", counting)
     return calls
 
 
@@ -424,41 +424,52 @@ class TestOnEvent:
         for sent, out in bound:
             assert out == replace(sent, instance=out.instance)
 
-    def test_forward_only_event_takes_no_step(self, pack, step_calls):
+    def test_forward_only_event_takes_no_step(self, pack, instantiations):
         enforcer, _ = deploy_pack(pack)
         event = Event(ON_PAUSE, seq=1)
         assert len(enforcer.watchers[ON_PAUSE]) == 3
         outcome = enforcer.on_event(event)
-        assert step_calls == []
+        assert instantiations == []
         assert outcome.delivered == (event,)
         assert enforcer.sink.events == [event]
         assert outcome.records == () and not outcome.suppressed
         assert enforcer.intervention_log == []
 
-    def test_editing_event_steps_once_per_editing_module(self, pack, step_calls):
+    def test_editing_event_steps_once_per_editing_module(self, pack,
+                                                         instantiations):
+        # Each editing module instantiates the template of its own move
+        # exactly once, in deploy order; the forward-only sensor module
+        # instantiates none.
         enforcer, handles = deploy_pack(pack)
         enforcer.on_event(Event(CAMERA_OPEN, seq=1))
         enforcer.on_event(Event(REQUEST_UPDATES, seq=2))
-        assert step_calls == []
-        outcome = enforcer.on_event(Event(ON_PAUSE, seq=3))
+        assert instantiations == []
         editing = [handles["foocam-camera-open-release"],
                    handles["getbackgps-location-updates"]]
-        assert step_calls == [m.policy.automaton for m in editing]
+        templates = [m.policy.automaton.moves[ON_PAUSE][m.state][1]
+                     for m in editing]
+        outcome = enforcer.on_event(Event(ON_PAUSE, seq=3))
+        assert len(instantiations) == 2
+        assert all(a is b for a, b in zip(instantiations, templates))
         assert {r.policy for r in outcome.records} \
             == {m.policy.name for m in editing}
         assert [m.state for m in editing] == ["0", "0"]
         assert handles["getbackgps-sensor-listener"].state == "0"
 
-    def test_forward_only_constructor_caches_its_args(self, pack, step_calls):
+    def test_forward_only_constructor_caches_its_args(self, pack,
+                                                      instantiations):
         enforcer = PolicyEnforcer(InstanceSink())
         handle = enforcer.deploy(pack.policies["hearhere-audiorecord-release"])
         args = (8000, 16, 2, 1024, 0)
         enforcer.on_event(Event(NEW_AR, seq=1, args=args))
-        assert step_calls == []
+        assert instantiations == []
         assert (handle.state, handle.cached_ctor_args) == ("1", args)
+        moves = handle.policy.automaton.moves
+        expected = [moves[ON_STOP]["2"][1], moves[ON_RESTART]["suspended"][1]]
         for seq, symbol in enumerate((START_REC, ON_STOP, ON_RESTART), start=2):
             enforcer.on_event(Event(symbol, seq=seq))
-        assert len(step_calls) == 2
+        assert len(instantiations) == 2
+        assert all(a is b for a, b in zip(instantiations, expected))
         recreated = [e for e in enforcer.sink.events
                      if e.symbol == NEW_AR and e.origin is Origin.SYNTHESIZED]
         assert [e.args for e in recreated] == [args]
@@ -477,7 +488,7 @@ class TestOnEvent:
             enforcer.on_event(Event(DOA, seq=3))
 
     def test_disabled_module_does_not_move_on_the_fast_path(self, pack,
-                                                            step_calls):
+                                                            instantiations):
         enforcer, handles = deploy_pack(pack)
         camera = handles["foocam-camera-open-release"]
         enforcer.set_enabled(camera, False)
@@ -487,7 +498,7 @@ class TestOnEvent:
         enforcer.set_enabled(camera, True)
         enforcer.on_event(Event(CAMERA_OPEN, seq=2))
         assert camera.state == "1"
-        assert step_calls == []
+        assert instantiations == []
 
 
 class TestEnforcementOutcome:
