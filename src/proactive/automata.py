@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -74,7 +74,11 @@ class Origin(enum.Enum):
     SYNTHESIZED = "synthesized"
 
 
-@dataclass(frozen=True, slots=True)
+# On 3.11 a `Kind.X` or `Origin.X` read runs EnumType.__getattr__ (~120 ns).
+_APP, _CONSTRUCTOR, _SYNTHESIZED = Origin.APP, Kind.CONSTRUCTOR, Origin.SYNTHESIZED
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     symbol: ActionSymbol
     seq: int = 0
@@ -82,9 +86,26 @@ class Event:
     args: tuple = ()
     origin: Origin = Origin.APP
 
+    def __init__(self, symbol: ActionSymbol, seq: int = 0, instance: Optional[str] = None,
+                 args: tuple = (), origin: Origin = Origin.APP) -> None:
+        _set_symbol(self, symbol)
+        _set_seq(self, seq)
+        _set_instance(self, instance)
+        _set_args(self, args)
+        _set_origin(self, origin)
+
     def __str__(self) -> str:
         tag = "+" if self.origin is Origin.SYNTHESIZED else ""
         return f"{tag}{self.symbol}@{self.seq}"
+
+
+def slot_setters(cls: type) -> tuple:
+    """Each field's slot __set__, in order, for a frozen slotted dataclass's
+    own __init__: the generated one's object.__setattr__ costs about twice."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_set_symbol, _set_seq, _set_instance, _set_args, _set_origin = slot_setters(Event)
 
 
 @dataclass(frozen=True)
@@ -482,7 +503,7 @@ def instantiate(template: Template, trigger: Event, cached_ctor_args: Optional[t
     cached constructor args after them.  Every constructor, the trigger or
     a synthesized one, caches its args.  An item gets the trigger's
     instance on the trigger constructor's interface, else instances'."""
-    own = trigger.symbol.interface if trigger.symbol.kind is Kind.CONSTRUCTOR else None
+    own = trigger.symbol.interface if trigger.symbol.kind is _CONSTRUCTOR else None
     if own is not None:
         cached_ctor_args = trigger.args
     events = []
@@ -495,7 +516,7 @@ def instantiate(template: Template, trigger: Event, cached_ctor_args: Optional[t
             args = cached_ctor_args
         interface = symbol.interface
         events.append(Event(symbol, trigger.seq, trigger.instance if interface == own
-                            else instances.get(interface), args, Origin.SYNTHESIZED))
+                            else instances.get(interface), args, _SYNTHESIZED))
         if constructs:
             cached_ctor_args = args
     return tuple(events), cached_ctor_args

@@ -21,12 +21,14 @@ from typing import NamedTuple, Optional, Protocol
 from .automata import (
     ActionSymbol,
     Event,
-    Kind,
     MissingTransitionError,
     Move,
-    Origin,
     Trace,
+    _APP,
+    _CONSTRUCTOR,
+    _SYNTHESIZED,
     instantiate,
+    slot_setters,
 )
 from .dsl import PolicyDoc
 # check_set is unused here; the benchmark's self-test calls enforcer.check_set.
@@ -107,7 +109,7 @@ class ProactiveModule:
         self.cached_ctor_args = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InterventionRecord:
     """One enforcement modification: synthesized non-empty or suppressed."""
 
@@ -117,9 +119,19 @@ class InterventionRecord:
     suppressed: bool
     at_seq: int
 
-    def __post_init__(self) -> None:
-        if not self.synthesized and not self.suppressed:
+    def __init__(self, trigger: Event, policy: str, synthesized: tuple[Event, ...],
+                 suppressed: bool, at_seq: int) -> None:
+        if not synthesized and not suppressed:
             raise ValueError("intervention records exist only for modifications")
+        _set_trigger(self, trigger)
+        _set_policy(self, policy)
+        _set_synthesized(self, synthesized)
+        _set_suppressed(self, suppressed)
+        _set_at_seq(self, at_seq)
+
+
+(_set_trigger, _set_policy, _set_synthesized, _set_suppressed,
+ _set_at_seq) = slot_setters(InterventionRecord)
 
 
 class EnforcementOutcome(NamedTuple):
@@ -188,10 +200,11 @@ class PolicyEnforcer:
         app event is suppressed (suppression dominates forwarding).
         Matched modules move only after every delivered event executed.
         Each editing move instantiates its compiled template once; when
-        every matched module only forwards, the event executes as is."""
-        if event.origin is not Origin.APP:
+        every matched module only forwards, the event executes as is, and
+        a forward-only self-loop on a non-constructor commits nothing."""
+        if event.origin is not _APP:
             raise ValueError("only app events may enter the enforcer")
-        constructor = event.symbol.kind is Kind.CONSTRUCTOR
+        constructor = event.symbol.kind is _CONSTRUCTOR
         # (module, next state, next cached constructor args)
         moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
         editing: list[tuple[ProactiveModule, Optional[Move]]] = []
@@ -201,16 +214,20 @@ class PolicyEnforcer:
             move = moves.get(module.state)
             if move is None or move[1] is not None:
                 editing.append((module, move))
-            else:
+            elif constructor or move[0] != module.state:
                 moved.append((module, move[0], event.args if constructor
                               else module.cached_ctor_args))
 
         if not editing:
-            delivered = (self._execute(event),)
+            if constructor:
+                event = self._execute(event)
+            else:
+                self.sink.execute(event)
             for module, next_state, cached_ctor_args in moved:
                 module.state = next_state
                 module.cached_ctor_args = cached_ctor_args
-            return EnforcementOutcome(delivered, (), False)
+            # Skips the NamedTuple's __new__, a Python function.
+            return tuple.__new__(EnforcementOutcome, ((event,), (), False))
 
         suppressed = False
         records: list[InterventionRecord] = []
@@ -255,9 +272,9 @@ class PolicyEnforcer:
         The sink's instance replaces a synthesized event's, and fills in
         an app event's only when the app gave none."""
         instance = self.sink.execute(event)
-        if event.symbol.kind is Kind.CONSTRUCTOR:
+        if event.symbol.kind is _CONSTRUCTOR:
             if instance is not None and (event.instance is None
-                                         or event.origin is Origin.SYNTHESIZED):
+                                         or event.origin is _SYNTHESIZED):
                 event = Event(event.symbol, event.seq, instance, event.args,
                               event.origin)
             self.manager.bind(event.symbol.interface, event.instance)

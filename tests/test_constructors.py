@@ -1,0 +1,81 @@
+"""The constructor contract of the two value types built on the hot path,
+`Event` and `InterventionRecord`: their signature, fields, defaults and
+match args agree, and every way of calling them builds the same object.
+tests/test_templates.py::TestSlottedTypes checks that they stay frozen,
+slotted, hashable, copyable and picklable."""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from proactive.automata import ActionSymbol, Event, Origin
+from proactive.enforcer import InterventionRecord
+
+SYMBOL = ActionSymbol.call("Api", "doA")
+TRIGGER = Event(SYMBOL, 3, "Api#1", (1, "x"))
+INSERTED = Event(ActionSymbol.call("Api", "doB"), 3, None, (), Origin.SYNTHESIZED)
+
+EVENT_FIELDS = [("symbol", inspect.Parameter.empty), ("seq", 0),
+                ("instance", None), ("args", ()), ("origin", Origin.APP)]
+RECORD_FIELDS = [(name, inspect.Parameter.empty) for name in
+                 ("trigger", "policy", "synthesized", "suppressed", "at_seq")]
+
+
+def field_defaults(cls):
+    return [(f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING
+             else f.default) for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls, expected", [(Event, EVENT_FIELDS),
+                                           (InterventionRecord, RECORD_FIELDS)])
+def test_signature_fields_and_match_args_agree(cls, expected):
+    parameters = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.default) for p in parameters] == expected
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+               for p in parameters)
+    assert field_defaults(cls) == expected
+    assert all(f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(cls))
+    assert cls.__match_args__ == tuple(name for name, _ in expected)
+    assert cls.__slots__ == cls.__match_args__
+
+
+def test_event_positional_keyword_and_default_construction_agree():
+    positional = Event(SYMBOL, 3, "Api#1", (1, "x"), Origin.APP)
+    keyword = Event(origin=Origin.APP, args=(1, "x"), instance="Api#1",
+                    seq=3, symbol=SYMBOL)
+    assert positional == keyword == TRIGGER
+    assert hash(positional) == hash(keyword)
+    assert Event(SYMBOL) == Event(SYMBOL, 0, None, (), Origin.APP)
+    assert Event(SYMBOL).origin is Origin.APP
+    assert repr(positional) == ("Event(symbol=" + repr(SYMBOL) + ", seq=3, "
+                                "instance='Api#1', args=(1, 'x'), "
+                                "origin=<Origin.APP: 'app'>)")
+    match positional:
+        case Event(symbol, seq, instance, args, origin):
+            assert (symbol, seq, instance, args, origin) \
+                == (SYMBOL, 3, "Api#1", (1, "x"), Origin.APP)
+
+
+def test_record_positional_and_keyword_construction_agree():
+    positional = InterventionRecord(TRIGGER, "p", (INSERTED,), False, 3)
+    keyword = InterventionRecord(at_seq=3, suppressed=False, synthesized=(INSERTED,),
+                                 policy="p", trigger=TRIGGER)
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    assert (positional.trigger, positional.policy, positional.synthesized,
+            positional.suppressed, positional.at_seq) \
+        == (TRIGGER, "p", (INSERTED,), False, 3)
+    assert InterventionRecord(TRIGGER, "p", (), True, 3).suppressed
+
+
+def test_record_that_modifies_nothing_is_rejected():
+    with pytest.raises(ValueError, match="only for modifications"):
+        InterventionRecord(TRIGGER, "p", (), False, 3)
+    with pytest.raises(ValueError, match="only for modifications"):
+        InterventionRecord(trigger=TRIGGER, policy="p", synthesized=(),
+                           suppressed=False, at_seq=3)
+    record = InterventionRecord(TRIGGER, "p", (INSERTED,), False, 3)
+    with pytest.raises(ValueError, match="only for modifications"):
+        dataclasses.replace(record, synthesized=())

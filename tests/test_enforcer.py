@@ -1,4 +1,5 @@
 import copy
+import dis
 import itertools
 import random
 from dataclasses import replace
@@ -15,6 +16,7 @@ from proactive.automata import (
     Origin,
     Trace,
     Transition,
+    instantiate,
 )
 from proactive.dsl import parse
 from proactive.interference import InterferenceReport
@@ -24,6 +26,7 @@ from proactive.enforcer import (
     HealingFailureError,
     InterferenceError,
     PolicyEnforcer,
+    ProactiveModule,
     RecordingSink,
     StaleHandleError,
 )
@@ -127,6 +130,25 @@ def deploy_pack(pack):
     enforcer = PolicyEnforcer()
     handles = {p.name: enforcer.deploy(p) for p in pack.deployable()}
     return enforcer, handles
+
+
+class WatchedModule(ProactiveModule):
+    """A module that logs every write to its state or cached args."""
+
+    def __setattr__(self, name, value):
+        if name in ("state", "cached_ctor_args"):
+            self.commits.append((self.policy.name, name, value))
+        super().__setattr__(name, value)
+
+
+def watch_commits(enforcer) -> list:
+    """The (policy, field, value) of every later write to a module's state
+    or cached args, in the order they happen."""
+    commits: list = []
+    for module in enforcer.modules:
+        module.__class__ = WatchedModule
+        module.commits = commits
+    return commits
 
 
 class TestDeploy:
@@ -492,13 +514,81 @@ class TestOnEvent:
         enforcer, handles = deploy_pack(pack)
         camera = handles["foocam-camera-open-release"]
         enforcer.set_enabled(camera, False)
+        commits = watch_commits(enforcer)
         event = Event(CAMERA_OPEN, seq=1)
         assert enforcer.on_event(event).delivered == (event,)
+        assert commits == []
         assert camera.state == "0"
         enforcer.set_enabled(camera, True)
         enforcer.on_event(Event(CAMERA_OPEN, seq=2))
         assert camera.state == "1"
         assert instantiations == []
+
+
+class TestFastPathCommits:
+    """A forward-only move commits only what it changes; a disabled module
+    commits nothing (TestOnEvent.test_disabled_module_does_not_move_on_the_fast_path)."""
+
+    HEARHERE = "hearhere-audiorecord-release"
+    CAMERA = "foocam-camera-open-release"
+
+    def test_forward_only_self_loop_on_a_call_commits_nothing(self, pack):
+        enforcer, handles = deploy_pack(pack)
+        hearhere = handles[self.HEARHERE]
+        cached = (8000, 16, 2, 1024, 0)
+        hearhere.state, hearhere.cached_ctor_args = "1", cached
+        assert hearhere.policy.automaton.moves[STOP_REC]["1"] == ("1", None)
+        commits = watch_commits(enforcer)
+        event = Event(STOP_REC, seq=1)
+        assert enforcer.on_event(event) == ((event,), (), False)
+        assert commits == []
+        assert hearhere.state == "1" and hearhere.cached_ctor_args is cached
+        assert enforcer.sink.events == [event]
+
+    def test_forward_only_state_change_commits(self, pack):
+        enforcer, handles = deploy_pack(pack)
+        commits = watch_commits(enforcer)
+        enforcer.on_event(Event(CAMERA_OPEN, seq=1))
+        assert commits == [(self.CAMERA, "state", "1"),
+                           (self.CAMERA, "cached_ctor_args", None)]
+        assert handles[self.CAMERA].state == "1"
+        # From 1, open is a self-loop: nothing more is committed.
+        enforcer.on_event(Event(CAMERA_OPEN, seq=2))
+        assert len(commits) == 2
+
+    def test_forward_only_constructor_self_loop_caches_its_args(self, pack):
+        enforcer, handles = deploy_pack(pack)
+        hearhere = handles[self.HEARHERE]
+        hearhere.state, hearhere.cached_ctor_args = "1", (8000,)
+        assert hearhere.policy.automaton.moves[NEW_AR]["1"] == ("1", None)
+        commits = watch_commits(enforcer)
+        args = (44100, 16, 2, 4096, 0)
+        enforcer.on_event(Event(NEW_AR, seq=1, args=args))
+        assert commits == [(self.HEARHERE, "state", "1"),
+                           (self.HEARHERE, "cached_ctor_args", args)]
+        assert (hearhere.state, hearhere.cached_ctor_args) == ("1", args)
+
+
+class TestHotPathBytecode:
+    """Dispatch reads enum members from module globals: on CPython 3.11 a
+    `Kind.X` or `Origin.X` read runs EnumType.__getattr__, about 120 ns."""
+
+    @staticmethod
+    def loaded_globals(code) -> set[str]:
+        names = {i.argval for i in dis.get_instructions(code)
+                 if i.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
+        for const in code.co_consts:
+            if hasattr(const, "co_code"):
+                names |= TestHotPathBytecode.loaded_globals(const)
+        return names
+
+    @pytest.mark.parametrize("function", [
+        PolicyEnforcer.on_event, PolicyEnforcer._execute,
+        instantiate])
+    def test_loads_no_enum_class(self, function):
+        loaded = self.loaded_globals(function.__code__)
+        assert loaded, function
+        assert not loaded & {"Kind", "Origin"}, function.__qualname__
 
 
 class TestEnforcementOutcome:
