@@ -3,7 +3,8 @@ repeated scenario executions with and without the proactive modules.
 
 Each repetition uses a fresh world and a fresh enforcer so no state
 carries over; timing covers scenario execution only, never report
-serialization.
+serialization.  The per-action intervention counts come from the timed
+enforced replays themselves, which all agree: replay is deterministic.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ def run_benchmark(script: ScenarioScript, policies: list[PolicyDoc],
     if repetitions < 3:
         raise ValueError("benchmark needs at least 3 repetitions")
 
-    # One instrumented pass to attribute interventions to actions.
-    probe = run_scenario(script, _fresh_enforcer(policies))
-    per_action_interventions = probe.interventions_per_step()
-
     with_times: list[list[float]] = [[] for _ in script.steps]
     without_times: list[list[float]] = [[] for _ in script.steps]
     for _ in range(repetitions):
@@ -90,5 +87,5 @@ def run_benchmark(script: ScenarioScript, policies: list[PolicyDoc],
             median_with_ms=median_with,
             median_without_ms=median_without,
             overhead_percent=overhead_percent(median_with, median_without),
-            interventions=per_action_interventions[i]))
+            interventions=enforced.interventions_per_step[i]))
     return BenchResult(actions=tuple(actions), repetitions=repetitions)

@@ -7,14 +7,16 @@ executed immediately and never re-offered to any module, so enforcement
 cannot recurse.
 
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
-under every symbol it watches; an event reaches only the modules filed
-under its symbol.  Every deployed pair has passed deploy's interference
-gate, so a deploy tests the new policy against the deployed union: a
-clean deploy tests two sets; pairs are listed only to report a conflict.
+in policy-name order under every symbol it watches; an event reaches only
+the modules filed under its symbol, in that order.  Every deployed pair
+has passed deploy's interference gate, so a deploy tests the new policy
+against the deployed union: a clean deploy tests two sets; pairs are
+listed only to report a conflict.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
 
@@ -117,21 +119,19 @@ class InterventionRecord:
     policy: str
     synthesized: tuple[Event, ...]
     suppressed: bool
-    at_seq: int
 
     def __init__(self, trigger: Event, policy: str, synthesized: tuple[Event, ...],
-                 suppressed: bool, at_seq: int) -> None:
+                 suppressed: bool) -> None:
         if not synthesized and not suppressed:
             raise ValueError("intervention records exist only for modifications")
         _set_trigger(self, trigger)
         _set_policy(self, policy)
         _set_synthesized(self, synthesized)
         _set_suppressed(self, suppressed)
-        _set_at_seq(self, at_seq)
 
 
-(_set_trigger, _set_policy, _set_synthesized, _set_suppressed,
- _set_at_seq) = slot_setters(InterventionRecord)
+(_set_trigger, _set_policy, _set_synthesized,
+ _set_suppressed) = slot_setters(InterventionRecord)
 
 
 class EnforcementOutcome(NamedTuple):
@@ -143,12 +143,12 @@ class EnforcementOutcome(NamedTuple):
 
 
 class PolicyEnforcer:
-    """Dispatches intercepted events to enabled modules in deploy order."""
+    """Dispatches intercepted events to enabled modules in policy-name order."""
 
     def __init__(self, sink: Optional[EventSink] = None) -> None:
         self.sink: EventSink = sink if sink is not None else RecordingSink()
         self.modules: list[ProactiveModule] = []
-        # symbol -> (module, the module's moves on symbol by state)
+        # symbol -> (module, its moves on symbol by state), by policy name
         self.watchers: dict[ActionSymbol,
                             list[tuple[ProactiveModule, dict[str, Move]]]] = {}
         self.manager = ResourceManager()
@@ -158,10 +158,10 @@ class PolicyEnforcer:
         self._touched: set[ActionSymbol] = set()
 
     def deploy(self, policy: PolicyDoc) -> ProactiveModule:
-        """Append a module for the policy and file it under every symbol
-        it watches; rejects interference and duplicate names.  A clean
-        deploy tests two sets against the deployed union; pairs are
-        listed with check_pair only to report a conflict."""
+        """Append a module for the policy and file it in policy-name order
+        under every symbol it watches; rejects interference and duplicate
+        names.  A clean deploy tests two sets against the deployed union;
+        pairs are listed with check_pair only to report a conflict."""
         if policy.name in self._names:
             raise DuplicatePolicyError(policy.name)
         automaton = policy.automaton
@@ -178,8 +178,9 @@ class PolicyEnforcer:
         self._touched |= touched
         moves = automaton.moves
         for symbol in automaton.vocabulary:
-            self.watchers.setdefault(symbol, []).append(
-                (module, moves.get(symbol, {})))
+            insort(self.watchers.setdefault(symbol, []),
+                   (module, moves.get(symbol, {})),
+                   key=lambda watcher: watcher[0].policy.name)
         return module
 
     def set_enabled(self, handle: ProactiveModule, on: bool) -> None:
@@ -196,7 +197,9 @@ class PolicyEnforcer:
 
         Synthesized events positioned before the forwarded input execute
         before the app event reaches the sink; items after it execute
-        after.  If any matching module's template omits the input, the
+        after.  Modules edit, execute and are recorded in policy-name order,
+        so neither the delivered stream nor the records depend on deploy
+        order.  If any matching module's template omits the input, the
         app event is suppressed (suppression dominates forwarding).
         Matched modules move only after every delivered event executed.
         Each editing move instantiates its compiled template once; when
@@ -245,15 +248,10 @@ class PolicyEnforcer:
                 suppressed = True
             if synthesized or not forwards:
                 records.append(InterventionRecord(
-                    event, module.policy.name, synthesized, not forwards,
-                    event.seq))
+                    event, module.policy.name, synthesized, not forwards))
             moved.append((module, next_state, cached_ctor_args))
             emitting.append((module, synthesized, template.pre))
 
-        # Synthesized events from different modules execute in policy-name
-        # order so the delivered stream is independent of deployment order
-        # (template order within one policy is preserved).
-        emitting.sort(key=lambda m: m[0].policy.name)
         delivered = [self._execute_synthesized(module, synth)
                      for module, out, pre in emitting for synth in out[:pre]]
         if not suppressed:

@@ -145,7 +145,6 @@ class LeakEntry:
 @dataclass(frozen=True)
 class LeakReport:
     leaks: tuple[LeakEntry, ...]
-    checkpoint: Checkpoint
 
     @property
     def clean(self) -> bool:
@@ -320,8 +319,6 @@ class SimWorld:
     # -- leak oracle ------------------------------------------------------
 
     def _checkpoint(self, checkpoint: Checkpoint) -> None:
-        if self.state not in (ActivityState.STOPPED, ActivityState.DESTROYED):
-            return
         for resource in self.resources.values():
             if resource.held and resource.interface not in self._candidates:
                 self._candidates[resource.interface] = LeakEntry(
@@ -342,8 +339,7 @@ class SimWorld:
                                   resource.acquired_at, Checkpoint.END_OF_RUN)
             leaks.append(entry)
         leaks.sort(key=lambda e: (e.acquired_at or 0, e.interface))
-        checkpoint = leaks[0].checkpoint if leaks else Checkpoint.END_OF_RUN
-        return LeakReport(tuple(leaks), checkpoint)
+        return LeakReport(tuple(leaks))
 
 
 # Per-interface protocol handlers.  Acquisition sets the holder; release
@@ -414,14 +410,7 @@ class ScenarioResult:
     leaks: LeakReport
     interventions: tuple[InterventionRecord, ...]
     step_times: tuple[float, ...]  # seconds per script step
-    step_seq_ranges: tuple[tuple[int, int], ...]  # app-event seqs per step
-
-    def interventions_per_step(self) -> tuple[int, ...]:
-        counts = []
-        for lo, hi in self.step_seq_ranges:
-            counts.append(sum(1 for r in self.interventions
-                              if lo <= r.at_seq <= hi))
-        return tuple(counts)
+    interventions_per_step: tuple[int, ...]
 
 
 def _busy_wait(seconds: float) -> None:
@@ -444,8 +433,9 @@ def run_scenario(script: ScenarioScript,
     world = SimWorld(script.app)
     if enforcer is not None:
         enforcer.sink = world
+    log = enforcer.intervention_log if enforcer is not None else []
     step_times: list[float] = []
-    step_seq_ranges: list[tuple[int, int]] = []
+    interventions_per_step: list[int] = []
 
     def dispatch(symbol: ActionSymbol, args: tuple = ()) -> None:
         instance = None
@@ -459,8 +449,8 @@ def run_scenario(script: ScenarioScript,
             world.execute(event)
 
     for step in script.steps:
+        logged = len(log)
         started = time.perf_counter()
-        first_seq = world._seq + 1
         try:
             if step.command in ("launch", "background", "foreground",
                                 "rotate", "destroy"):
@@ -483,11 +473,10 @@ def run_scenario(script: ScenarioScript,
             raise ScenarioError(str(exc), step.line) from exc
         _busy_wait(action_work_s)
         step_times.append(time.perf_counter() - started)
-        step_seq_ranges.append((first_seq, world._seq))
+        interventions_per_step.append(len(log) - logged)
 
-    interventions = tuple(enforcer.intervention_log) if enforcer else ()
     return ScenarioResult(trace=Trace.of(world.trace),
                           leaks=world.leak_report(),
-                          interventions=interventions,
+                          interventions=tuple(log),
                           step_times=tuple(step_times),
-                          step_seq_ranges=tuple(step_seq_ranges))
+                          interventions_per_step=tuple(interventions_per_step))

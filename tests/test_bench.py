@@ -1,6 +1,8 @@
 import pytest
 
+from proactive import bench
 from proactive.bench import BenchResult, overhead_percent, run_benchmark
+from proactive.sim import run_scenario
 
 
 class TestOverheadFormula:
@@ -38,6 +40,20 @@ class TestRunBenchmark:
                 action.median_with_ms, action.median_without_ms)
             assert action.overhead_us == pytest.approx(
                 (action.median_with_ms - action.median_without_ms) * 1000.0)
+
+    def test_replays_once_per_repetition_and_mode(self, pack, scenarios,
+                                                  monkeypatch):
+        calls = []
+
+        def counting(script, enforcer=None, action_work_s=0.0):
+            calls.append(enforcer is not None)
+            return run_scenario(script, enforcer, action_work_s)
+
+        monkeypatch.setattr(bench, "run_scenario", counting)
+        result = run_benchmark(scenarios["hearhere"], pack.deployable(),
+                               repetitions=4, action_work_s=0.0)
+        assert calls == [True, False] * 4
+        assert [a.interventions for a in result.actions] == [0, 0, 1]
 
     def test_highest_overhead_is_an_action(self, pack, scenarios):
         result = run_benchmark(scenarios["bluechat"], pack.deployable(),

@@ -19,7 +19,7 @@ INSERTED = Event(ActionSymbol.call("Api", "doB"), 3, None, (), Origin.SYNTHESIZE
 EVENT_FIELDS = [("symbol", inspect.Parameter.empty), ("seq", 0),
                 ("instance", None), ("args", ()), ("origin", Origin.APP)]
 RECORD_FIELDS = [(name, inspect.Parameter.empty) for name in
-                 ("trigger", "policy", "synthesized", "suppressed", "at_seq")]
+                 ("trigger", "policy", "synthesized", "suppressed")]
 
 
 def field_defaults(cls):
@@ -59,23 +59,22 @@ def test_event_positional_keyword_and_default_construction_agree():
 
 
 def test_record_positional_and_keyword_construction_agree():
-    positional = InterventionRecord(TRIGGER, "p", (INSERTED,), False, 3)
-    keyword = InterventionRecord(at_seq=3, suppressed=False, synthesized=(INSERTED,),
+    positional = InterventionRecord(TRIGGER, "p", (INSERTED,), False)
+    keyword = InterventionRecord(suppressed=False, synthesized=(INSERTED,),
                                  policy="p", trigger=TRIGGER)
     assert positional == keyword
     assert hash(positional) == hash(keyword)
     assert (positional.trigger, positional.policy, positional.synthesized,
-            positional.suppressed, positional.at_seq) \
-        == (TRIGGER, "p", (INSERTED,), False, 3)
-    assert InterventionRecord(TRIGGER, "p", (), True, 3).suppressed
+            positional.suppressed) == (TRIGGER, "p", (INSERTED,), False)
+    assert InterventionRecord(TRIGGER, "p", (), True).suppressed
 
 
 def test_record_that_modifies_nothing_is_rejected():
     with pytest.raises(ValueError, match="only for modifications"):
-        InterventionRecord(TRIGGER, "p", (), False, 3)
+        InterventionRecord(TRIGGER, "p", (), False)
     with pytest.raises(ValueError, match="only for modifications"):
         InterventionRecord(trigger=TRIGGER, policy="p", synthesized=(),
-                           suppressed=False, at_seq=3)
-    record = InterventionRecord(TRIGGER, "p", (INSERTED,), False, 3)
+                           suppressed=False)
+    record = InterventionRecord(TRIGGER, "p", (INSERTED,), False)
     with pytest.raises(ValueError, match="only for modifications"):
         dataclasses.replace(record, synthesized=())

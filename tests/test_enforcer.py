@@ -460,8 +460,8 @@ class TestOnEvent:
     def test_editing_event_steps_once_per_editing_module(self, pack,
                                                          instantiations):
         # Each editing module instantiates the template of its own move
-        # exactly once, in deploy order; the forward-only sensor module
-        # instantiates none.
+        # exactly once, in policy-name order; the forward-only sensor
+        # module instantiates none.
         enforcer, handles = deploy_pack(pack)
         enforcer.on_event(Event(CAMERA_OPEN, seq=1))
         enforcer.on_event(Event(REQUEST_UPDATES, seq=2))
@@ -477,6 +477,25 @@ class TestOnEvent:
             == {m.policy.name for m in editing}
         assert [m.state for m in editing] == ["0", "0"]
         assert handles["getbackgps-sensor-listener"].state == "0"
+
+    def test_records_follow_policy_names_under_either_deploy_order(self, pack):
+        # Both modules heal onPause; their records, the log and their
+        # synthesized events come out in policy-name order either way.
+        names = ["foocam-camera-open-release", "getbackgps-location-updates"]
+        for order in (names, names[::-1]):
+            enforcer = PolicyEnforcer()
+            for name in order:
+                enforcer.deploy(pack.policies[name])
+            enforcer.on_event(Event(CAMERA_OPEN, seq=1))
+            enforcer.on_event(Event(REQUEST_UPDATES, seq=2))
+            outcome = enforcer.on_event(Event(ON_PAUSE, seq=3))
+            assert [r.policy for r in outcome.records] == names
+            assert [r.policy for r in enforcer.intervention_log] == names
+            assert [(e.symbol, e.origin) for e in outcome.delivered] == [
+                (ActionSymbol.call("Camera", "release"), Origin.SYNTHESIZED),
+                (ActionSymbol.call("LocationManager", "removeUpdates"),
+                 Origin.SYNTHESIZED),
+                (ON_PAUSE, Origin.APP)]
 
     def test_forward_only_constructor_caches_its_args(self, pack,
                                                       instantiations):

@@ -9,9 +9,10 @@ cached args or of a bound instance is compared and not abstracted away;
 "constructor seen" is a module's cached args being set.  From each
 joint state, every vocabulary symbol of the subset is offered to one
 enforcer per deploy order, and all of them must deliver the same events,
-log the same records, suppress alike, and leave every module in the same
-state.  A template that reads cached args before any constructor must
-fail alike under every order too.
+log the same records in the same order, suppress alike, and leave every
+module in the same state.  Records list their policies by name, the order
+their synthesized events execute in.  A template that reads cached args
+before any constructor must fail alike under every order too.
 """
 
 import itertools
@@ -58,18 +59,18 @@ def restore(enforcer, state) -> None:
 
 def offer(enforcer, state, event):
     """What one enforcer does with event from state, and the joint state
-    it leaves (None after a PolicyAuthoringError).  Records are compared
-    as a set: they are logged in deploy order, and only what is delivered
-    is claimed to be independent of it."""
+    it leaves (None after a PolicyAuthoringError)."""
     restore(enforcer, state)
     try:
         outcome = enforcer.on_event(event)
     except PolicyAuthoringError:
         return "authoring error", None
-    records = sorted((r.policy, tuple(event_shapes(r.synthesized)), r.suppressed)
-                     for r in outcome.records)
-    seen = (tuple(event_shapes(outcome.delivered)), tuple(records),
-            outcome.suppressed, tuple(event_shapes(enforcer.sink.events)))
+    records = tuple((r.policy, tuple(event_shapes(r.synthesized)), r.suppressed)
+                    for r in outcome.records)
+    assert [r[0] for r in records] == sorted(r[0] for r in records)
+    seen = (tuple(event_shapes(outcome.delivered)), records,
+            outcome.suppressed, tuple(event_shapes(enforcer.sink.events)),
+            tuple(r.policy for r in enforcer.intervention_log))
     after = joint_state(enforcer)
     return (seen, after), after
 

@@ -218,7 +218,7 @@ class TestRunScenario:
     def test_step_bookkeeping(self, pack, scenarios):
         result = run_scenario(scenarios["hearhere"], deploy_all(pack))
         assert len(result.step_times) == len(scenarios["hearhere"].steps)
-        assert result.interventions_per_step() == (0, 0, 1)
+        assert result.interventions_per_step == (0, 0, 1)
 
     def test_foreground_after_heal_reacquires(self, pack):
         script = parse_scenario(

@@ -105,7 +105,7 @@ def expected_on_event(doc, state, event, cached, bindings):
     records = []
     if pre or post or not forwarded:
         records.append((True, doc.name, shapes(pre + post, event),
-                        not forwarded, event.seq))
+                        not forwarded))
     bound = dict(bindings)
     bound.update((e.symbol.interface, e.instance) for e in delivered
                  if e.symbol.kind is Kind.CONSTRUCTOR)
@@ -115,7 +115,7 @@ def expected_on_event(doc, state, event, cached, bindings):
 
 def record_shapes(records, trigger):
     return [(r.trigger is trigger, r.policy, shapes(r.synthesized, trigger),
-             r.suppressed, r.at_seq) for r in records]
+             r.suppressed) for r in records]
 
 
 class TestAgainstReferenceStep:
@@ -270,8 +270,7 @@ class TestTemplateEdgeCases:
         assert enforcer.sink.events == []
         [record] = outcome.records
         assert (record.trigger, record.policy, record.synthesized,
-                record.suppressed, record.at_seq) \
-            == (event, "suppress", (), True, 4)
+                record.suppressed) == (event, "suppress", (), True)
         assert enforcer.intervention_log == [record]
 
 
@@ -296,7 +295,7 @@ class TestSlottedTypes:
             self.EVENT.seq = 4
 
     def test_record_is_frozen_and_slotted(self):
-        record = InterventionRecord(self.EVENT, "p", (), True, 3)
+        record = InterventionRecord(self.EVENT, "p", (), True)
         assert not hasattr(record, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.suppressed = False
@@ -304,4 +303,4 @@ class TestSlottedTypes:
 
     def test_record_that_neither_synthesizes_nor_suppresses_is_refused(self):
         with pytest.raises(ValueError):
-            InterventionRecord(self.EVENT, "p", (), False, 3)
+            InterventionRecord(self.EVENT, "p", (), False)
