@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, fields, replace
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 CALLBACK_INTERFACE = "Activity"
@@ -25,41 +25,46 @@ class Kind(enum.Enum):
     CONSTRUCTOR = "new"
 
 
-@dataclass(frozen=True)
+_SYMBOLS: dict[tuple, "ActionSymbol"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ActionSymbol:
     """A monitorable action: a callback, an API call, or a constructor.
 
-    Equality is structural on (kind, interface, method); argument values
-    never participate in matching.  Constructor symbols reuse the
-    interface name as the method name.  The factories return one object
-    per distinct symbol, so a dict keyed by symbols matches a factory-built
-    key on identity; a directly built, copied or unpickled symbol is
-    equal to it and matches too, only slower.
+    Interned: building, copying, pickling or `replace`-ing a symbol, on any
+    thread, returns the one object per (kind, interface, method), so
+    equality and hashing are object identity and run in C.  Argument values
+    never participate in matching.  A constructor's method is its interface.
     """
 
     kind: Kind
     interface: str
     method: str
 
+    def __new__(cls, kind: Kind, interface: str, method: str) -> "ActionSymbol":
+        key = (kind, interface, method)
+        symbol = _SYMBOLS.get(key)
+        if symbol is None:
+            symbol = object.__new__(cls)
+            symbol.__dict__.update(kind=kind, interface=interface, method=method)
+            symbol = _SYMBOLS.setdefault(key, symbol)
+        return symbol
+
+    def __reduce__(self) -> tuple:
+        return ActionSymbol, (self.kind, self.interface, self.method)
+
     @staticmethod
-    @cache
     def callback(method: str) -> "ActionSymbol":
         return ActionSymbol(Kind.CALLBACK, CALLBACK_INTERFACE, method)
 
     @staticmethod
-    @cache
     def call(interface: str, method: str) -> "ActionSymbol":
         return ActionSymbol(Kind.API_CALL, interface, method)
 
     @staticmethod
-    @cache
     def constructor(interface: str) -> "ActionSymbol":
         return ActionSymbol(Kind.CONSTRUCTOR, interface, interface)
-
-    def __hash__(self) -> int:
-        # Equal symbols have equal (interface, method); leaving kind out
-        # skips the Python-level Enum.__hash__.
-        return hash((self.interface, self.method))
 
     def __str__(self) -> str:
         if self.kind is Kind.CALLBACK:

@@ -122,7 +122,7 @@ def cmd_validate(args) -> int:
         path = Path(path_text)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         try:

@@ -56,6 +56,9 @@ def load_policies(directory: Path) -> tuple[dict[str, PolicyDoc], list[str]]:
         except PolicyParseError as exc:
             problems.extend(f"{path.name}:{d}" for d in exc.diagnostics)
             continue
+        except UnicodeDecodeError as exc:
+            problems.append(f"{path.name}: {exc}")
+            continue
         if doc.name in docs:
             problems.append(f"{path.name}: duplicate policy name {doc.name!r}")
             continue
@@ -70,8 +73,11 @@ def _load_manifest(directory: Path) -> tuple[dict[str, Expectation], list[str]]:
     manifest = directory / "manifest"
     if not manifest.exists():
         return expectations, problems
-    for lineno, raw in enumerate(manifest.read_text(encoding="utf-8").splitlines(),
-                                 start=1):
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return expectations, [f"manifest: {exc}"]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -120,7 +126,11 @@ def load_bundled_pack() -> PolicyPack:
 def load_scenario_file(path: Path, pack: PolicyPack | None = None) -> ScenarioScript:
     name = path.stem
     expected = pack.expectations.get(name) if pack else None
-    return parse_scenario(path.read_text(encoding="utf-8"), name, expected)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    return parse_scenario(text, name, expected)
 
 
 def load_bundled_scenarios(pack: PolicyPack | None = None) -> dict[str, ScenarioScript]:

@@ -231,6 +231,13 @@ def parse_scenario(text: str, name: str,
                 iface, method = tokens[1].split(".", 1)
                 symbol = ActionSymbol.call(iface, method)
                 raw_args = tokens[2:]
+            if symbol.interface not in INTERFACES:
+                raise ScenarioError(
+                    f"unknown interface {symbol.interface!r}", lineno)
+            if (symbol.kind is Kind.API_CALL
+                    and (symbol.interface, symbol.method) not in _PROTOCOLS):
+                raise ScenarioError(
+                    f"{symbol.interface} has no method {symbol.method!r}", lineno)
             args = tuple(int(a) if INTEGER.fullmatch(a) else a
                          for a in raw_args)
             steps.append(ScenarioStep("call", symbol=symbol, args=args,

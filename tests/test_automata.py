@@ -1,6 +1,10 @@
 import copy
+import dataclasses
 import itertools
 import pickle
+import sys
+import threading
+import uuid
 
 import pytest
 
@@ -108,20 +112,54 @@ class TestActionSymbol:
         copy.deepcopy,
         lambda symbol: pickle.loads(pickle.dumps(symbol)),
         lambda symbol: ActionSymbol(symbol.kind, symbol.interface, symbol.method),
-    ], ids=["deepcopy", "pickle", "direct"])
+        copy.copy,
+        dataclasses.replace,
+    ], ids=["deepcopy", "pickle", "direct", "copy", "replace"])
     def test_a_copy_is_equal_and_hashes_equal(self, duplicate):
         for symbol in (DOA, ON_STOP, NEW_AR):
             copied = duplicate(symbol)
-            assert copied is not symbol
-            assert copied == symbol and hash(copied) == hash(symbol)
+            assert copied is symbol
             assert {symbol: "found"}.get(copied) == "found"
 
-    def test_equal_hashes_do_not_make_symbols_equal(self):
-        # The hash leaves the kind out, so these two share a hash.
+    def test_replacing_a_field_gives_that_symbol(self):
+        assert dataclasses.replace(DOA, method="doB") is DOB
+
+    def test_a_callback_and_a_call_of_one_name_are_distinct(self):
         callback = ActionSymbol.callback("onStop")
         call = ActionSymbol.call(callback.interface, "onStop")
-        assert hash(call) == hash(callback) and call != callback
+        assert call is not callback and call != callback
         assert {callback: "callback"}.get(call) is None
+        assert {call: "call"}.get(callback) is None
+
+    def test_hash_and_equality_are_identity(self):
+        assert ActionSymbol.__hash__ is object.__hash__
+        assert ActionSymbol.__eq__ is object.__eq__
+
+    def test_threads_building_one_fresh_symbol_get_one_object(self):
+        threads, names = 8, 400
+        interface = f"Race{uuid.uuid4().hex}"
+        barrier = threading.Barrier(threads)
+        built: list[list[ActionSymbol]] = [[] for _ in range(threads)]
+
+        def build(out: list[ActionSymbol]) -> None:
+            barrier.wait(timeout=10)
+            out.extend(ActionSymbol.call(interface, f"m{i}") for i in range(names))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=build, args=(out,))
+                       for out in built]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(len(out) == names for out in built)
+        for symbols in zip(*built):
+            assert all(s is symbols[0] for s in symbols)
 
     def test_hash_agrees_with_equality_on_every_known_symbol(self):
         symbols = [symbol for automaton in reference_cases().values()

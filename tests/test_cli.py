@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import pytest
 
+import proactive
 from proactive import enforcer, interference
 from proactive.cli import main
 from proactive.pack import bundled_pack_dir, bundled_scenarios_dir
@@ -36,6 +41,15 @@ class TestValidate:
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out == f"{path}: ok (policy p)\n"
 
+    def test_non_utf8_file_is_one_usage_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.pol"
+        path.write_bytes(b"policy p\n\xff\n")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: 'utf-8' codec can't decode")
+        assert captured.err.count("\n") == 1
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.pol")]) == 2
         assert capsys.readouterr().err
@@ -66,6 +80,13 @@ class TestInterference:
         out = capsys.readouterr().out
         assert "foocam-camera-open-release" in out
         assert "call Camera.release" in out
+
+    def test_non_utf8_policy_in_pack(self, tmp_path, capsys):
+        (tmp_path / "bad.pol").write_bytes(b"\xff")
+        assert main(["interference", "--pack", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad.pol: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
 
     def test_missing_pack_dir(self, tmp_path, capsys):
         assert main(["interference", "--pack", str(tmp_path / "x")]) == 2
@@ -129,6 +150,31 @@ class TestRun:
         assert main(["run", "--scenario", str(path)]) == 0
         assert "no-violation" in capsys.readouterr().out
 
+    def test_non_utf8_scenario_is_one_usage_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(b"app HearHere\nlaunch\n\xff\n")
+        assert main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_manifest_is_one_usage_line(self, tmp_path, capsys):
+        for path in bundled_pack_dir().glob("*.pol"):
+            (tmp_path / path.name).write_text(path.read_text())
+        (tmp_path / "manifest").write_bytes(b"hearhere healed\n\xff\n")
+        assert main(["run", "--pack", str(tmp_path), "--scenario",
+                     scn("hearhere")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("manifest: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_unknown_call_target_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "foo.scn"
+        path.write_text("app HearHere\nlaunch\ncall Foo.bar\n",
+                        encoding="utf-8")
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == "line 3: unknown interface 'Foo'\n"
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "x.scn")]) == 2
 
@@ -152,6 +198,32 @@ class TestRun:
         assert main(args) == 0
         assert len(callers) == 21
         assert all("load_pack" in names for names in callers)
+
+
+class TestHashSeed:
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        scenarios = [str(p) for p in sorted(bundled_scenarios_dir().glob("*.scn"))]
+        policies = [str(p) for p in sorted(bundled_pack_dir().glob("*.pol"))]
+        assert len(scenarios) == 7
+        commands = [
+            ["run", *(arg for path in scenarios for arg in ("--scenario", path))],
+            ["run", "--no-enforce",
+             *(arg for path in scenarios for arg in ("--scenario", path))],
+            ["interference"],
+            ["validate", *policies],
+        ]
+        src = str(Path(proactive.__file__).parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            env.pop("PROACTIVE_PACK", None)
+            outputs.append([
+                subprocess.run([sys.executable, "-m", "proactive.cli", *command],
+                               env=env, capture_output=True, text=True,
+                               timeout=60).stdout
+                for command in commands])
+        assert all(outputs[0])
+        assert outputs[0] == outputs[1]
 
 
 class TestBench:

@@ -636,8 +636,7 @@ class TestCopiedSymbols:
                 copied.deploy(policy)
             for event in trace:
                 clone = copy.deepcopy(event)
-                assert clone.symbol == event.symbol
-                assert clone.symbol is not event.symbol
+                assert clone.symbol is event.symbol
                 assert copied.on_event(clone) == original.on_event(event)
                 assert [(m.state, m.cached_ctor_args) for m in copied.modules] \
                     == [(m.state, m.cached_ctor_args) for m in original.modules]

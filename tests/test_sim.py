@@ -85,12 +85,12 @@ class TestParseScenario:
             parse_scenario("app X\nlaunch\ncall nodot\n", "x")
 
     def test_call_args_parsed(self):
-        script = parse_scenario("app X\nlaunch\ncall A.m 3 -4 hz\n", "x")
+        script = parse_scenario("app X\nlaunch\ncall Camera.open 3 -4 hz\n", "x")
         assert script.steps[1].args == (3, -4, "hz")
 
     def test_only_decimal_integers_become_ints(self):
         script = parse_scenario(
-            "app X\nlaunch\ncall A.m --5 \u00b2 -0 +4 12 -3x\n", "x")
+            "app X\nlaunch\ncall Camera.open --5 \u00b2 -0 +4 12 -3x\n", "x")
         assert script.steps[1].args == ("--5", "\u00b2", 0, "+4", 12, "-3x")
 
     def test_duplicate_app_directive(self):
@@ -98,6 +98,19 @@ class TestParseScenario:
             parse_scenario("app X\nlaunch\napp Y\n", "x")
         assert exc.value.line == 3
         assert "duplicate 'app' directive (first on line 1)" in str(exc.value)
+
+    @pytest.mark.parametrize("target, message", [
+        ("Foo.bar", "unknown interface 'Foo'"),
+        (".open", "unknown interface ''"),
+        ("new Foo 1", "unknown interface 'Foo'"),
+        ("Camera.fly", "Camera has no method 'fly'"),
+        ("Camera.", "Camera has no method ''"),
+    ])
+    def test_unknown_call_target_is_rejected_on_its_line(self, target, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(f"app X\nlaunch\n\ncall {target}\n", "x")
+        assert exc.value.line == 4
+        assert str(exc.value) == f"line 4: {message}"
 
     def test_constructor_step(self):
         script = parse_scenario("app X\nlaunch\ncall new AudioRecord 8000\n",
