@@ -150,6 +150,12 @@ class GuardKind(enum.Enum):
     ANY_EXCEPT = "any-except"
 
 
+# Read without EnumType.__getattr__ (see _APP above): each transition's
+# guard is built and matched while its policy compiles.
+_ANY, _EXACTLY, _ANY_OF, _ANY_EXCEPT = (GuardKind.ANY, GuardKind.EXACTLY,
+                                        GuardKind.ANY_OF, GuardKind.ANY_EXCEPT)
+
+
 @dataclass(frozen=True)
 class Guard:
     """Input condition of a transition.
@@ -162,42 +168,52 @@ class Guard:
     symbols: frozenset[ActionSymbol] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.kind in (GuardKind.ANY_OF, GuardKind.ANY_EXCEPT) and not self.symbols:
+        if self.kind in (_ANY_OF, _ANY_EXCEPT) and not self.symbols:
             raise ValueError(f"{self.kind.value} guard requires a non-empty symbol set")
-        if self.kind is GuardKind.EXACTLY and len(self.symbols) != 1:
+        if self.kind is _EXACTLY and len(self.symbols) != 1:
             raise ValueError("exactly guard takes a single symbol")
-        if self.kind is GuardKind.ANY and self.symbols:
+        if self.kind is _ANY and self.symbols:
             raise ValueError("any guard takes no symbols")
 
     @staticmethod
     def any() -> "Guard":
-        return Guard(GuardKind.ANY)
+        return Guard(_ANY)
 
     @staticmethod
     def exactly(symbol: ActionSymbol) -> "Guard":
-        return Guard(GuardKind.EXACTLY, frozenset([symbol]))
+        return Guard(_EXACTLY, frozenset([symbol]))
 
     @staticmethod
     def any_of(symbols: Iterable[ActionSymbol]) -> "Guard":
-        return Guard(GuardKind.ANY_OF, frozenset(symbols))
+        return Guard(_ANY_OF, frozenset(symbols))
 
     @staticmethod
     def any_except(symbols: Iterable[ActionSymbol]) -> "Guard":
-        return Guard(GuardKind.ANY_EXCEPT, frozenset(symbols))
+        return Guard(_ANY_EXCEPT, frozenset(symbols))
 
     def matches(self, symbol: ActionSymbol) -> bool:
-        """Whether the guard accepts a vocabulary symbol."""
-        if self.kind is GuardKind.ANY:
+        """Whether the guard accepts a vocabulary symbol: accepted, one
+        symbol at a time."""
+        if self.kind is _ANY:
             return True
-        if self.kind is GuardKind.ANY_EXCEPT:
+        if self.kind is _ANY_EXCEPT:
             return symbol not in self.symbols
         return symbol in self.symbols
 
+    def accepted(self, vocabulary: frozenset[ActionSymbol]) -> frozenset[ActionSymbol]:
+        """The vocabulary symbols the guard matches, by set algebra; table
+        and effects read guards only through this."""
+        if self.kind is _ANY:
+            return vocabulary
+        if self.kind is _ANY_EXCEPT:
+            return vocabulary - self.symbols
+        return self.symbols
+
     def text(self) -> str:
         """Canonical rendering; set elements sorted lexicographically."""
-        if self.kind is GuardKind.ANY:
+        if self.kind is _ANY:
             return "any"
-        if self.kind is GuardKind.EXACTLY:
+        if self.kind is _EXACTLY:
             return str(next(iter(self.symbols)))
         inner = " ".join(sorted(str(s) for s in self.symbols))
         return f"{self.kind.value} {{{inner}}}"
@@ -368,12 +384,11 @@ class EditAutomaton:
     @cached_property
     def table(self) -> dict[tuple[str, ActionSymbol], tuple[Transition, ...]]:
         """(source state, vocabulary symbol) -> matching transitions in
-        declaration order; the one place guards are matched."""
+        declaration order."""
         table: dict[tuple[str, ActionSymbol], list[Transition]] = {}
         for t in self.transitions:
-            for symbol in self.vocabulary:
-                if t.guard.matches(symbol):
-                    table.setdefault((t.source, symbol), []).append(t)
+            for symbol in t.guard.accepted(self.vocabulary):
+                table.setdefault((t.source, symbol), []).append(t)
         return {key: tuple(ts) for key, ts in table.items()}
 
     @cached_property
@@ -398,10 +413,10 @@ class EditAutomaton:
         the input."""
         inserted = {i.symbol for t in self.transitions
                     for i in t.output if not i.is_forward}
-        suppressible = {symbol for (_, symbol), ts in self.table.items()
-                        if any(not any(i.is_forward for i in t.output)
-                               for t in ts)}
-        return EffectSets(frozenset(inserted), frozenset(suppressible))
+        suppressible = frozenset().union(
+            *(t.guard.accepted(self.vocabulary) for t in self.transitions
+              if not any(i.is_forward for i in t.output)))
+        return EffectSets(frozenset(inserted), suppressible)
 
 
 @dataclass(frozen=True)

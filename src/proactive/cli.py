@@ -13,12 +13,10 @@ import enum
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .bench import BenchResult, DEFAULT_REPETITIONS, run_benchmark
 from .dsl import PolicyParseError, parse
 from .enforcer import PolicyEnforcer
 from .interference import check_set
@@ -31,6 +29,9 @@ from .pack import (
     load_scenario_file,
 )
 from .sim import LeakReport, ScenarioError, ScenarioScript, run_scenario
+
+if TYPE_CHECKING:
+    from .bench import BenchResult
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -156,12 +157,11 @@ def cmd_interference(args) -> int:
     return EXIT_OK if report.ok else EXIT_FINDING
 
 
-def _load_inputs(args) -> tuple[PolicyPack, list[ScenarioScript]]:
+def _load_inputs(args) -> tuple[PolicyPack, list[tuple[Path, ScenarioScript]]]:
+    """The pack, and each scenario file with its parsed script."""
     pack = load_pack(_pack_dir(args))
-    scripts = []
-    for path_text in args.scenario:
-        scripts.append(load_scenario_file(Path(path_text), pack))
-    return pack, scripts
+    paths = [Path(path_text) for path_text in args.scenario]
+    return pack, [(path, load_scenario_file(path, pack)) for path in paths]
 
 
 def _print_run_report(report: RunReport) -> None:
@@ -194,14 +194,23 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    def job(script: ScenarioScript) -> RunReport:
-        return run_one(script, pack, args.enforce, disabled)
+    def job(path_and_script: tuple[Path, ScenarioScript]) -> RunReport:
+        path, script = path_and_script
+        try:
+            return run_one(script, pack, args.enforce, disabled)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
 
-    if args.parallel and len(scripts) > 1:
-        with ThreadPoolExecutor(max_workers=len(scripts)) as pool:
-            reports = list(pool.map(job, scripts))
-    else:
-        reports = [job(s) for s in scripts]
+    try:
+        if args.parallel and len(scripts) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=len(scripts)) as pool:
+                reports = list(pool.map(job, scripts))
+        else:
+            reports = [job(s) for s in scripts]
+    except ScenarioError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
     for report in reports:
         _print_run_report(report)
@@ -228,7 +237,9 @@ def _bench_to_dict(result: BenchResult) -> dict:
 
 
 def cmd_bench(args) -> int:
-    if args.reps < 3:
+    from .bench import DEFAULT_REPETITIONS, run_benchmark
+    reps = DEFAULT_REPETITIONS if args.reps is None else args.reps
+    if reps < 3:
         print("--reps must be at least 3", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -238,8 +249,12 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     policies = pack.deployable()
     payloads = []
-    for script in scripts:
-        result = run_benchmark(script, policies, repetitions=args.reps)
+    for path, script in scripts:
+        try:
+            result = run_benchmark(script, policies, repetitions=reps)
+        except ScenarioError as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"benchmark {script.name} ({result.repetitions} repetitions)")
         top = result.highest_overhead()
         for action in result.actions:
@@ -287,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="measure enforcement overhead")
     p_bench.add_argument("--scenario", action="append", required=True)
     p_bench.add_argument("--pack", help="policy pack directory")
-    p_bench.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS)
+    p_bench.add_argument("--reps", type=int)
     p_bench.add_argument("--out", help="write a JSON report to this path")
     return parser
 

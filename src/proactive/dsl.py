@@ -21,6 +21,12 @@ to the end of the line; strings are double-quoted, with the escapes \",
             | (a transition may instead emit the single keyword `none`,
                which suppresses the matched input)
 
+Each line is lexed by one regex findall into plain token strings.  A
+comment can only be the last lexeme, and a lone '"' is a string with no
+closing quote: it ends the line's tokens with a lexical diagnostic.  A
+diagnostic finds its column by scanning its line again, so valid text
+never computes one.
+
 Canonical form uses LF line endings, single-space token separation,
 states sorted by id and transitions sorted by (from, guard text).
 """
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .automata import (
     ActionSymbol,
@@ -52,11 +58,10 @@ INTEGER = re.compile(r"-?[0-9]+")
 _VERSION = re.compile(r"[0-9]+")
 _SINGLE_USE = ("policy", "version", "experimental", "statement", "target",
                "states", "initial")
-# One lexeme per match: a token, an unterminated string's opening quote,
-# or a comment running to the end of the line.  finditer skips what no
-# alternative matches, which is exactly the whitespace between lexemes.
-_LEXEME = re.compile(r'(?P<token>"(?:[^"\\]|\\.)*"|[{}(),]|[^\s{}(),"#]+)'
-                     r'|(?P<bad>")|#.*')
+# One lexeme per match: a token, an unterminated string's lone opening
+# quote, or a comment running to the end of the line.  findall skips what
+# no alternative matches, which is exactly the whitespace between lexemes.
+_LEXEME = re.compile(r'"(?:[^"\\]|\\.)*"|[{}(),]|[^\s{}(),"#]+|"|#.*')
 
 
 @dataclass(frozen=True)
@@ -90,61 +95,72 @@ class PolicyDoc:
     experimental: bool = False
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize_line(raw: str, lineno: int, diags: list[DslDiagnostic]) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _LEXEME.finditer(raw):
-        if m.lastgroup == "token":
-            tokens.append(_Token(m.group(), lineno, m.start() + 1))
-        elif m.lastgroup == "bad":
-            diags.append(DslDiagnostic(
-                "lexical", lineno, m.start() + 1,
-                f"unterminated string or bad character {m.group()!r}"))
-            break
+def _tokenize_line(raw: str, lineno: int, diags: list[DslDiagnostic]) -> list[str]:
+    """The texts of raw's tokens, up to an unterminated string."""
+    tokens = _LEXEME.findall(raw)
+    if tokens and tokens[-1][0] == "#":
+        tokens.pop()
+    if '"' in tokens:
+        bad = tokens.index('"')
+        diags.append(DslDiagnostic(
+            "lexical", lineno, _column(raw, bad),
+            "unterminated string or bad character '\"'"))
+        del tokens[bad:]
     return tokens
 
 
-class _LineParser:
-    """Cursor over one line's tokens; errors carry position + hint."""
+def _column(raw: str, index: int) -> int:
+    """1-based column of raw's lexeme `index`, found again for a diagnostic."""
+    return [m.start() for m in _LEXEME.finditer(raw)][index] + 1
 
-    def __init__(self, tokens: list[_Token], lineno: int) -> None:
+
+class _LineParser:
+    """Cursor over one line's token texts; errors carry position + hint."""
+
+    __slots__ = ("tokens", "raw", "lineno", "pos")
+
+    def __init__(self, tokens: list[str], raw: str, lineno: int) -> None:
         self.tokens = tokens
+        self.raw = raw
         self.lineno = lineno
         self.pos = 0
 
-    def peek(self) -> Optional[_Token]:
+    def fail(self, kind: str, at: Optional[int], message: str,
+             expected: Optional[str] = None) -> NoReturn:
+        """Raise a diagnostic at token `at`: just past the last token when
+        `at` is the token count, and at column 1 when it is None."""
+        if at is None:
+            column = 1
+        elif at < len(self.tokens):
+            column = _column(self.raw, at)
+        else:
+            column = _column(self.raw, at - 1) + len(self.tokens[at - 1])
+        raise _Fail(DslDiagnostic(kind, self.lineno, column, message, expected))
+
+    def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, expected: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            col = (last.column + len(last.text)) if last else 1
-            raise _Fail(DslDiagnostic("syntax", self.lineno, col,
-                                      "unexpected end of line", expected))
-        self.pos += 1
-        return tok
+    def next(self, expected: str) -> str:
+        pos = self.pos
+        if pos == len(self.tokens):
+            self.fail("syntax", pos, "unexpected end of line", expected)
+        self.pos = pos + 1
+        return self.tokens[pos]
 
-    def expect(self, literal: str) -> _Token:
+    def expect(self, literal: str) -> int:
+        """Consume literal; return its token index."""
+        pos = self.pos
+        if pos < len(self.tokens) and self.tokens[pos] == literal:
+            self.pos = pos + 1
+            return pos
         tok = self.next(repr(literal))
-        if tok.text != literal:
-            raise _Fail(DslDiagnostic("syntax", tok.line, tok.column,
-                                      f"unexpected token {tok.text!r}",
-                                      repr(literal)))
-        return tok
+        self.fail("syntax", pos, f"unexpected token {tok!r}", repr(literal))
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise _Fail(DslDiagnostic("syntax", tok.line, tok.column,
-                                      f"trailing token {tok.text!r}",
-                                      "end of line"))
+        pos = self.pos
+        if pos < len(self.tokens):
+            self.fail("syntax", pos, f"trailing token {self.tokens[pos]!r}",
+                      "end of line")
 
 
 class _Fail(Exception):
@@ -155,35 +171,30 @@ class _Fail(Exception):
 
 def _parse_symbol_atom(lp: _LineParser) -> ActionSymbol:
     head = lp.next("'call', 'callback' or 'new'")
-    if head.text == "callback":
-        method = lp.next("callback method name")
-        return ActionSymbol.callback(method.text)
-    if head.text == "new":
-        iface = lp.next("interface name")
-        return ActionSymbol.constructor(iface.text)
-    if head.text == "call":
+    if head == "callback":
+        return ActionSymbol.callback(lp.next("callback method name"))
+    if head == "new":
+        return ActionSymbol.constructor(lp.next("interface name"))
+    if head == "call":
         ref = lp.next("<interface>.<method>")
-        if "." not in ref.text:
-            raise _Fail(DslDiagnostic("syntax", ref.line, ref.column,
-                                      f"malformed call target {ref.text!r}",
-                                      "<interface>.<method>"))
-        iface, method = ref.text.split(".", 1)
+        if "." not in ref:
+            lp.fail("syntax", lp.pos - 1, f"malformed call target {ref!r}",
+                    "<interface>.<method>")
+        iface, method = ref.split(".", 1)
         return ActionSymbol.call(iface, method)
-    raise _Fail(DslDiagnostic("syntax", head.line, head.column,
-                              f"unexpected token {head.text!r}",
-                              "'call', 'callback' or 'new'"))
+    lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
+            "'call', 'callback' or 'new'")
 
 
-def _parse_symbol_set(lp: _LineParser) -> tuple[frozenset[ActionSymbol], _Token]:
+def _parse_symbol_set(lp: _LineParser) -> tuple[frozenset[ActionSymbol], int]:
     opener = lp.expect("{")
     symbols: set[ActionSymbol] = set()
     while True:
         tok = lp.peek()
         if tok is None:
-            raise _Fail(DslDiagnostic("syntax", opener.line, opener.column,
-                                      "unclosed symbol set", "'}'"))
-        if tok.text == "}":
-            lp.next("'}'")
+            lp.fail("syntax", opener, "unclosed symbol set", "'}'")
+        if tok == "}":
+            lp.pos += 1
             return frozenset(symbols), opener
         symbols.add(_parse_symbol_atom(lp))
 
@@ -191,92 +202,77 @@ def _parse_symbol_set(lp: _LineParser) -> tuple[frozenset[ActionSymbol], _Token]
 def _parse_guard(lp: _LineParser) -> Guard:
     tok = lp.peek()
     if tok is None:
-        raise _Fail(DslDiagnostic("syntax", lp.lineno, 1,
-                                  "missing guard", "guard"))
-    if tok.text == "any":
-        lp.next("guard")
+        lp.fail("syntax", None, "missing guard", "guard")
+    if tok == "any":
+        lp.pos += 1
         return Guard.any()
-    if tok.text in ("any-of", "any-except"):
-        lp.next("guard")
+    if tok in ("any-of", "any-except"):
+        lp.pos += 1
         symbols, opener = _parse_symbol_set(lp)
         if not symbols:
-            raise _Fail(DslDiagnostic("semantic", opener.line, opener.column,
-                                      f"{tok.text} guard has an empty symbol set"))
-        if tok.text == "any-of":
+            lp.fail("semantic", opener, f"{tok} guard has an empty symbol set")
+        if tok == "any-of":
             return Guard.any_of(symbols)
         return Guard.any_except(symbols)
     return Guard.exactly(_parse_symbol_atom(lp))
 
 
 def _parse_literals(lp: _LineParser) -> tuple:
-    lp.expect("(")
+    """The literals after an `args (`, through the closing `)`."""
     values: list = []
     while True:
         tok = lp.next("literal or ')'")
-        if tok.text == ")":
+        if tok == ")":
             return tuple(values)
-        if tok.text.startswith('"'):
-            values.append(unquote(tok.text))
-        elif INTEGER.fullmatch(tok.text):
-            values.append(int(tok.text))
+        if tok.startswith('"'):
+            values.append(unquote(tok))
+        elif INTEGER.fullmatch(tok):
+            values.append(int(tok))
         else:
-            raise _Fail(DslDiagnostic("syntax", tok.line, tok.column,
-                                      f"bad literal {tok.text!r}",
-                                      "integer or quoted string"))
+            lp.fail("syntax", lp.pos - 1, f"bad literal {tok!r}",
+                    "integer or quoted string")
 
 
 def _parse_item(lp: _LineParser) -> OutputItem:
-    tok = lp.peek()
-    if tok is not None and tok.text == "input":
-        lp.next("item")
-        return OutputItem.forward()
     head = lp.next("'input' or 'insert'")
-    if head.text != "insert":
-        raise _Fail(DslDiagnostic("syntax", head.line, head.column,
-                                  f"unexpected token {head.text!r}",
-                                  "'input' or 'insert'"))
+    if head == "input":
+        return OutputItem.forward()
+    if head != "insert":
+        lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
+                "'input' or 'insert'")
     symbol = _parse_symbol_atom(lp)
-    nxt = lp.peek()
-    if nxt is None or nxt.text != "args":
+    if lp.peek() != "args":
         return OutputItem.synthesize(symbol)
-    lp.next("'args'")
+    lp.pos += 1
     source = lp.next("'cached', 'none' or '('")
-    if source.text == "cached":
+    if source == "cached":
         return OutputItem.synthesize(symbol, ArgSource.CACHED)
-    if source.text == "none":
+    if source == "none":
         return OutputItem.synthesize(symbol)
-    if source.text == "(":
-        lp.pos -= 1
+    if source == "(":
         return OutputItem.synthesize(symbol, ArgSource.LITERALS, _parse_literals(lp))
-    raise _Fail(DslDiagnostic("syntax", source.line, source.column,
-                              f"unexpected token {source.text!r}",
-                              "'cached', 'none' or '('"))
+    lp.fail("syntax", lp.pos - 1, f"unexpected token {source!r}",
+            "'cached', 'none' or '('")
 
 
 def _parse_transition(lp: _LineParser) -> Transition:
     guard = _parse_guard(lp)
     lp.expect("from")
-    source = lp.next("state id").text
+    source = lp.next("state id")
     lp.expect("to")
-    target = lp.next("state id").text
+    target = lp.next("state id")
     lp.expect("emit")
-    tok = lp.peek()
-    if tok is not None and tok.text == "none":
-        lp.next("item")
+    if lp.peek() == "none":
+        lp.pos += 1
         lp.done()
         return Transition(source, guard, (), target)
     items = [_parse_item(lp)]
-    while True:
-        tok = lp.peek()
-        if tok is None:
-            break
-        if tok.text != ",":
-            raise _Fail(DslDiagnostic("syntax", tok.line, tok.column,
-                                      f"unexpected token {tok.text!r}",
-                                      "',' or end of line"))
-        lp.next("','")
+    while lp.pos < len(lp.tokens):
+        if lp.tokens[lp.pos] != ",":
+            lp.fail("syntax", lp.pos, f"unexpected token {lp.tokens[lp.pos]!r}",
+                    "',' or end of line")
+        lp.pos += 1
         items.append(_parse_item(lp))
-    lp.done()
     return Transition(source, guard, tuple(items), target)
 
 
@@ -300,63 +296,54 @@ def parse(text: str) -> PolicyDoc:
         tokens = _tokenize_line(raw, lineno, diags)
         if not tokens:
             continue
-        lp = _LineParser(tokens, lineno)
-        first = lp.next("directive")
-        head = first.text
+        lp = _LineParser(tokens, raw, lineno)
+        head = lp.next("directive")
         try:
             if head in seen:
-                raise _Fail(DslDiagnostic(
-                    "semantic", lineno, first.column,
-                    f"duplicate {head!r} directive (first on line {seen[head]})"))
+                lp.fail("semantic", 0, f"duplicate {head!r} directive "
+                        f"(first on line {seen[head]})")
             if head in _SINGLE_USE:
                 seen[head] = lineno
             if head == "policy":
                 tok = lp.next("policy name")
-                if not _IDENT.match(tok.text):
-                    raise _Fail(DslDiagnostic("semantic", tok.line, tok.column,
-                                              f"invalid policy name {tok.text!r}"))
-                name = tok.text
+                if not _IDENT.match(tok):
+                    lp.fail("semantic", 1, f"invalid policy name {tok!r}")
+                name = tok
                 lp.done()
             elif head == "version":
                 tok = lp.next("non-negative integer")
-                if not _VERSION.fullmatch(tok.text):
-                    raise _Fail(DslDiagnostic("semantic", tok.line, tok.column,
-                                              f"invalid version {tok.text!r}"))
-                version = int(tok.text)
+                if not _VERSION.fullmatch(tok):
+                    lp.fail("semantic", 1, f"invalid version {tok!r}")
+                version = int(tok)
                 lp.done()
             elif head == "experimental":
                 experimental = True
                 lp.done()
             elif head == "statement":
                 tok = lp.next("quoted statement text")
-                if not tok.text.startswith('"'):
-                    raise _Fail(DslDiagnostic("syntax", tok.line, tok.column,
-                                              "statement text must be quoted",
-                                              '"<text>"'))
-                statement = unquote(tok.text)
+                if not tok.startswith('"'):
+                    lp.fail("syntax", 1, "statement text must be quoted",
+                            '"<text>"')
+                statement = unquote(tok)
                 lp.done()
             elif head == "target":
-                target = lp.next("interface name").text
+                target = lp.next("interface name")
                 lp.done()
             elif head == "states":
-                while lp.peek() is not None:
-                    tok = lp.next("state id")
-                    if tok.text in states:
-                        raise _Fail(DslDiagnostic("semantic", tok.line, tok.column,
-                                                  f"duplicate state {tok.text!r}"))
-                    states.append(tok.text)
+                for at in range(1, len(tokens)):
+                    if tokens[at] in states:
+                        lp.fail("semantic", at, f"duplicate state {tokens[at]!r}")
+                    states.append(tokens[at])
             elif head == "initial":
-                initial = lp.next("state id").text
+                initial = lp.next("state id")
                 lp.done()
             elif head == "on":
                 transitions.append(_parse_transition(lp))
                 line_of[id(transitions[-1])] = lineno
             else:
-                raise _Fail(DslDiagnostic(
-                    "syntax", lineno, first.column,
-                    f"unknown directive {head!r}",
-                    "'policy', 'version', 'experimental', 'statement', "
-                    "'target', 'states', 'initial' or 'on'"))
+                lp.fail("syntax", 0, f"unknown directive {head!r}",
+                        "'policy', 'version', 'experimental', 'statement', "
+                        "'target', 'states', 'initial' or 'on'")
         except _Fail as fail:
             diags.append(fail.diagnostic)
 

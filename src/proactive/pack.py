@@ -56,7 +56,7 @@ def load_policies(directory: Path) -> tuple[dict[str, PolicyDoc], list[str]]:
         except PolicyParseError as exc:
             problems.extend(f"{path.name}:{d}" for d in exc.diagnostics)
             continue
-        except UnicodeDecodeError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             problems.append(f"{path.name}: {exc}")
             continue
         if doc.name in docs:
@@ -75,7 +75,7 @@ def _load_manifest(directory: Path) -> tuple[dict[str, Expectation], list[str]]:
         return expectations, problems
     try:
         text = manifest.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return expectations, [f"manifest: {exc}"]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -124,13 +124,13 @@ def load_bundled_pack() -> PolicyPack:
 
 
 def load_scenario_file(path: Path, pack: PolicyPack | None = None) -> ScenarioScript:
+    """Parse a .scn file; a ScenarioError names the file."""
     name = path.stem
     expected = pack.expectations.get(name) if pack else None
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        return parse_scenario(path.read_text(encoding="utf-8"), name, expected)
+    except (ScenarioError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    return parse_scenario(text, name, expected)
 
 
 def load_bundled_scenarios(pack: PolicyPack | None = None) -> dict[str, ScenarioScript]:

@@ -3,11 +3,12 @@ trace generation, a seeded generator of valid policy documents, the
 policy files, guard-walking reference forms of the compiled transition
 table, the item-by-item reference form of step, the all-pairs reference
 form of the deploy gate, the four-intersection reference form of
-check_pair, and the character-walking reference form of the `.pol`
-lexer."""
+check_pair, the character-walking reference form of the `.pol` lexer,
+and the parse corpus whose results tests/record_parse_digests.py records."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from pathlib import Path
@@ -30,7 +31,13 @@ from proactive.automata import (
     Transition,
     state_sort_key,
 )
-from proactive.dsl import DslDiagnostic, PolicyDoc, parse
+from proactive.dsl import (
+    DslDiagnostic,
+    PolicyDoc,
+    PolicyParseError,
+    parse,
+    serialize,
+)
 from proactive.interference import (
     Direction,
     InterferencePair,
@@ -102,12 +109,17 @@ def forced_release_automaton() -> EditAutomaton:
     )
 
 
-def policy_files() -> list[PolicyDoc]:
-    """Every `.pol` file: the bundled policies, experimental included,
-    then the test fixtures."""
+def policy_texts() -> list[str]:
+    """Every `.pol` file's text: the bundled policies, experimental
+    included, then the test fixtures."""
     paths = (sorted(bundled_pack_dir().glob("*.pol"))
              + sorted(FIXTURES.glob("*.pol")))
-    return [parse(path.read_text(encoding="utf-8")) for path in paths]
+    return [path.read_text(encoding="utf-8") for path in paths]
+
+
+def policy_files() -> list[PolicyDoc]:
+    """Every `.pol` file, parsed."""
+    return [parse(text) for text in policy_texts()]
 
 
 def event_shapes(events) -> list[tuple]:
@@ -443,3 +455,29 @@ def mutated_policy_text(rng: random.Random, text: str) -> str:
         else:
             text = text[:i] + rng.choice(_MUTATIONS) + text[i + 1:]
     return text
+
+
+def parse_corpus() -> list[str]:
+    """The `.pol` files, then 2000 seeded mutations of them."""
+    texts = policy_texts()
+    rng = random.Random(4)
+    return texts + [mutated_policy_text(rng, rng.choice(texts))
+                    for _ in range(2000)]
+
+
+PARSE_DIGESTS = FIXTURES / "parse-digests.json"
+
+
+def parse_result(text: str) -> str:
+    """What parse makes of text: the canonical form, or every
+    diagnostic's (kind, line, column, message, expected)."""
+    try:
+        return serialize(parse(text))
+    except PolicyParseError as exc:
+        return "\n".join(repr((d.kind, d.line, d.column, d.message, d.expected))
+                         for d in exc.diagnostics)
+
+
+def parse_digest(text: str) -> str:
+    return hashlib.blake2b(parse_result(text).encode("utf-8"),
+                           digest_size=8).hexdigest()

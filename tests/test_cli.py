@@ -91,6 +91,25 @@ class TestInterference:
     def test_missing_pack_dir(self, tmp_path, capsys):
         assert main(["interference", "--pack", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["interference"], ["run", "--scenario", scn("hearhere")]],
+        ids=["interference", "run"])
+    def test_directory_named_like_a_policy_is_one_usage_line(
+            self, tmp_path, capsys, command):
+        (tmp_path / "x.pol").mkdir()
+        assert main([*command, "--pack", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("x.pol: [Errno 21] Is a directory")
+        assert err.count("\n") == 1
+
+    def test_directory_named_manifest_is_one_usage_line(self, tmp_path, capsys):
+        (tmp_path / "manifest").mkdir()
+        assert main(["run", "--pack", str(tmp_path), "--scenario",
+                     scn("hearhere")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("manifest: [Errno 21] Is a directory")
+        assert err.count("\n") == 1
+
     def test_env_var_pack(self, monkeypatch, capsys):
         monkeypatch.setenv("PROACTIVE_PACK", str(bundled_pack_dir()))
         assert main(["interference"]) == 0
@@ -173,7 +192,30 @@ class TestRun:
         path.write_text("app HearHere\nlaunch\ncall Foo.bar\n",
                         encoding="utf-8")
         assert main(["run", "--scenario", str(path)]) == 2
-        assert capsys.readouterr().err == "line 3: unknown interface 'Foo'\n"
+        assert capsys.readouterr().err \
+            == f"{path}: line 3: unknown interface 'Foo'\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("app HearHere\nlaunch\ntap NOPE\n",
+         "line 3: app 'HearHere' has no button 'NOPE'"),
+        ("app FooCam\nlaunch\nlaunch\n", "line 3: activity already launched"),
+        ("app FooCam\nlaunch\ncall Camera.open\ncall Camera.open\n",
+         "line 4: Camera is exclusively held; cannot open it twice"),
+        ("app FooCam\nlaunch\nforeground\n",
+         "line 3: cannot foreground a resumed activity"),
+    ], ids=["unknown-button", "second-launch", "second-open",
+            "resumed-foreground"])
+    @pytest.mark.parametrize("extra", [[], ["--parallel"]],
+                             ids=["serial", "parallel"])
+    def test_replay_error_is_one_usage_line(self, tmp_path, capsys, text,
+                                            message, extra):
+        path = tmp_path / "bad.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--scenario", scn("hearhere"), "--scenario",
+                     str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {message}\n"
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "x.scn")]) == 2
@@ -226,10 +268,29 @@ class TestHashSeed:
         assert outputs[0] == outputs[1]
 
 
+class TestColdStart:
+    def test_cli_imports_bench_and_threads_only_where_used(self):
+        src = str(Path(proactive.__file__).parents[1])
+        code = ("import sys, proactive.cli; print([m for m in ("
+                "'proactive.bench', 'statistics', 'concurrent.futures') "
+                "if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, timeout=60)
+        assert result.stdout == "[]\n", result.stderr
+
+
 class TestBench:
     def test_reps_must_be_at_least_three(self, capsys):
         assert main(["bench", "--scenario", scn("hearhere"), "--reps",
                      "2"]) == 2
+
+    def test_replay_error_is_one_usage_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_text("app HearHere\nlaunch\ntap NOPE\n", encoding="utf-8")
+        assert main(["bench", "--scenario", str(path), "--reps", "3"]) == 2
+        assert capsys.readouterr().err \
+            == f"{path}: line 3: app 'HearHere' has no button 'NOPE'\n"
 
     def test_bench_report(self, tmp_path, capsys):
         out_path = tmp_path / "bench.json"

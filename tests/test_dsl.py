@@ -1,4 +1,4 @@
-import random
+import json
 
 import pytest
 
@@ -11,7 +11,13 @@ from proactive.automata import (
     quote,
     unquote,
 )
-from proactive.dsl import PolicyParseError, _tokenize_line, parse, serialize
+from proactive.dsl import (
+    PolicyParseError,
+    _column,
+    _tokenize_line,
+    parse,
+    serialize,
+)
 from proactive.pack import bundled_pack_dir
 
 from helpers import (
@@ -19,9 +25,12 @@ from helpers import (
     DOB,
     FIXTURES,
     LINE_BREAKS,
+    PARSE_DIGESTS,
     fwd,
     make_doc,
-    mutated_policy_text,
+    parse_corpus,
+    parse_digest,
+    parse_result,
     random_policy_doc,
     reference_tokenize_line,
     reference_unquote,
@@ -36,11 +45,6 @@ def parse_fixture(name):
 def bundled_texts():
     return {p.name: p.read_text(encoding="utf-8")
             for p in sorted(bundled_pack_dir().glob("*.pol"))}
-
-
-def fixture_texts():
-    return {p.name: p.read_text(encoding="utf-8")
-            for p in sorted(FIXTURES.glob("*.pol"))}
 
 
 class TestParse:
@@ -328,35 +332,28 @@ class TestLexerAgreesWithReference:
     """The one-pass lexer gives the reference lexer's tokens, positions,
     lexical diagnostics and unquoted strings."""
 
-    @staticmethod
-    def corpus():
-        texts = list(bundled_texts().values()) + list(fixture_texts().values())
-        rng = random.Random(4)
-        return texts + [mutated_policy_text(rng, rng.choice(texts))
-                        for _ in range(2000)]
-
     def test_tokens_diagnostics_and_strings(self):
         # Split on LF only, so form feeds and carriage returns, which
         # parse treats as line breaks, also reach the lexer inside a line.
         lexical = strings = 0
-        for text in self.corpus():
+        for text in parse_corpus():
             for lineno, raw in enumerate(text.split("\n"), start=1):
                 diags = []
                 tokens = _tokenize_line(raw, lineno, diags)
                 expected_tokens, expected_diags = \
                     reference_tokenize_line(raw, lineno)
-                assert [(t.text, t.line, t.column) for t in tokens] \
-                    == expected_tokens, raw
+                assert [(t, lineno, _column(raw, i))
+                        for i, t in enumerate(tokens)] == expected_tokens, raw
                 assert diags == expected_diags, raw
                 lexical += len(diags)
                 for t in tokens:
-                    if t.text.startswith('"'):
+                    if t.startswith('"'):
                         strings += 1
-                        assert unquote(t.text) == reference_unquote(t.text)
+                        assert unquote(t) == reference_unquote(t)
         assert lexical > 100 and strings > 1000
 
     def test_parse_reports_the_reference_lexical_diagnostics(self):
-        for text in self.corpus():
+        for text in parse_corpus():
             expected = [d for lineno, raw in enumerate(text.splitlines(), 1)
                         for d in reference_tokenize_line(raw, lineno)[1]]
             try:
@@ -365,3 +362,33 @@ class TestLexerAgreesWithReference:
             except PolicyParseError as exc:
                 found = [d for d in exc.diagnostics if d.kind == "lexical"]
             assert found == expected, text
+
+
+class TestGoldenParseResults:
+    """parse gives, on every corpus text, the result whose digest
+    tests/record_parse_digests.py recorded."""
+
+    def test_every_corpus_text_matches_its_recorded_digest(self):
+        recorded = json.loads(PARSE_DIGESTS.read_text(encoding="utf-8"))
+        texts = parse_corpus()
+        assert len(texts) == len(recorded)
+        for index, (text, digest) in enumerate(zip(texts, recorded)):
+            assert parse_digest(text) == digest, \
+                f"text {index}: {text!r} now gives\n{parse_result(text)}"
+
+    @pytest.mark.parametrize("line, ends", [
+        ('statement  "abc  ', (12, 10, "quoted statement text")),
+        ('on call T.x from 0 to 0 emit insert call T.y args (  "a b',
+         (54, 52, "literal or ')'")),
+    ], ids=["statement", "literals"])
+    def test_end_of_line_after_an_unterminated_string(self, line, ends):
+        # The line ends where its last token does, before the lone quote.
+        text = f"policy p\n{line}\n"
+        with pytest.raises(PolicyParseError) as exc:
+            parse(text)
+        quote_column, end_column, expected = ends
+        assert [(d.kind, d.line, d.column, d.message, d.expected)
+                for d in exc.value.diagnostics][:2] == [
+            ("lexical", 2, quote_column,
+             "unterminated string or bad character '\"'", None),
+            ("syntax", 2, end_column, "unexpected end of line", expected)]
