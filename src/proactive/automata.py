@@ -25,6 +25,8 @@ class Kind(enum.Enum):
     CONSTRUCTOR = "new"
 
 
+# On 3.11 a `Kind.X` or `Origin.X` read runs EnumType.__getattr__ (~120 ns).
+_CALLBACK, _API_CALL, _CONSTRUCTOR = Kind.CALLBACK, Kind.API_CALL, Kind.CONSTRUCTOR
 _SYMBOLS: dict[tuple, "ActionSymbol"] = {}
 
 
@@ -56,20 +58,20 @@ class ActionSymbol:
 
     @staticmethod
     def callback(method: str) -> "ActionSymbol":
-        return ActionSymbol(Kind.CALLBACK, CALLBACK_INTERFACE, method)
+        return ActionSymbol(_CALLBACK, CALLBACK_INTERFACE, method)
 
     @staticmethod
     def call(interface: str, method: str) -> "ActionSymbol":
-        return ActionSymbol(Kind.API_CALL, interface, method)
+        return ActionSymbol(_API_CALL, interface, method)
 
     @staticmethod
     def constructor(interface: str) -> "ActionSymbol":
-        return ActionSymbol(Kind.CONSTRUCTOR, interface, interface)
+        return ActionSymbol(_CONSTRUCTOR, interface, interface)
 
     def __str__(self) -> str:
-        if self.kind is Kind.CALLBACK:
+        if self.kind is _CALLBACK:
             return f"callback {self.method}"
-        if self.kind is Kind.CONSTRUCTOR:
+        if self.kind is _CONSTRUCTOR:
             return f"new {self.interface}"
         return f"call {self.interface}.{self.method}"
 
@@ -79,8 +81,7 @@ class Origin(enum.Enum):
     SYNTHESIZED = "synthesized"
 
 
-# On 3.11 a `Kind.X` or `Origin.X` read runs EnumType.__getattr__ (~120 ns).
-_APP, _CONSTRUCTOR, _SYNTHESIZED = Origin.APP, Kind.CONSTRUCTOR, Origin.SYNTHESIZED
+_APP, _SYNTHESIZED = Origin.APP, Origin.SYNTHESIZED
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -201,8 +202,8 @@ class Guard:
         return symbol in self.symbols
 
     def accepted(self, vocabulary: frozenset[ActionSymbol]) -> frozenset[ActionSymbol]:
-        """The vocabulary symbols the guard matches, by set algebra; table
-        and effects read guards only through this."""
+        """The vocabulary symbols the guard matches, by set algebra: how
+        validate, table, moves and effects read a guard."""
         if self.kind is _ANY:
             return vocabulary
         if self.kind is _ANY_EXCEPT:
@@ -239,7 +240,7 @@ class OutputItem:
 
     @staticmethod
     def forward() -> "OutputItem":
-        return OutputItem()
+        return _FORWARD_ONLY[0]
 
     @staticmethod
     def synthesize(
@@ -323,7 +324,7 @@ class Template(NamedTuple):
         output = transition.output
         items = tuple((i.symbol, None if i.arg_source is ArgSource.CACHED
                        else i.literals if i.arg_source is ArgSource.LITERALS
-                       else (), i.symbol.kind is Kind.CONSTRUCTOR)
+                       else (), i.symbol.kind is _CONSTRUCTOR)
                       for i in output if not i.is_forward)
         # Only synthesized items precede the first input, so its position
         # counts them; the end of the output stands in when there is none.
@@ -334,7 +335,7 @@ class Template(NamedTuple):
 # A compiled move: the target state, and the template that runs there,
 # or None when the transition only forwards its input.
 Move = tuple[str, Optional[Template]]
-_FORWARD_ONLY = (OutputItem.forward(),)
+_FORWARD_ONLY = (OutputItem(),)
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,7 @@ class EditAutomaton:
     @cached_property
     def table(self) -> dict[tuple[str, ActionSymbol], tuple[Transition, ...]]:
         """(source state, vocabulary symbol) -> matching transitions in
-        declaration order."""
+        declaration order; only validate's walk of a flagged state reads it."""
         table: dict[tuple[str, ActionSymbol], list[Transition]] = {}
         for t in self.transitions:
             for symbol in t.guard.accepted(self.vocabulary):
@@ -393,16 +394,16 @@ class EditAutomaton:
 
     @cached_property
     def moves(self) -> dict[ActionSymbol, dict[str, Move]]:
-        """symbol -> source state -> (target, template) of the first
-        matching transition, the template None when it is exactly
-        (input,): a forward-only move.  Derived from table, so it holds
-        the same (state, symbol) pairs."""
-        moves: dict[ActionSymbol, dict[str, Move]] = {}
-        for (state, symbol), matching in self.table.items():
-            first = matching[0]
-            moves.setdefault(symbol, {})[state] = (
-                first.target,
-                None if first.output == _FORWARD_ONLY else Template.of(first))
+        """vocabulary symbol -> source state -> (target, template) of the
+        first matching transition, the template None when it is exactly
+        (input,): a forward-only move.  The form deploy, on_event, step and
+        violations read; built from the transitions in declaration order,
+        with one Template.of per editing transition."""
+        moves: dict[ActionSymbol, dict[str, Move]] = {s: {} for s in self.vocabulary}
+        for t in self.transitions:
+            move = (t.target, None if t.output == _FORWARD_ONLY else Template.of(t))
+            for symbol in t.guard.accepted(self.vocabulary):
+                moves[symbol].setdefault(t.source, move)
         return moves
 
     @cached_property
@@ -432,13 +433,18 @@ class Diagnostic:
 
 
 def validate(automaton: EditAutomaton) -> list[Diagnostic]:
-    """Check every automaton invariant; diagnostics are data, not failures."""
+    """Check every automaton invariant; diagnostics are data, not failures.
+    A state whose guards' accepted sets partition the vocabulary (sizes sum
+    to its size, union covers it) has no finding; only the rest walk table."""
     diags: list[Diagnostic] = []
     if automaton.initial not in automaton.states:
         diags.append(Diagnostic("bad-initial",
                                 f"initial state {automaton.initial!r} is not declared",
                                 state=automaton.initial))
+    vocabulary = automaton.vocabulary
+    accepted: dict[str, list[frozenset[ActionSymbol]]] = {}  # by source state
     for t in automaton.transitions:
+        accepted.setdefault(t.source, []).append(t.guard.accepted(vocabulary))
         for endpoint in (t.source, t.target):
             if endpoint not in automaton.states:
                 diags.append(Diagnostic(
@@ -446,16 +452,18 @@ def validate(automaton: EditAutomaton) -> list[Diagnostic]:
                     f"transition {t.source!r} -> {t.target!r} references "
                     f"undeclared state {endpoint!r}",
                     state=endpoint, transition=t))
-        forwards = sum(1 for i in t.output if i.is_forward)
+        forwards = len([i for i in t.output if i.is_forward])
         if forwards > 1:
             diags.append(Diagnostic(
                 "multiple-forwards",
                 f"transition from {t.source!r} on {t.guard.text()} forwards "
                 f"the input {forwards} times",
                 state=t.source, transition=t))
-    vocabulary = sorted(automaton.vocabulary, key=str)
-    for state in sorted(automaton.states, key=state_sort_key):
-        for symbol in vocabulary:
+    flagged = [state for state in automaton.states
+               if sum(map(len, sets := accepted.get(state, ()))) != len(vocabulary)
+               or len(frozenset().union(*sets)) != len(vocabulary)]
+    for state in sorted(flagged, key=state_sort_key):
+        for symbol in sorted(vocabulary, key=str):
             matching = automaton.table.get((state, symbol), ())
             if len(matching) > 1:
                 diags.append(Diagnostic(

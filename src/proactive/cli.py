@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .dsl import PolicyParseError, parse
-from .enforcer import PolicyEnforcer
+from .enforcer import HealingFailureError, PolicyEnforcer
 from .interference import check_set
 from .pack import (
     PackLoadError,
@@ -101,6 +101,15 @@ def run_one(script: ScenarioScript, pack: PolicyPack, enforce: bool,
         intervention_policies=tuple(r.policy for r in result.interventions),
         leaks=result.leaks,
         timing_ms=tuple(t * 1000.0 for t in result.step_times))
+
+
+def _stopped(path: Path, exc: Exception) -> int:
+    """Print why a replay stopped as one line: a failed heal is a finding."""
+    if isinstance(exc, HealingFailureError):
+        print(f"{path}: line {exc.line}: {exc}", file=sys.stderr)
+        return EXIT_FINDING
+    print(f"{path}: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _pack_dir(args) -> Path:
@@ -194,24 +203,25 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    def job(path_and_script: tuple[Path, ScenarioScript]) -> RunReport:
-        path, script = path_and_script
+    def job(script: ScenarioScript) -> RunReport | Exception:
         try:
             return run_one(script, pack, args.enforce, disabled)
-        except ScenarioError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        except (ScenarioError, HealingFailureError) as exc:
+            return exc
 
-    try:
-        if args.parallel and len(scripts) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=len(scripts)) as pool:
-                reports = list(pool.map(job, scripts))
-        else:
-            reports = [job(s) for s in scripts]
-    except ScenarioError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-
+    if args.parallel and len(scripts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=len(scripts)) as pool:
+            reports = list(pool.map(job, [s for _, s in scripts]))
+    else:  # stops at the first scenario that fails
+        reports = []
+        for _, script in scripts:
+            reports.append(job(script))
+            if isinstance(reports[-1], Exception):
+                break
+    for (path, _), report in zip(scripts, reports):
+        if isinstance(report, Exception):
+            return _stopped(path, report)
     for report in reports:
         _print_run_report(report)
     if args.out:
@@ -252,9 +262,8 @@ def cmd_bench(args) -> int:
     for path, script in scripts:
         try:
             result = run_benchmark(script, policies, repetitions=reps)
-        except ScenarioError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        except (ScenarioError, HealingFailureError) as exc:
+            return _stopped(path, exc)
         print(f"benchmark {script.name} ({result.repetitions} repetitions)")
         top = result.highest_overhead()
         for action in result.actions:

@@ -299,6 +299,10 @@ def parse(text: str) -> PolicyDoc:
         lp = _LineParser(tokens, raw, lineno)
         head = lp.next("directive")
         try:
+            if head == "on":  # most of a policy's lines
+                transitions.append(_parse_transition(lp))
+                line_of[id(transitions[-1])] = lineno
+                continue
             if head in seen:
                 lp.fail("semantic", 0, f"duplicate {head!r} directive "
                         f"(first on line {seen[head]})")
@@ -337,9 +341,6 @@ def parse(text: str) -> PolicyDoc:
             elif head == "initial":
                 initial = lp.next("state id")
                 lp.done()
-            elif head == "on":
-                transitions.append(_parse_transition(lp))
-                line_of[id(transitions[-1])] = lineno
             else:
                 lp.fail("syntax", 0, f"unknown directive {head!r}",
                         "'policy', 'version', 'experimental', 'statement', "

@@ -63,6 +63,7 @@ class HealingFailureError(Exception):
         self.policy = policy
         self.event = event
         self.cause = cause
+        self.line: Optional[int] = None  # its scenario step's, set by run_scenario
         super().__init__(f"policy {policy!r} failed to execute {event}: {cause}")
 
 
@@ -142,6 +143,10 @@ class EnforcementOutcome(NamedTuple):
     suppressed: bool
 
 
+def _policy_name(watcher: tuple[ProactiveModule, dict[str, Move]]) -> str:
+    return watcher[0].policy.name
+
+
 class PolicyEnforcer:
     """Dispatches intercepted events to enabled modules in policy-name order."""
 
@@ -178,9 +183,8 @@ class PolicyEnforcer:
         self._touched |= touched
         moves = automaton.moves
         for symbol in automaton.vocabulary:
-            insort(self.watchers.setdefault(symbol, []),
-                   (module, moves.get(symbol, {})),
-                   key=lambda watcher: watcher[0].policy.name)
+            insort(self.watchers.setdefault(symbol, []), (module, moves[symbol]),
+                   key=_policy_name)
         return module
 
     def set_enabled(self, handle: ProactiveModule, on: bool) -> None:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .automata import ActionSymbol, Event, Kind, Origin, Trace
 from .dsl import INTEGER
-from .enforcer import InterventionRecord, PolicyEnforcer
+from .enforcer import HealingFailureError, InterventionRecord, PolicyEnforcer
 
 
 class ActivityState(enum.Enum):
@@ -478,6 +478,9 @@ def run_scenario(script: ScenarioScript,
                                     step.line)
         except (SimProtocolError, IllegalLifecycleError) as exc:
             raise ScenarioError(str(exc), step.line) from exc
+        except HealingFailureError as exc:
+            exc.line = step.line
+            raise
         _busy_wait(action_work_s)
         step_times.append(time.perf_counter() - started)
         interventions_per_step.append(len(log) - logged)

@@ -234,7 +234,7 @@ def reference_effect_sets(automaton: EditAutomaton) -> EffectSets:
 
 def reference_validate(automaton: EditAutomaton) -> list[Diagnostic]:
     """validate's findings from a state x vocabulary x transition walk,
-    without the transition each finding points at."""
+    each with the transition it points at."""
     diags: list[Diagnostic] = []
     if automaton.initial not in automaton.states:
         diags.append(Diagnostic("bad-initial",
@@ -247,14 +247,14 @@ def reference_validate(automaton: EditAutomaton) -> list[Diagnostic]:
                     "dangling-state",
                     f"transition {t.source!r} -> {t.target!r} references "
                     f"undeclared state {endpoint!r}",
-                    state=endpoint))
+                    state=endpoint, transition=t))
         forwards = sum(1 for i in t.output if i.is_forward)
         if forwards > 1:
             diags.append(Diagnostic(
                 "multiple-forwards",
                 f"transition from {t.source!r} on {t.guard.text()} forwards "
                 f"the input {forwards} times",
-                state=t.source))
+                state=t.source, transition=t))
     for state in sorted(automaton.states, key=state_sort_key):
         for symbol in sorted(automaton.vocabulary, key=str):
             matching = reference_matching(automaton, state, symbol)
@@ -263,7 +263,7 @@ def reference_validate(automaton: EditAutomaton) -> list[Diagnostic]:
                     "nondeterministic",
                     f"state {state!r} has {len(matching)} transitions matching "
                     f"{symbol} ({', '.join(t.guard.text() for t in matching)})",
-                    state=state, symbol=symbol))
+                    state=state, symbol=symbol, transition=matching[1]))
             elif not matching:
                 diags.append(Diagnostic(
                     "incomplete",

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import random
 import sys
 import threading
 import uuid
@@ -31,6 +32,7 @@ from proactive.automata import (
     violations,
 )
 from proactive.dsl import parse
+from proactive.enforcer import PolicyEnforcer
 from proactive.pack import bundled_pack_dir
 
 from helpers import (
@@ -78,12 +80,19 @@ SUPPRESSING_CLASH = EditAutomaton(
 INCOMPLETE = EditAutomaton(
     frozenset({"0"}), "0",
     (loop("0", Guard.exactly(DOA), (synth(DOB), fwd())),))
+# doA matched twice and doB never: the guards' sizes sum to the vocabulary's
+# size, but they do not cover it.
+CLASH_AND_GAP = EditAutomaton(
+    frozenset({"0"}), "0",
+    (loop("0", Guard.exactly(DOA), (synth(DOB), fwd())),
+     loop("0", Guard.exactly(DOA), (fwd(),))))
 INVALID = {"nondeterministic": NONDETERMINISTIC,
            "dangling-target": DANGLING_TARGET,
            "bad-initial": BAD_INITIAL,
            "multiple-forwards": MULTIPLE_FORWARDS,
            "suppressing-clash": SUPPRESSING_CLASH,
-           "incomplete": INCOMPLETE}
+           "incomplete": INCOMPLETE,
+           "clash-and-gap": CLASH_AND_GAP}
 
 
 class TestActionSymbol:
@@ -211,6 +220,13 @@ class TestGuard:
         assert not Guard.exactly(DOA).matches(DOB)
         assert Guard.any_except([DOA]).matches(DOB)
         assert not Guard.any_except([DOA]).matches(DOA)
+
+    def test_accepted(self):
+        vocabulary = frozenset({DOA, DOB, DOX})
+        assert Guard.any().accepted(vocabulary) == vocabulary
+        assert Guard.exactly(DOA).accepted(vocabulary) == {DOA}
+        assert Guard.any_of([DOA, DOB]).accepted(vocabulary) == {DOA, DOB}
+        assert Guard.any_except([DOA]).accepted(vocabulary) == {DOB, DOX}
 
     def test_text_sorts_set_elements(self):
         guard = Guard.any_except([DOB, DOA])
@@ -446,6 +462,29 @@ def reference_cases():
     cases.update((f"generated-{seed}", random_policy_doc(seed).automaton)
                  for seed in range(200))
     cases.update(INVALID)
+    cases.update(near_valid_cases())
+    return cases
+
+
+def near_valid_cases():
+    """Each of the 200 generated automata with one transition dropped
+    (incomplete), and with one transition's guard copied onto a new
+    transition at a random position (nondeterministic): states whose
+    guards almost partition the vocabulary."""
+    cases = {}
+    for seed in range(200):
+        automaton = random_policy_doc(seed).automaton
+        rng = random.Random(seed)
+        transitions = list(automaton.transitions)
+        dropped = transitions[:]
+        del dropped[rng.randrange(len(dropped))]
+        copied = rng.choice(transitions)
+        transitions.insert(rng.randint(0, len(transitions)), Transition(
+            copied.source, copied.guard, rng.choice([(fwd(),), (), copied.output]),
+            rng.choice(sorted(automaton.states))))
+        for kind, ts in (("dropped", dropped), ("duplicated", transitions)):
+            cases[f"{kind}-{seed}"] = EditAutomaton(automaton.states,
+                                                    automaton.initial, tuple(ts))
     return cases
 
 
@@ -478,8 +517,20 @@ class TestTableAgreesWithReference:
     def test_validate_codes_and_order(self):
         for name, automaton in reference_cases().items():
             def key(diags):
-                return [(d.code, d.message, d.state, d.symbol) for d in diags]
+                # By identity: a copied transition can equal its original.
+                return [(d.code, d.message, d.state, d.symbol, id(d.transition))
+                        for d in diags]
             assert key(validate(automaton)) == key(reference_validate(automaton)), name
+
+    def test_near_valid_cases_are_mostly_flagged(self):
+        # A dropped or copied guard that accepts nothing (an any-except of
+        # the whole vocabulary) leaves the automaton valid.
+        flagged = {"dropped": 0, "duplicated": 0}
+        for name, automaton in near_valid_cases().items():
+            kind = name.split("-")[0]
+            code = "incomplete" if kind == "dropped" else "nondeterministic"
+            flagged[kind] += code in {d.code for d in validate(automaton)}
+        assert min(flagged.values()) > 150, flagged
 
 
 class TestMovesAgreeWithTable:
@@ -502,3 +553,37 @@ class TestMovesAgreeWithTable:
                 pairs.add((symbol, state))
             assert {(symbol, state) for symbol, by_state in automaton.moves.items()
                     for state in by_state} == pairs, name
+
+
+def bundled_policies():
+    return [parse(p.read_text(encoding="utf-8"))
+            for p in sorted(bundled_pack_dir().glob("*.pol"))]
+
+
+class TestOneCompiledForm:
+    def test_parse_and_deploy_build_no_table(self):
+        for doc in bundled_policies():
+            assert "table" not in doc.automaton.__dict__, doc.name
+            PolicyEnforcer().deploy(doc)
+            assert "moves" in doc.automaton.__dict__, doc.name
+            assert "table" not in doc.automaton.__dict__, doc.name
+
+    def test_validating_a_valid_automaton_builds_no_table(self):
+        for seed in range(200):
+            automaton = random_policy_doc(seed).automaton
+            assert validate(automaton) == [], seed
+            assert "table" not in automaton.__dict__, seed
+
+    def test_a_flagged_state_is_walked_through_table(self):
+        automaton = EditAutomaton(INCOMPLETE.states, INCOMPLETE.initial,
+                                  INCOMPLETE.transitions)
+        assert "table" not in automaton.__dict__
+        assert [d.code for d in validate(automaton)] == ["incomplete"]
+        assert "table" in automaton.__dict__
+
+    def test_the_forward_item_is_shared(self):
+        assert OutputItem.forward() is OutputItem.forward()
+        for doc in bundled_policies():
+            for t in doc.automaton.transitions:
+                for item in t.output:
+                    assert item.symbol is not None or item is OutputItem.forward()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import proactive
-from proactive import enforcer, interference
+from proactive import cli, enforcer, interference
 from proactive.cli import main
 from proactive.pack import bundled_pack_dir, bundled_scenarios_dir
 
@@ -240,6 +240,57 @@ class TestRun:
         assert main(args) == 0
         assert len(callers) == 21
         assert all("load_pack" in names for names in callers)
+
+
+# A policy whose heal the simulator rejects: on pause it starts a preview
+# on a camera the app never opened.
+BAD_PREVIEW = """\
+policy bad-preview
+version 1
+statement "starts a preview on pause"
+target Camera
+states 0
+initial 0
+on callback onPause from 0 to 0 emit insert call Camera.startPreview, input
+on any-except {callback onPause} from 0 to 0 emit input
+"""
+
+
+def bad_preview_inputs(tmp_path):
+    pack = tmp_path / "pack"
+    pack.mkdir()
+    (pack / "manifest").write_text("", encoding="utf-8")
+    (pack / "bad.pol").write_text(BAD_PREVIEW, encoding="utf-8")
+    path = tmp_path / "x.scn"
+    path.write_text("app HearHere\nlaunch\nbackground\n", encoding="utf-8")
+    return pack, path
+
+
+class TestFailedHeal:
+    @pytest.mark.parametrize("command", [
+        ["run"], ["run", "--parallel"], ["bench", "--reps", "3"]],
+        ids=["run", "run-parallel", "bench"])
+    def test_is_one_finding_line(self, tmp_path, capsys, command):
+        pack, path = bad_preview_inputs(tmp_path)
+        scenarios = ["--scenario", str(path)] * (2 if "--parallel" in command else 1)
+        assert main([*command, "--pack", str(pack), *scenarios]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: line 3: policy 'bad-preview' failed to execute "
+            "+call Camera.startPreview@4: startPreview on an unheld Camera\n")
+
+    def test_serial_run_stops_at_the_first_failure(self, tmp_path, capsys,
+                                                   monkeypatch):
+        pack, path = bad_preview_inputs(tmp_path)
+        replayed = []
+        run_one = cli.run_one
+        monkeypatch.setattr(cli, "run_one", lambda script, *rest: (
+            replayed.append(script), run_one(script, *rest))[1])
+        assert main(["run", "--pack", str(pack), "--scenario", str(path),
+                     "--scenario", scn("hearhere")]) == 1
+        assert len(replayed) == 1
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestHashSeed:

@@ -181,6 +181,29 @@ class TestDeploy:
         with pytest.raises(DuplicatePolicyError):
             enforcer.deploy(release_policy())
 
+    def test_watchers_follow_policy_names_under_any_deploy_order(self, pack):
+        # Name order files each watcher last, reversed order files each one
+        # first, and shuffled orders mix the two.
+        policies = sorted(pack.deployable(), key=lambda p: p.name)
+        rng = random.Random(13)
+        orders = [policies, policies[::-1]] + [
+            rng.sample(policies, len(policies)) for _ in range(20)]
+        expected = {(symbol, p.name) for p in policies
+                    for symbol in p.automaton.vocabulary}
+        for order in orders:
+            enforcer = PolicyEnforcer()
+            for policy in order:
+                enforcer.deploy(policy)
+            assert max(map(len, enforcer.watchers.values())) >= 3
+            filed = set()
+            for symbol, watchers in enforcer.watchers.items():
+                names = [module.policy.name for module, _ in watchers]
+                assert names == sorted(names), (symbol, names)
+                for module, moves in watchers:
+                    assert moves == module.policy.automaton.moves[symbol]
+                    filed.add((symbol, module.policy.name))
+            assert filed == expected
+
 
 class TestGateMatchesAllPairsReference:
     def test_conflict_at_every_position_of_the_pack(self, pack):
