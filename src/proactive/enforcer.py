@@ -2,9 +2,9 @@
 lets modules transform the stream, and executes synthesized actions
 against the event sink through a transparent resource manager.
 
-One enforcer serves one simulated app session.  Synthesized events are
-executed immediately and never re-offered to any module, so enforcement
-cannot recurse.
+One enforcer serves one simulated app session.  One walk of an event's
+watchers instantiates every edit; the synthesized events then execute
+and are never re-offered to any module, so enforcement cannot recurse.
 
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
 in policy-name order under every symbol it watches; an event reaches only
@@ -52,12 +52,11 @@ class StaleHandleError(Exception):
 
 
 class HealingFailureError(Exception):
-    """The sink rejected a synthesized event; healing could not complete.
-    No module moves and no record is logged, but events the sink executed
-    before the rejected one stay executed.  Offering the app event again
-    re-runs the whole heal, those events included, so a sink must
-    tolerate a synthesized cleanup it has already executed (SimWorld's
-    stop and release are no-ops when idle)."""
+    """The sink rejected a synthesized event, named with the policy that
+    synthesized it; the app event's own failure propagates as is.  No
+    module moves and no record is logged, but executed events stay: a
+    retry re-runs the whole heal, so a sink must tolerate a repeated
+    cleanup (SimWorld's stop and release are no-ops when idle)."""
 
     def __init__(self, policy: str, event: Event, cause: Exception) -> None:
         self.policy = policy
@@ -199,33 +198,39 @@ class PolicyEnforcer:
     def on_event(self, event: Event) -> EnforcementOutcome:
         """Offer one app event to the modules and execute the result.
 
-        Synthesized events positioned before the forwarded input execute
-        before the app event reaches the sink; items after it execute
-        after.  Modules edit, execute and are recorded in policy-name order,
-        so neither the delivered stream nor the records depend on deploy
-        order.  If any matching module's template omits the input, the
-        app event is suppressed (suppression dominates forwarding).
-        Matched modules move only after every delivered event executed.
-        Each editing move instantiates its compiled template once; when
-        every matched module only forwards, the event executes as is, and
-        a forward-only self-loop on a non-constructor commits nothing."""
+        One walk of the watchers, in policy-name order, queues each enabled
+        module's move and instantiates an editing move's template at once.
+        With no edit the event executes as is, and a forward-only self-loop
+        on a non-constructor commits nothing.  Otherwise the synthesized
+        events before the forwarded input execute, then the app event,
+        then those after it, module by module in policy-name order, as the
+        records are; deploy order changes neither.  If any editing template
+        omits the input, the app event is suppressed (suppression dominates
+        forwarding).  Modules move only after every delivered event executed."""
         if event.origin is not _APP:
             raise ValueError("only app events may enter the enforcer")
         constructor = event.symbol.kind is _CONSTRUCTOR
         # (module, next state, next cached constructor args)
         moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
-        editing: list[tuple[ProactiveModule, Optional[Move]]] = []
+        # (module, synthesized, how many execute before the input, forwards)
+        edits: list[tuple[ProactiveModule, tuple[Event, ...], int, bool]] = []
         for module, moves in self.watchers.get(event.symbol, ()):
             if not module.enabled:
                 continue
             move = moves.get(module.state)
-            if move is None or move[1] is not None:
-                editing.append((module, move))
-            elif constructor or move[0] != module.state:
-                moved.append((module, move[0], event.args if constructor
+            if move is None:
+                raise MissingTransitionError(module.state, event.symbol)
+            next_state, template = move
+            if template is not None:
+                synthesized, cached_ctor_args = instantiate(
+                    template, event, module.cached_ctor_args, self.manager.bindings)
+                moved.append((module, next_state, cached_ctor_args))
+                edits.append((module, synthesized, template.pre, template.forwards))
+            elif constructor or next_state != module.state:
+                moved.append((module, next_state, event.args if constructor
                               else module.cached_ctor_args))
 
-        if not editing:
+        if not edits:
             if constructor:
                 event = self._execute(event)
             else:
@@ -238,36 +243,37 @@ class PolicyEnforcer:
 
         suppressed = False
         records: list[InterventionRecord] = []
-        # (module, synthesized, how many execute before the input)
-        emitting: list[tuple[ProactiveModule, tuple[Event, ...], int]] = []
-        bindings = self.manager.bindings
-        for module, move in editing:
-            if move is None:
-                raise MissingTransitionError(module.state, event.symbol)
-            next_state, template = move
-            synthesized, cached_ctor_args = instantiate(
-                template, event, module.cached_ctor_args, bindings)
-            forwards = template.forwards
+        for module, synthesized, _, forwards in edits:
             if not forwards:
                 suppressed = True
             if synthesized or not forwards:
                 records.append(InterventionRecord(
                     event, module.policy.name, synthesized, not forwards))
-            moved.append((module, next_state, cached_ctor_args))
-            emitting.append((module, synthesized, template.pre))
 
-        delivered = [self._execute_synthesized(module, synth)
-                     for module, out, pre in emitting for synth in out[:pre]]
-        if not suppressed:
-            delivered.append(self._execute(event))
-        delivered.extend(self._execute_synthesized(module, synth)
-                         for module, out, pre in emitting for synth in out[pre:])
+        execute = self._execute
+        delivered: list[Event] = []
+        current = event
+        try:
+            for module, synthesized, pre, _ in edits:
+                for current in synthesized[:pre]:
+                    delivered.append(execute(current))
+            if not suppressed:
+                current = event
+                delivered.append(execute(event))
+            for module, synthesized, pre, _ in edits:
+                for current in synthesized[pre:]:
+                    delivered.append(execute(current))
+        except Exception as exc:
+            if current is event:
+                raise
+            raise HealingFailureError(module.policy.name, current, exc) from exc
 
         for module, next_state, cached_ctor_args in moved:
             module.state = next_state
             module.cached_ctor_args = cached_ctor_args
         self.intervention_log.extend(records)
-        return EnforcementOutcome(tuple(delivered), tuple(records), suppressed)
+        return tuple.__new__(EnforcementOutcome,
+                             (tuple(delivered), tuple(records), suppressed))
 
     def _execute(self, event: Event) -> Event:
         """Execute an event on the sink and bind a constructor's instance.
@@ -281,12 +287,6 @@ class PolicyEnforcer:
                               event.origin)
             self.manager.bind(event.symbol.interface, event.instance)
         return event
-
-    def _execute_synthesized(self, module: ProactiveModule, event: Event) -> Event:
-        try:
-            return self._execute(event)
-        except Exception as exc:
-            raise HealingFailureError(module.policy.name, event, exc) from exc
 
     def run_enforced(self, trace: Trace) -> tuple[Trace, list[InterventionRecord]]:
         """Batch driver: fold of on_event with output seq renumbered."""

@@ -3,8 +3,9 @@ trace generation, a seeded generator of valid policy documents, the
 policy files, guard-walking reference forms of the compiled transition
 table, the item-by-item reference form of step, the all-pairs reference
 form of the deploy gate, the four-intersection reference form of
-check_pair, the character-walking reference form of the `.pol` lexer,
-and the parse corpus whose results tests/record_parse_digests.py records."""
+check_pair, the two-pass reference form of the enforcer's on_event, the
+character-walking reference form of the `.pol` lexer, and the parse
+corpus whose results tests/record_parse_digests.py records."""
 
 from __future__ import annotations
 
@@ -24,11 +25,15 @@ from proactive.automata import (
     Guard,
     Kind,
     MissingTransitionError,
+    Move,
     Origin,
     OutputItem,
     PolicyAuthoringError,
     Trace,
     Transition,
+    _APP,
+    _CONSTRUCTOR,
+    instantiate,
     state_sort_key,
 )
 from proactive.dsl import (
@@ -43,6 +48,13 @@ from proactive.interference import (
     InterferencePair,
     InterferenceReport,
     check_set,
+)
+from proactive.enforcer import (
+    EnforcementOutcome,
+    HealingFailureError,
+    InterventionRecord,
+    PolicyEnforcer,
+    ProactiveModule,
 )
 from proactive.pack import bundled_pack_dir
 
@@ -358,6 +370,81 @@ def reference_check_pair(a: PolicyDoc, b: PolicyDoc) -> InterferenceReport:
             pairs.append(InterferencePair(a.name, b.name, direction,
                                           frozenset(symbols)))
     return InterferenceReport(tuple(pairs))
+
+
+class ReferenceEnforcer(PolicyEnforcer):
+    """PolicyEnforcer with on_event as it was before one walk of the
+    watchers did the whole heal: a first loop sorts the matched modules
+    into forward-only and editing ones, a second instantiates and records
+    each editing move, and each synthesized event executes through its
+    own wrapper that attributes a failure to its policy."""
+
+    def on_event(self, event: Event) -> EnforcementOutcome:
+        if event.origin is not _APP:
+            raise ValueError("only app events may enter the enforcer")
+        constructor = event.symbol.kind is _CONSTRUCTOR
+        # (module, next state, next cached constructor args)
+        moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
+        editing: list[tuple[ProactiveModule, Optional[Move]]] = []
+        for module, moves in self.watchers.get(event.symbol, ()):
+            if not module.enabled:
+                continue
+            move = moves.get(module.state)
+            if move is None or move[1] is not None:
+                editing.append((module, move))
+            elif constructor or move[0] != module.state:
+                moved.append((module, move[0], event.args if constructor
+                              else module.cached_ctor_args))
+
+        if not editing:
+            if constructor:
+                event = self._execute(event)
+            else:
+                self.sink.execute(event)
+            for module, next_state, cached_ctor_args in moved:
+                module.state = next_state
+                module.cached_ctor_args = cached_ctor_args
+            # Skips the NamedTuple's __new__, a Python function.
+            return tuple.__new__(EnforcementOutcome, ((event,), (), False))
+
+        suppressed = False
+        records: list[InterventionRecord] = []
+        # (module, synthesized, how many execute before the input)
+        emitting: list[tuple[ProactiveModule, tuple[Event, ...], int]] = []
+        bindings = self.manager.bindings
+        for module, move in editing:
+            if move is None:
+                raise MissingTransitionError(module.state, event.symbol)
+            next_state, template = move
+            synthesized, cached_ctor_args = instantiate(
+                template, event, module.cached_ctor_args, bindings)
+            forwards = template.forwards
+            if not forwards:
+                suppressed = True
+            if synthesized or not forwards:
+                records.append(InterventionRecord(
+                    event, module.policy.name, synthesized, not forwards))
+            moved.append((module, next_state, cached_ctor_args))
+            emitting.append((module, synthesized, template.pre))
+
+        delivered = [self._execute_synthesized(module, synth)
+                     for module, out, pre in emitting for synth in out[:pre]]
+        if not suppressed:
+            delivered.append(self._execute(event))
+        delivered.extend(self._execute_synthesized(module, synth)
+                         for module, out, pre in emitting for synth in out[pre:])
+
+        for module, next_state, cached_ctor_args in moved:
+            module.state = next_state
+            module.cached_ctor_args = cached_ctor_args
+        self.intervention_log.extend(records)
+        return EnforcementOutcome(tuple(delivered), tuple(records), suppressed)
+
+    def _execute_synthesized(self, module: ProactiveModule, event: Event) -> Event:
+        try:
+            return self._execute(event)
+        except Exception as exc:
+            raise HealingFailureError(module.policy.name, event, exc) from exc
 
 
 # -- reference lexer -----------------------------------------------------

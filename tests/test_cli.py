@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import traceback
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import proactive
 from proactive import cli, enforcer, interference
@@ -359,3 +363,56 @@ class TestBench:
         assert len(bench["actions"]) == 3
         intervention_counts = [a["interventions"] for a in bench["actions"]]
         assert intervention_counts == [0, 0, 1]
+
+
+# -- fuzzed input ----------------------------------------------------------
+
+_BASES = [path.read_bytes() for path in sorted(bundled_pack_dir().glob("*.pol"))
+          + sorted(bundled_scenarios_dir().glob("*.scn"))]
+_LINES = sorted({line for base in _BASES for line in base.splitlines()})
+_TOKENS = sorted({token for line in _LINES for token in line.split()}) + [
+    b"", b"{", b"}", b"(", b",", b'"', b"#", b"-1", b"99999999999999999999",
+    b"Camera.", b".open", b"Foo.bar", b"\x00", b"\xc3\xa9", b"\xff", b"\r"]
+
+
+@st.composite
+def fuzzed_files(draw):
+    """A bundled .pol or .scn file with a few edits: a valid line of either
+    kind inserted, a token replaced, a line dropped, or raw bytes
+    inserted."""
+    lines = draw(st.sampled_from(_BASES)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.integers(0, 3))
+        if edit == 0:
+            lines.insert(at, draw(st.sampled_from(_LINES)))
+        elif edit == 1 and at < len(lines) and lines[at].split():
+            tokens = lines[at].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(_TOKENS))
+            lines[at] = b" ".join(tokens)
+        elif edit == 2 and at < len(lines):
+            del lines[at]
+        else:
+            lines.insert(at, draw(st.binary(max_size=12)))
+    return b"\n".join(lines) + b"\n"
+
+
+class TestFuzzedInput:
+    """No input file makes the CLI raise: every run ends with exit 0 (ok),
+    1 (a finding) or 2 (a usage or input error)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fuzzed_files(), fuzzed_files())
+    def test_no_exception_escapes(self, tmp_path, policy, scenario):
+        pol, scn_path = tmp_path / "fuzzed.pol", tmp_path / "fuzzed.scn"
+        pol.write_bytes(policy)
+        scn_path.write_bytes(scenario)
+        for argv in (["validate", str(pol)],
+                     ["run", "--scenario", str(scn_path)],
+                     ["bench", "--scenario", str(scn_path), "--reps", "3"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dis
 import itertools
@@ -14,12 +15,13 @@ from proactive.automata import (
     Guard,
     MissingTransitionError,
     Origin,
+    PolicyAuthoringError,
     Trace,
     Transition,
     instantiate,
 )
 from proactive.dsl import parse
-from proactive.interference import InterferenceReport
+from proactive.interference import InterferenceReport, check_set
 from proactive.enforcer import (
     DuplicatePolicyError,
     EnforcementOutcome,
@@ -35,12 +37,14 @@ from proactive.sim import SimProtocolError, SimWorld
 from helpers import (
     DOA,
     DOB,
+    DOX,
     FIXTURES,
     NEW_AR,
     ON_STOP,
     RELEASE_AR,
     START_REC,
     STOP_REC,
+    ReferenceEnforcer,
     event_shapes,
     forced_release_automaton,
     fwd,
@@ -56,7 +60,9 @@ FAULTY = Trace.from_symbols([NEW_AR, START_REC, ON_STOP])
 ON_PAUSE = ActionSymbol.callback("onPause")
 ON_RESTART = ActionSymbol.callback("onRestart")
 CAMERA_OPEN = ActionSymbol.call("Camera", "open")
+CAMERA_RELEASE = ActionSymbol.call("Camera", "release")
 REQUEST_UPDATES = ActionSymbol.call("LocationManager", "requestLocationUpdates")
+REMOVE_UPDATES = ActionSymbol.call("LocationManager", "removeUpdates")
 
 
 def release_policy():
@@ -82,6 +88,38 @@ class FailingSink(RecordingSink):
     def execute(self, event):
         if event.origin is Origin.SYNTHESIZED:
             raise RuntimeError("device busy")
+        return super().execute(event)
+
+
+class Rejected(Exception):
+    pass
+
+
+class SymbolRejectingSink(RecordingSink):
+    """Rejects every event on the given symbols, app or synthesized."""
+
+    def __init__(self, *rejected):
+        super().__init__()
+        self.rejected = rejected
+
+    def execute(self, event):
+        if event.symbol in self.rejected:
+            raise Rejected(f"{event} rejected")
+        return super().execute(event)
+
+
+class SeededRejectingSink(InstanceSink):
+    """Mints instances like InstanceSink, but first rejects each event it
+    is offered with a seeded probability."""
+
+    def __init__(self, seed, rate):
+        super().__init__()
+        self.rng = random.Random(seed)
+        self.rate = rate
+
+    def execute(self, event):
+        if self.rng.random() < self.rate:
+            raise Rejected(f"{event} rejected")
         return super().execute(event)
 
 
@@ -567,6 +605,70 @@ class TestOnEvent:
         assert instantiations == []
 
 
+def post_insert_policy():
+    """Forwards doA, then inserts doB after it, once."""
+    return make_doc("post-insert", EditAutomaton(
+        frozenset({"0", "1"}), "0",
+        (Transition("0", Guard.exactly(DOA), (fwd(), synth(DOB)), "1"),
+         Transition("0", Guard.any_except([DOA]), (fwd(),), "0"),
+         Transition("1", Guard.any(), (fwd(),), "1"))))
+
+
+class TestHealingFailureAttribution:
+    """Which failure a heal reports, and what it leaves behind."""
+
+    HEALERS = ("foocam-camera-open-release", "getbackgps-location-updates")
+
+    def heal_on_pause(self, pack, sink):
+        """Both HEALERS armed, then onPause offered: each inserts its
+        cleanup before the callback, in policy-name order."""
+        enforcer = PolicyEnforcer(sink)
+        handles = [enforcer.deploy(pack.policies[name]) for name in self.HEALERS]
+        enforcer.on_event(Event(CAMERA_OPEN, seq=1))
+        enforcer.on_event(Event(REQUEST_UPDATES, seq=2))
+        armed = [(h.state, h.cached_ctor_args) for h in handles]
+        assert [h.state for h in handles] != ["0", "0"]
+        with pytest.raises(Exception) as exc:
+            enforcer.on_event(Event(ON_PAUSE, seq=3))
+        assert [(h.state, h.cached_ctor_args) for h in handles] == armed
+        assert enforcer.intervention_log == []
+        return exc.value, [(e.symbol, e.origin) for e in sink.events[2:]]
+
+    def test_rejected_post_input_item_names_its_policy(self):
+        enforcer = PolicyEnforcer(FailingSink())
+        handle = enforcer.deploy(post_insert_policy())
+        event = Event(DOA, seq=1)
+        with pytest.raises(HealingFailureError) as exc:
+            enforcer.on_event(event)
+        assert exc.value.policy == "post-insert"
+        assert (exc.value.event.symbol, exc.value.event.origin) \
+            == (DOB, Origin.SYNTHESIZED)
+        assert isinstance(exc.value.cause, RuntimeError)
+        assert enforcer.sink.events == [event]
+        assert handle.state == "0" and enforcer.intervention_log == []
+
+    @pytest.mark.parametrize("rejected, policy", [
+        (CAMERA_RELEASE, "foocam-camera-open-release"),
+        (REMOVE_UPDATES, "getbackgps-location-updates")])
+    def test_failed_item_names_the_module_that_inserted_it(self, pack,
+                                                          rejected, policy):
+        failure, executed = self.heal_on_pause(pack, SymbolRejectingSink(rejected))
+        assert isinstance(failure, HealingFailureError)
+        assert failure.policy == policy
+        assert failure.event.symbol == rejected
+        assert isinstance(failure.cause, Rejected)
+        inserted = [(CAMERA_RELEASE, Origin.SYNTHESIZED),
+                    (REMOVE_UPDATES, Origin.SYNTHESIZED)]
+        assert executed == inserted[:inserted.index((rejected, Origin.SYNTHESIZED))]
+
+    def test_rejected_app_event_raises_the_sinks_own_error(self, pack):
+        failure, executed = self.heal_on_pause(pack, SymbolRejectingSink(ON_PAUSE))
+        assert type(failure) is Rejected
+        assert failure.__cause__ is None and failure.__context__ is None
+        assert executed == [(CAMERA_RELEASE, Origin.SYNTHESIZED),
+                            (REMOVE_UPDATES, Origin.SYNTHESIZED)]
+
+
 class TestFastPathCommits:
     """A forward-only move commits only what it changes; a disabled module
     commits nothing (TestOnEvent.test_disabled_module_does_not_move_on_the_fast_path)."""
@@ -665,6 +767,70 @@ class TestCopiedSymbols:
                     == [(m.state, m.cached_ctor_args) for m in original.modules]
             interventions += len(original.intervention_log)
         assert interventions > 0
+
+
+def outcome_or_failure(enforcer, event):
+    """What on_event returned, or the comparable parts of what it raised."""
+    try:
+        return enforcer.on_event(event)
+    except HealingFailureError as exc:
+        return (HealingFailureError, exc.policy, exc.event, type(exc.cause),
+                str(exc.cause))
+    except (Rejected, PolicyAuthoringError) as exc:
+        return (type(exc), str(exc))
+
+
+def enforcer_state(enforcer):
+    return (enforcer.intervention_log, enforcer.sink.events,
+            [(m.state, m.cached_ctor_args, m.enabled) for m in enforcer.modules],
+            enforcer.manager.bindings)
+
+
+class TestMatchesTwoPassReference:
+    """The one-pass on_event against the two-pass ReferenceEnforcer, on
+    random policy sets the gate accepts, random traces and a sink that
+    rejects a seeded subset of the events it is offered."""
+
+    def test_random_policy_sets_under_a_rejecting_sink(self):
+        rng = random.Random(14)
+        docs = [random_policy_doc(seed) for seed in range(200)]
+        sets = {2: [], 3: []}
+        while len(sets[2]) < 60 or len(sets[3]) < 60:
+            size = rng.choice([n for n in sets if len(sets[n]) < 60])
+            chosen = rng.sample(docs, size)
+            if check_set(chosen).ok:
+                sets[size].append(chosen)
+        seen = collections.Counter()
+        for n, policies in enumerate(sets[2] + sets[3]):
+            enforcers = [cls(SeededRejectingSink(n, rate=0.1))
+                         for cls in (PolicyEnforcer, ReferenceEnforcer)]
+            for enforcer in enforcers:
+                for policy in policies:
+                    enforcer.deploy(policy)
+            vocabulary = frozenset().union(*(p.automaton.vocabulary
+                                             for p in policies))
+            for event in random_trace(rng, vocabulary, max_len=50, extra=[DOX]):
+                if rng.random() < 0.05:
+                    index, on = rng.randrange(len(policies)), rng.random() < 0.5
+                    for enforcer in enforcers:
+                        enforcer.set_enabled(enforcer.modules[index], on)
+                executed = len(enforcers[0].sink.events)
+                one_pass, two_pass = (outcome_or_failure(e, event)
+                                      for e in enforcers)
+                assert one_pass == two_pass, (n, event)
+                assert enforcer_state(enforcers[0]) == enforcer_state(enforcers[1])
+                if isinstance(one_pass, EnforcementOutcome):
+                    seen["records"] += len(one_pass.records)
+                    seen["suppressed"] += one_pass.suppressed
+                else:
+                    seen[one_pass[0]] += 1
+                    # The app event rejected after inserted events executed.
+                    seen["rejected mid-heal"] += (
+                        one_pass[0] is Rejected
+                        and len(enforcers[0].sink.events) > executed)
+        assert min(seen[k] for k in (HealingFailureError, Rejected,
+                                     PolicyAuthoringError, "records",
+                                     "suppressed", "rejected mid-heal")) > 0, seen
 
 
 class TestRunEnforced:
