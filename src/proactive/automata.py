@@ -203,7 +203,7 @@ class Guard:
 
     def accepted(self, vocabulary: frozenset[ActionSymbol]) -> frozenset[ActionSymbol]:
         """The vocabulary symbols the guard matches, by set algebra: how
-        validate, table, moves and effects read a guard."""
+        validate, moves and effects read a guard."""
         if self.kind is _ANY:
             return vocabulary
         if self.kind is _ANY_EXCEPT:
@@ -383,16 +383,6 @@ class EditAutomaton:
         return frozenset(symbols)
 
     @cached_property
-    def table(self) -> dict[tuple[str, ActionSymbol], tuple[Transition, ...]]:
-        """(source state, vocabulary symbol) -> matching transitions in
-        declaration order; only validate's walk of a flagged state reads it."""
-        table: dict[tuple[str, ActionSymbol], list[Transition]] = {}
-        for t in self.transitions:
-            for symbol in t.guard.accepted(self.vocabulary):
-                table.setdefault((t.source, symbol), []).append(t)
-        return {key: tuple(ts) for key, ts in table.items()}
-
-    @cached_property
     def moves(self) -> dict[ActionSymbol, dict[str, Move]]:
         """vocabulary symbol -> source state -> (target, template) of the
         first matching transition, the template None when it is exactly
@@ -435,7 +425,8 @@ class Diagnostic:
 def validate(automaton: EditAutomaton) -> list[Diagnostic]:
     """Check every automaton invariant; diagnostics are data, not failures.
     A state whose guards' accepted sets partition the vocabulary (sizes sum
-    to its size, union covers it) has no finding; only the rest walk table."""
+    to its size, union covers it) has no finding; only the rest are walked
+    symbol by symbol."""
     diags: list[Diagnostic] = []
     if automaton.initial not in automaton.states:
         diags.append(Diagnostic("bad-initial",
@@ -463,8 +454,10 @@ def validate(automaton: EditAutomaton) -> list[Diagnostic]:
                if sum(map(len, sets := accepted.get(state, ()))) != len(vocabulary)
                or len(frozenset().union(*sets)) != len(vocabulary)]
     for state in sorted(flagged, key=state_sort_key):
+        guards = [(t, t.guard.accepted(vocabulary))
+                  for t in automaton.transitions if t.source == state]
         for symbol in sorted(vocabulary, key=str):
-            matching = automaton.table.get((state, symbol), ())
+            matching = [t for t, symbols in guards if symbol in symbols]
             if len(matching) > 1:
                 diags.append(Diagnostic(
                     "nondeterministic",
@@ -486,6 +479,8 @@ def is_valid(automaton: EditAutomaton) -> bool:
 
 class PolicyAuthoringError(Exception):
     """A template referenced cached constructor args before any constructor."""
+
+    line: Optional[int] = None  # its scenario step's, set by run_scenario
 
 
 class MissingTransitionError(Exception):

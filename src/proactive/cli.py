@@ -3,7 +3,7 @@ scenarios with or without enforcement, and benchmark overhead.
 
 Exit codes are stable across commands: 0 success/clean, 1 an expected
 negative finding (a leak or interference was found, or a policy failed
-validation), 2 usage or I/O error.
+validation or failed during a replay), 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from .automata import PolicyAuthoringError
 from .dsl import PolicyParseError, parse
 from .enforcer import HealingFailureError, PolicyEnforcer
 from .interference import check_set
@@ -104,8 +105,9 @@ def run_one(script: ScenarioScript, pack: PolicyPack, enforce: bool,
 
 
 def _stopped(path: Path, exc: Exception) -> int:
-    """Print why a replay stopped as one line: a failed heal is a finding."""
-    if isinstance(exc, HealingFailureError):
+    """Print why a replay stopped as one line: a failed heal or a policy
+    authoring error is a finding."""
+    if isinstance(exc, (HealingFailureError, PolicyAuthoringError)):
         print(f"{path}: line {exc.line}: {exc}", file=sys.stderr)
         return EXIT_FINDING
     print(f"{path}: {exc}", file=sys.stderr)
@@ -121,9 +123,15 @@ def _pack_dir(args) -> Path:
     return bundled_pack_dir()
 
 
-def _write_out(path: str, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_out(path: str, payload: dict) -> bool:
+    """Write a JSON report; a path that cannot be written prints one line."""
+    try:
+        Path(path).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_validate(args) -> int:
@@ -206,7 +214,7 @@ def cmd_run(args) -> int:
     def job(script: ScenarioScript) -> RunReport | Exception:
         try:
             return run_one(script, pack, args.enforce, disabled)
-        except (ScenarioError, HealingFailureError) as exc:
+        except (ScenarioError, HealingFailureError, PolicyAuthoringError) as exc:
             return exc
 
     if args.parallel and len(scripts) > 1:
@@ -224,9 +232,9 @@ def cmd_run(args) -> int:
             return _stopped(path, report)
     for report in reports:
         _print_run_report(report)
-    if args.out:
-        payload = {"reports": [r.to_dict() for r in reports]}
-        _write_out(args.out, payload)
+    if args.out and not _write_out(args.out,
+                                   {"reports": [r.to_dict() for r in reports]}):
+        return EXIT_USAGE
     if any(r.outcome is Outcome.LEAKED for r in reports):
         return EXIT_FINDING
     return EXIT_OK
@@ -262,7 +270,7 @@ def cmd_bench(args) -> int:
     for path, script in scripts:
         try:
             result = run_benchmark(script, policies, repetitions=reps)
-        except (ScenarioError, HealingFailureError) as exc:
+        except (ScenarioError, HealingFailureError, PolicyAuthoringError) as exc:
             return _stopped(path, exc)
         print(f"benchmark {script.name} ({result.repetitions} repetitions)")
         top = result.highest_overhead()
@@ -275,8 +283,8 @@ def cmd_bench(args) -> int:
                   f"({action.overhead_percent:+.2f}%)"
                   f" ({action.interventions} interventions){marker}")
         payloads.append({"scenario": script.name, **_bench_to_dict(result)})
-    if args.out:
-        _write_out(args.out, {"benchmarks": payloads})
+    if args.out and not _write_out(args.out, {"benchmarks": payloads}):
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -298,10 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", action="append", required=True,
                        help=".scn file (repeatable)")
     p_run.add_argument("--pack", help="policy pack directory")
-    enforce = p_run.add_mutually_exclusive_group()
-    enforce.add_argument("--enforce", dest="enforce", action="store_true",
-                         default=True)
-    enforce.add_argument("--no-enforce", dest="enforce", action="store_false")
+    p_run.add_argument("--no-enforce", dest="enforce", action="store_false")
     p_run.add_argument("--disable", action="append", default=[],
                        metavar="POLICY", help="deploy but disable a policy")
     p_run.add_argument("--out", help="write a JSON report to this path")

@@ -42,7 +42,6 @@ from .automata import (
     ArgSource,
     EditAutomaton,
     Guard,
-    GuardKind,
     OutputItem,
     Transition,
     quote,

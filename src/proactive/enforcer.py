@@ -82,21 +82,6 @@ class RecordingSink:
         return None
 
 
-class ResourceManager:
-    """Transparent intermediary holding the live instance per interface,
-    so a module can destroy and recreate the object without the app
-    noticing.  At most one binding per interface per app session."""
-
-    def __init__(self) -> None:
-        self.bindings: dict[str, Optional[str]] = {}
-
-    def bind(self, interface: str, instance: Optional[str]) -> None:
-        self.bindings[interface] = instance
-
-    def lookup(self, interface: str) -> Optional[str]:
-        return self.bindings.get(interface)
-
-
 @dataclass
 class ProactiveModule:
     """A deployed runtime monitor: policy plus per-session cursor state."""
@@ -155,7 +140,9 @@ class PolicyEnforcer:
         # symbol -> (module, its moves on symbol by state), by policy name
         self.watchers: dict[ActionSymbol,
                             list[tuple[ProactiveModule, dict[str, Move]]]] = {}
-        self.manager = ResourceManager()
+        # The resource manager: the live instance per interface, so a module
+        # can destroy and recreate the object without the app noticing.
+        self.bindings: dict[str, Optional[str]] = {}
         self.intervention_log: list[InterventionRecord] = []
         self._names: set[str] = set()
         # Deployed touched symbols; the deployed vocabularies are watchers' keys.
@@ -223,7 +210,7 @@ class PolicyEnforcer:
             next_state, template = move
             if template is not None:
                 synthesized, cached_ctor_args = instantiate(
-                    template, event, module.cached_ctor_args, self.manager.bindings)
+                    template, event, module.cached_ctor_args, self.bindings)
                 moved.append((module, next_state, cached_ctor_args))
                 edits.append((module, synthesized, template.pre, template.forwards))
             elif constructor or next_state != module.state:
@@ -285,7 +272,7 @@ class PolicyEnforcer:
                                          or event.origin is _SYNTHESIZED):
                 event = Event(event.symbol, event.seq, instance, event.args,
                               event.origin)
-            self.manager.bind(event.symbol.interface, event.instance)
+            self.bindings[event.symbol.interface] = event.instance
         return event
 
     def run_enforced(self, trace: Trace) -> tuple[Trace, list[InterventionRecord]]:

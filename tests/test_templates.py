@@ -148,7 +148,7 @@ class TestAgainstReferenceStep:
             bindings = bindings_for(doc.automaton)
             for state, event, cached in cases(doc):
                 module.state, module.cached_ctor_args = state, cached
-                enforcer.manager.bindings = dict(bindings)
+                enforcer.bindings = dict(bindings)
                 enforcer.sink.events.clear()
                 enforcer.intervention_log.clear()
 
@@ -159,7 +159,7 @@ class TestAgainstReferenceStep:
                     return (shapes(outcome.delivered, event),
                             record_shapes(outcome.records, event),
                             outcome.suppressed, module.state,
-                            module.cached_ctor_args, enforcer.manager.bindings)
+                            module.cached_ctor_args, enforcer.bindings)
 
                 got = outcome_of(compiled)
                 want = outcome_of(lambda: expected_on_event(
@@ -235,7 +235,7 @@ class TestTemplateEdgeCases:
 
         enforcer = PolicyEnforcer()
         enforcer.deploy(make_doc("own-instance", automaton))
-        enforcer.manager.bind("Api", "Api#old")
+        enforcer.bindings["Api"] = "Api#old"
         outcome = enforcer.on_event(event)
         assert [(e.symbol, e.instance) for e in outcome.delivered] == [
             (DOA, "Api#app"), (NEW_API, "Api#app"), (DOB, "Api#app")]
