@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -296,6 +296,8 @@ class Transition:
     guard: Guard
     output: tuple[OutputItem, ...]
     target: str
+    # The line of its `on` directive, set by dsl.parse; 0 if built in code.
+    line: int = field(default=0, compare=False, repr=False)
 
     def sort_key(self):
         return (state_sort_key(self.source), self.guard.text(),
@@ -473,14 +475,11 @@ def validate(automaton: EditAutomaton) -> list[Diagnostic]:
     return diags
 
 
-def is_valid(automaton: EditAutomaton) -> bool:
-    return not validate(automaton)
-
-
 class PolicyAuthoringError(Exception):
     """A template referenced cached constructor args before any constructor."""
 
     line: Optional[int] = None  # its scenario step's, set by run_scenario
+    policy: Optional[str] = None  # its module's, set by PolicyEnforcer.on_event
 
 
 class MissingTransitionError(Exception):

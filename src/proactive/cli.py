@@ -3,7 +3,8 @@ scenarios with or without enforcement, and benchmark overhead.
 
 Exit codes are stable across commands: 0 success/clean, 1 an expected
 negative finding (a leak or interference was found, or a policy failed
-validation or failed during a replay), 2 usage or I/O error.
+validation or failed during a replay), 2 usage or I/O error.  A command
+that stops early raises _Stop, which main prints as one stderr line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from .automata import PolicyAuthoringError
 from .dsl import PolicyParseError, parse
@@ -39,6 +40,15 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 
 PACK_ENV_VAR = "PROACTIVE_PACK"
+_T = TypeVar("_T")
+
+
+class _Stop(Exception):
+    """Ends a command: main prints the message to stderr and returns code."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class Outcome(enum.Enum):
@@ -104,14 +114,19 @@ def run_one(script: ScenarioScript, pack: PolicyPack, enforce: bool,
         timing_ms=tuple(t * 1000.0 for t in result.step_times))
 
 
-def _stopped(path: Path, exc: Exception) -> int:
-    """Print why a replay stopped as one line: a failed heal or a policy
-    authoring error is a finding."""
-    if isinstance(exc, (HealingFailureError, PolicyAuthoringError)):
-        print(f"{path}: line {exc.line}: {exc}", file=sys.stderr)
-        return EXIT_FINDING
-    print(f"{path}: {exc}", file=sys.stderr)
-    return EXIT_USAGE
+def _replay(path: Path, fn: Callable[..., _T], *args) -> _T:
+    """fn(*args), which replays the scenario read from path; a failed heal
+    or a policy authoring error stops the command as a finding, any other
+    replay error as a usage error."""
+    try:
+        return fn(*args)
+    except HealingFailureError as exc:
+        raise _Stop(f"{path}: line {exc.line}: {exc}", EXIT_FINDING)
+    except PolicyAuthoringError as exc:
+        raise _Stop(f"{path}: line {exc.line}: policy {exc.policy!r}: {exc}",
+                    EXIT_FINDING)
+    except ScenarioError as exc:
+        raise _Stop(f"{path}: {exc}")
 
 
 def _pack_dir(args) -> Path:
@@ -123,28 +138,22 @@ def _pack_dir(args) -> Path:
     return bundled_pack_dir()
 
 
-def _write_out(path: str, payload: dict) -> bool:
-    """Write a JSON report; a path that cannot be written prints one line."""
+def _write_out(path: str, payload: dict) -> None:
+    """Write a JSON report; a path that cannot be written stops the command."""
     try:
         Path(path).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     except OSError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise _Stop(f"{path}: {exc}")
 
 
 def cmd_validate(args) -> int:
     status = EXIT_OK
-    for path_text in args.paths:
-        path = Path(path_text)
+    for path in map(Path, args.paths):
         try:
-            text = path.read_text(encoding="utf-8")
+            doc = parse(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            doc = parse(text)
+            raise _Stop(f"{path}: {exc}")
         except PolicyParseError as exc:
             for diagnostic in exc.diagnostics:
                 print(f"{path}:{diagnostic}", file=sys.stderr)
@@ -157,13 +166,10 @@ def cmd_validate(args) -> int:
 def cmd_interference(args) -> int:
     directory = _pack_dir(args)
     if not directory.is_dir():
-        print(f"pack directory {directory} does not exist", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Stop(f"pack directory {directory} does not exist")
     docs, problems = load_policies(directory)
     if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return EXIT_USAGE
+        raise _Stop("\n".join(problems))
     deployable = [d for d in docs.values() if not d.experimental]
     experimental = [d for d in docs.values() if d.experimental]
     report = check_set(deployable)
@@ -176,9 +182,12 @@ def cmd_interference(args) -> int:
 
 def _load_inputs(args) -> tuple[PolicyPack, list[tuple[Path, ScenarioScript]]]:
     """The pack, and each scenario file with its parsed script."""
-    pack = load_pack(_pack_dir(args))
-    paths = [Path(path_text) for path_text in args.scenario]
-    return pack, [(path, load_scenario_file(path, pack)) for path in paths]
+    try:
+        pack = load_pack(_pack_dir(args))
+        paths = [Path(path_text) for path_text in args.scenario]
+        return pack, [(path, load_scenario_file(path, pack)) for path in paths]
+    except (PackLoadError, ScenarioError, OSError) as exc:
+        raise _Stop(str(exc))
 
 
 def _print_run_report(report: RunReport) -> None:
@@ -198,43 +207,28 @@ def _print_run_report(report: RunReport) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        pack, scripts = _load_inputs(args)
-    except (PackLoadError, ScenarioError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    pack, scripts = _load_inputs(args)
     disabled = frozenset(args.disable)
-    known = set(pack.policies)
-    unknown = disabled - known
+    unknown = disabled - set(pack.policies)
     if unknown:
-        print(f"unknown policy in --disable: {', '.join(sorted(unknown))}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _Stop(f"unknown policy in --disable: {', '.join(sorted(unknown))}")
 
-    def job(script: ScenarioScript) -> RunReport | Exception:
-        try:
-            return run_one(script, pack, args.enforce, disabled)
-        except (ScenarioError, HealingFailureError, PolicyAuthoringError) as exc:
-            return exc
+    def job(item: tuple[Path, ScenarioScript]) -> RunReport:
+        path, script = item
+        return _replay(path, run_one, script, pack, args.enforce, disabled)
 
     if args.parallel and len(scripts) > 1:
+        # map raises the first failure in scenario order, and the with
+        # block waits for the replays still running before it propagates.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=len(scripts)) as pool:
-            reports = list(pool.map(job, [s for _, s in scripts]))
+            reports = list(pool.map(job, scripts))
     else:  # stops at the first scenario that fails
-        reports = []
-        for _, script in scripts:
-            reports.append(job(script))
-            if isinstance(reports[-1], Exception):
-                break
-    for (path, _), report in zip(scripts, reports):
-        if isinstance(report, Exception):
-            return _stopped(path, report)
+        reports = [job(item) for item in scripts]
     for report in reports:
         _print_run_report(report)
-    if args.out and not _write_out(args.out,
-                                   {"reports": [r.to_dict() for r in reports]}):
-        return EXIT_USAGE
+    if args.out:
+        _write_out(args.out, {"reports": [r.to_dict() for r in reports]})
     if any(r.outcome is Outcome.LEAKED for r in reports):
         return EXIT_FINDING
     return EXIT_OK
@@ -258,20 +252,12 @@ def cmd_bench(args) -> int:
     from .bench import DEFAULT_REPETITIONS, run_benchmark
     reps = DEFAULT_REPETITIONS if args.reps is None else args.reps
     if reps < 3:
-        print("--reps must be at least 3", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        pack, scripts = _load_inputs(args)
-    except (PackLoadError, ScenarioError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+        raise _Stop("--reps must be at least 3")
+    pack, scripts = _load_inputs(args)
     policies = pack.deployable()
     payloads = []
     for path, script in scripts:
-        try:
-            result = run_benchmark(script, policies, repetitions=reps)
-        except (ScenarioError, HealingFailureError, PolicyAuthoringError) as exc:
-            return _stopped(path, exc)
+        result = _replay(path, run_benchmark, script, policies, reps)
         print(f"benchmark {script.name} ({result.repetitions} repetitions)")
         top = result.highest_overhead()
         for action in result.actions:
@@ -283,8 +269,8 @@ def cmd_bench(args) -> int:
                   f"({action.overhead_percent:+.2f}%)"
                   f" ({action.interventions} interventions){marker}")
         payloads.append({"scenario": script.name, **_bench_to_dict(result)})
-    if args.out and not _write_out(args.out, {"benchmarks": payloads}):
-        return EXIT_USAGE
+    if args.out:
+        _write_out(args.out, {"benchmarks": payloads})
     return EXIT_OK
 
 
@@ -329,7 +315,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     handlers = {"validate": cmd_validate, "interference": cmd_interference,
                 "run": cmd_run, "bench": cmd_bench}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _Stop as stop:
+        print(stop, file=sys.stderr)
+        return stop.code
 
 
 if __name__ == "__main__":

@@ -264,7 +264,7 @@ def _parse_transition(lp: _LineParser) -> Transition:
     if lp.peek() == "none":
         lp.pos += 1
         lp.done()
-        return Transition(source, guard, (), target)
+        return Transition(source, guard, (), target, lp.lineno)
     items = [_parse_item(lp)]
     while lp.pos < len(lp.tokens):
         if lp.tokens[lp.pos] != ",":
@@ -272,7 +272,7 @@ def _parse_transition(lp: _LineParser) -> Transition:
                     "',' or end of line")
         lp.pos += 1
         items.append(_parse_item(lp))
-    return Transition(source, guard, tuple(items), target)
+    return Transition(source, guard, tuple(items), target, lp.lineno)
 
 
 def parse(text: str) -> PolicyDoc:
@@ -287,7 +287,6 @@ def parse(text: str) -> PolicyDoc:
     states: list[str] = []
     initial: Optional[str] = None
     transitions: list[Transition] = []
-    line_of: dict[int, int] = {}  # id(transition) -> its line
     seen: dict[str, int] = {}  # single-use directive -> its line
 
     lines = text.splitlines()
@@ -300,7 +299,6 @@ def parse(text: str) -> PolicyDoc:
         try:
             if head == "on":  # most of a policy's lines
                 transitions.append(_parse_transition(lp))
-                line_of[id(transitions[-1])] = lineno
                 continue
             if head in seen:
                 lp.fail("semantic", 0, f"duplicate {head!r} directive "
@@ -361,7 +359,7 @@ def parse(text: str) -> PolicyDoc:
     automaton = EditAutomaton(frozenset(states), initial, tuple(transitions))
     for d in validate(automaton):
         if d.transition is not None:
-            line = line_of[id(d.transition)]
+            line = d.transition.line
         else:
             line = seen["initial" if d.code == "bad-initial" else "states"]
         diags.append(DslDiagnostic("semantic", line, 1, str(d)))

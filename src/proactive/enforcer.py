@@ -25,6 +25,7 @@ from .automata import (
     Event,
     MissingTransitionError,
     Move,
+    PolicyAuthoringError,
     Trace,
     _APP,
     _CONSTRUCTOR,
@@ -193,7 +194,8 @@ class PolicyEnforcer:
         then those after it, module by module in policy-name order, as the
         records are; deploy order changes neither.  If any editing template
         omits the input, the app event is suppressed (suppression dominates
-        forwarding).  Modules move only after every delivered event executed."""
+        forwarding).  Modules move only after every delivered event executed;
+        a PolicyAuthoringError names the module's policy in `policy`."""
         if event.origin is not _APP:
             raise ValueError("only app events may enter the enforcer")
         constructor = event.symbol.kind is _CONSTRUCTOR
@@ -209,8 +211,12 @@ class PolicyEnforcer:
                 raise MissingTransitionError(module.state, event.symbol)
             next_state, template = move
             if template is not None:
-                synthesized, cached_ctor_args = instantiate(
-                    template, event, module.cached_ctor_args, self.bindings)
+                try:
+                    synthesized, cached_ctor_args = instantiate(
+                        template, event, module.cached_ctor_args, self.bindings)
+                except PolicyAuthoringError as exc:
+                    exc.policy = module.policy.name
+                    raise
                 moved.append((module, next_state, cached_ctor_args))
                 edits.append((module, synthesized, template.pre, template.forwards))
             elif constructor or next_state != module.state:

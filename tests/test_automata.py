@@ -23,7 +23,6 @@ from proactive.automata import (
     PolicyAuthoringError,
     Trace,
     Transition,
-    is_valid,
     run,
     run_from,
     state_sort_key,
@@ -245,7 +244,7 @@ class TestValidate:
     def test_single_any_self_loop_is_valid(self):
         automaton = EditAutomaton(frozenset({"0"}), "0",
                                   (loop("0", Guard.any(), (fwd(),)),))
-        assert is_valid(automaton)
+        assert not validate(automaton)
 
     def test_nondeterminism_names_state_and_symbol(self):
         diags = validate(NONDETERMINISTIC)
@@ -268,8 +267,8 @@ class TestValidate:
         assert diags[0].symbol == DOB
 
     def test_valid_fixture_models(self, substitution, forced_release):
-        assert is_valid(substitution)
-        assert is_valid(forced_release)
+        assert not validate(substitution)
+        assert not validate(forced_release)
 
 
 class TestStep:

@@ -329,9 +329,9 @@ class TestAuthoringError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"{path}: line 3: template synthesizes call AudioRecord.stop with "
-            "cached constructor args, but no constructor has been intercepted "
-            "yet\n")
+            f"{path}: line 3: policy 'uncached-stop': template synthesizes "
+            "call AudioRecord.stop with cached constructor args, but no "
+            "constructor has been intercepted yet\n")
 
 
 class TestHashSeed:
@@ -365,6 +365,19 @@ class TestColdStart:
         src = str(Path(proactive.__file__).parents[1])
         code = ("import sys, proactive.cli; print([m for m in ("
                 "'proactive.bench', 'statistics', 'concurrent.futures') "
+                "if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, timeout=60)
+        assert result.stdout == "[]\n", result.stderr
+
+    def test_dsl_imports_no_runtime_module(self):
+        # The package root imports nothing, so a parse-only client does
+        # not pay for the enforcer, the simulator or the CLI.
+        src = str(Path(proactive.__file__).parents[1])
+        code = ("import sys, proactive.dsl; print([m for m in ("
+                "'proactive.sim', 'proactive.enforcer', 'proactive.pack', "
+                "'proactive.interference', 'proactive.cli') "
                 "if m in sys.modules])")
         result = subprocess.run([sys.executable, "-c", code],
                                 env={**os.environ, "PYTHONPATH": src},

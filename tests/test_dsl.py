@@ -7,9 +7,9 @@ from proactive.automata import (
     EditAutomaton,
     Guard,
     Transition,
-    is_valid,
     quote,
     unquote,
+    validate,
 )
 from proactive.dsl import (
     PolicyParseError,
@@ -31,6 +31,7 @@ from helpers import (
     parse_corpus,
     parse_digest,
     parse_result,
+    policy_texts,
     random_policy_doc,
     reference_tokenize_line,
     reference_unquote,
@@ -58,7 +59,7 @@ class TestParse:
         inserted = [i.symbol.method for i in synthesizing[0].output
                     if not i.is_forward]
         assert inserted == ["stop", "release"]
-        assert is_valid(doc.automaton)
+        assert not validate(doc.automaton)
 
     def test_metadata_fields(self):
         doc = parse_fixture("audiorecord-fig3.pol")
@@ -231,6 +232,23 @@ class TestParse:
         assert exc.value.diagnostics
         for d in exc.value.diagnostics:
             assert d.line >= 1 and d.column >= 1
+
+
+class TestTransitionLine:
+    def test_is_the_line_of_its_on_directive(self):
+        for text in policy_texts():
+            on_lines = [n for n, raw in enumerate(text.splitlines(), start=1)
+                        if raw.split()[:1] == ["on"]]
+            assert [t.line for t in parse(text).automaton.transitions] == on_lines
+
+    def test_is_ignored_by_equality_and_serialize(self):
+        for text in policy_texts():
+            doc, shifted = parse(text), parse("\n" + text)
+            assert [t.line for t in shifted.automaton.transitions] \
+                == [t.line + 1 for t in doc.automaton.transitions]
+            assert shifted == doc
+            assert hash(shifted.automaton) == hash(doc.automaton)
+            assert serialize(shifted) == serialize(doc)
 
 
 class TestSerialize:

@@ -669,6 +669,39 @@ class TestHealingFailureAttribution:
                             (REMOVE_UPDATES, Origin.SYNTHESIZED)]
 
 
+def on_stop_policy(name, item):
+    return parse(f"""policy {name}
+statement "on onStop, {item}"
+target Api
+states 0
+initial 0
+on callback onStop from 0 to 0 emit {item}, input
+on any-except {{callback onStop}} from 0 to 0 emit input
+""")
+
+
+class TestAuthoringErrorAttribution:
+    @pytest.mark.parametrize("uncached, other", [("a-stop", "b-release"),
+                                                 ("b-stop", "a-release")])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["uncached-first", "other-first"])
+    def test_names_the_module_whose_template_raised(self, uncached, other,
+                                                    reverse):
+        # Both modules edit onStop; only one template reads cached args.
+        policies = [on_stop_policy(uncached, "insert call AudioRecord.stop args cached"),
+                    on_stop_policy(other, "insert call Camera.release")]
+        enforcer = PolicyEnforcer()
+        for policy in reversed(policies) if reverse else policies:
+            enforcer.deploy(policy)
+        with pytest.raises(PolicyAuthoringError) as exc:
+            enforcer.on_event(Event(ON_STOP, seq=1))
+        assert exc.value.policy == uncached
+        assert str(exc.value) == (
+            "template synthesizes call AudioRecord.stop with cached constructor "
+            "args, but no constructor has been intercepted yet")
+        assert enforcer.sink.events == [] and enforcer.intervention_log == []
+
+
 class TestFastPathCommits:
     """A forward-only move commits only what it changes; a disabled module
     commits nothing (TestOnEvent.test_disabled_module_does_not_move_on_the_fast_path)."""
