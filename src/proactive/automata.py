@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -128,7 +128,8 @@ class Trace:
     @staticmethod
     def of(events: Iterable[Event]) -> "Trace":
         """Build a trace, renumbering seq ordinals 1..n."""
-        return Trace(tuple(replace(e, seq=i) for i, e in enumerate(events, start=1)))
+        return Trace(tuple(Event(e.symbol, i, e.instance, e.args, e.origin)
+                           for i, e in enumerate(events, start=1)))
 
     @staticmethod
     def from_symbols(symbols: Iterable[ActionSymbol]) -> "Trace":
@@ -338,6 +339,9 @@ class Template(NamedTuple):
 # or None when the transition only forwards its input.
 Move = tuple[str, Optional[Template]]
 _FORWARD_ONLY = (OutputItem(),)
+# The move of a state no transition leaves on the symbol: reading it
+# raises MissingTransitionError.
+_MISSING: Move = (None, None)
 
 
 @dataclass(frozen=True)
@@ -386,17 +390,29 @@ class EditAutomaton:
 
     @cached_property
     def moves(self) -> dict[ActionSymbol, dict[str, Move]]:
-        """vocabulary symbol -> source state -> (target, template) of the
-        first matching transition, the template None when it is exactly
-        (input,): a forward-only move.  The form deploy, on_event, step and
-        violations read; built from the transitions in declaration order,
-        with one Template.of per editing transition."""
-        moves: dict[ActionSymbol, dict[str, Move]] = {s: {} for s in self.vocabulary}
+        """vocabulary symbol -> state -> (target, template) of the first
+        matching transition, the template None when it is exactly (input,):
+        a forward-only move.  Only moves that do something are kept: a
+        forward-only self-loop on a non-constructor is left out, so an
+        absent state stays put and forwards.  A state that is declared,
+        initial, or a transition's source or target, and that no transition
+        leaves on the symbol, maps to _MISSING.  The form deploy, on_event,
+        step and violations read; built from the transitions in declaration
+        order, with one Template.of per editing transition."""
+        vocabulary = self.vocabulary
+        first: dict[ActionSymbol, dict[str, Optional[Move]]] = {s: {} for s in vocabulary}
         for t in self.transitions:
             move = (t.target, None if t.output == _FORWARD_ONLY else Template.of(t))
-            for symbol in t.guard.accepted(self.vocabulary):
-                moves[symbol].setdefault(t.source, move)
-        return moves
+            idle = move[1] is None and t.target == t.source
+            for symbol in t.guard.accepted(vocabulary):
+                # None marks an idle first match, so no later one takes its place.
+                first[symbol].setdefault(t.source, None if idle and symbol.kind
+                                         is not _CONSTRUCTOR else move)
+        states = self.states.union([self.initial], *((t.source, t.target)
+                                                     for t in self.transitions))
+        return {symbol: {state: move for state in states
+                         if (move := by_state.get(state, _MISSING)) is not None}
+                for symbol, by_state in first.items()}
 
     @cached_property
     def effects(self) -> EffectSets:
@@ -511,11 +527,19 @@ class BindingContext:
 def _match(automaton: EditAutomaton, state: str,
            symbol: ActionSymbol) -> Optional[Move]:
     """The move of the first-declared matching transition; None bypasses
-    the automaton."""
+    the automaton, or stays in state and forwards the input."""
     move = automaton.moves.get(symbol, {}).get(state)
-    if move is None and symbol in automaton.vocabulary:
+    if move is _MISSING or (move is None and symbol in automaton.vocabulary
+                            and not _names(automaton, state)):
         raise MissingTransitionError(state, symbol)
     return move
+
+
+def _names(automaton: EditAutomaton, state: str) -> bool:
+    """Whether state is one moves covers: declared, initial, or an end of
+    a transition.  No transition leaves any other state."""
+    return (state in automaton.states or state == automaton.initial
+            or any(state in (t.source, t.target) for t in automaton.transitions))
 
 
 def instantiate(template: Template, trigger: Event, cached_ctor_args: Optional[tuple],

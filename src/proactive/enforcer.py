@@ -5,6 +5,9 @@ against the event sink through a transparent resource manager.
 One enforcer serves one simulated app session.  One walk of an event's
 watchers instantiates every edit; the synthesized events then execute
 and are never re-offered to any module, so enforcement cannot recurse.
+A watcher that would stay in its state and only forward the event has
+no move on it (see `EditAutomaton.moves`): the walk passes it after one
+dict probe.
 
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
 in policy-name order under every symbol it watches; an event reaches only
@@ -29,6 +32,7 @@ from .automata import (
     Trace,
     _APP,
     _CONSTRUCTOR,
+    _MISSING,
     _SYNTHESIZED,
     instantiate,
     slot_setters,
@@ -187,9 +191,10 @@ class PolicyEnforcer:
         """Offer one app event to the modules and execute the result.
 
         One walk of the watchers, in policy-name order, queues each enabled
-        module's move and instantiates an editing move's template at once.
-        With no edit the event executes as is, and a forward-only self-loop
-        on a non-constructor commits nothing.  Otherwise the synthesized
+        module's move and instantiates an editing move's template at once;
+        a module with no move in its state (an idle self-loop) is passed,
+        and one whose move is _MISSING raises MissingTransitionError.
+        With no edit the event executes as is.  Otherwise the synthesized
         events before the forwarded input execute, then the app event,
         then those after it, module by module in policy-name order, as the
         records are; deploy order changes neither.  If any editing template
@@ -204,11 +209,9 @@ class PolicyEnforcer:
         # (module, synthesized, how many execute before the input, forwards)
         edits: list[tuple[ProactiveModule, tuple[Event, ...], int, bool]] = []
         for module, moves in self.watchers.get(event.symbol, ()):
-            if not module.enabled:
-                continue
             move = moves.get(module.state)
-            if move is None:
-                raise MissingTransitionError(module.state, event.symbol)
+            if move is None or not module.enabled:
+                continue
             next_state, template = move
             if template is not None:
                 try:
@@ -219,7 +222,9 @@ class PolicyEnforcer:
                     raise
                 moved.append((module, next_state, cached_ctor_args))
                 edits.append((module, synthesized, template.pre, template.forwards))
-            elif constructor or next_state != module.state:
+            elif move is _MISSING:
+                raise MissingTransitionError(module.state, event.symbol)
+            else:
                 moved.append((module, next_state, event.args if constructor
                               else module.cached_ctor_args))
 

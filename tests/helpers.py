@@ -32,6 +32,7 @@ from proactive.automata import (
     Origin,
     OutputItem,
     PolicyAuthoringError,
+    Template,
     Trace,
     Transition,
     _APP,
@@ -316,6 +317,18 @@ def reference_matching(automaton: EditAutomaton, state: str,
             if t.source == state and t.guard.matches(symbol)]
 
 
+def reference_move(automaton: EditAutomaton, state: str,
+                   symbol: ActionSymbol) -> Optional[Move]:
+    """(target, template or None when it only forwards) of the first
+    matching transition, or None when none matches: every move, as
+    EditAutomaton.moves held them before idle self-loops were left out."""
+    matching = reference_matching(automaton, state, symbol)
+    if not matching:
+        return None
+    first = matching[0]
+    return first.target, None if first.output == (fwd(),) else Template.of(first)
+
+
 def reference_effect_sets(automaton: EditAutomaton) -> EffectSets:
     vocabulary = automaton.vocabulary
     inserted: set[ActionSymbol] = set()
@@ -460,7 +473,9 @@ class ReferenceEnforcer(PolicyEnforcer):
     watchers did the whole heal: a first loop sorts the matched modules
     into forward-only and editing ones, a second instantiates and records
     each editing move, and each synthesized event executes through its
-    own wrapper that attributes a failure to its policy."""
+    own wrapper that attributes a failure to its policy.  It finds each
+    module's move with reference_move, not in watchers, and commits a
+    forward-only move only when it changes something."""
 
     def on_event(self, event: Event) -> EnforcementOutcome:
         if event.origin is not _APP:
@@ -469,10 +484,11 @@ class ReferenceEnforcer(PolicyEnforcer):
         # (module, next state, next cached constructor args)
         moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
         editing: list[tuple[ProactiveModule, Optional[Move]]] = []
-        for module, moves in self.watchers.get(event.symbol, ()):
-            if not module.enabled:
+        for module in sorted(self.modules, key=lambda m: m.policy.name):
+            automaton = module.policy.automaton
+            if not module.enabled or event.symbol not in automaton.vocabulary:
                 continue
-            move = moves.get(module.state)
+            move = reference_move(automaton, module.state, event.symbol)
             if move is None or move[1] is not None:
                 editing.append((module, move))
             elif constructor or move[0] != module.state:

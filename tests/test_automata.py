@@ -23,6 +23,7 @@ from proactive.automata import (
     PolicyAuthoringError,
     Trace,
     Transition,
+    _MISSING,
     run,
     run_from,
     state_sort_key,
@@ -46,7 +47,9 @@ from helpers import (
     STOP_REC,
     event_shapes,
     fwd,
+    make_doc,
     random_policy_doc,
+    random_trace,
     reference_effect_sets,
     reference_matching,
     reference_validate,
@@ -197,6 +200,19 @@ class TestTrace:
     def test_of_renumbers(self):
         trace = Trace.of([Event(DOA, seq=7), Event(DOB, seq=7)])
         assert [e.seq for e in trace] == [1, 2]
+
+    def test_of_equals_renumbering_each_event_with_replace(self):
+        vocabulary = [DOA, DOB, NEW_AR, ON_STOP]
+        for seed in range(50):
+            rng = random.Random(seed)
+            events = [dataclasses.replace(
+                e, seq=rng.randrange(100), instance=rng.choice([None, "x#1"]),
+                args=rng.choice([(), (1, "a")]), origin=rng.choice(list(Origin)))
+                for e in random_trace(rng, vocabulary, max_len=40)]
+            expected = tuple(dataclasses.replace(e, seq=i)
+                             for i, e in enumerate(events, start=1))
+            trace = Trace.of(iter(events))
+            assert trace.events == expected, seed
 
     def test_empty_ok(self):
         assert len(Trace()) == 0
@@ -532,26 +548,96 @@ class TestTableAgreesWithReference:
         assert min(flagged.values()) > 150, flagged
 
 
+def known_states(automaton):
+    """Every state a module of the automaton can be put in: declared,
+    initial, or an end of a transition."""
+    return automaton.states | {automaton.initial} | {
+        s for t in automaton.transitions for s in (t.source, t.target)}
+
+
 class TestMovesAgreeWithTable:
     def test_each_move_is_the_first_match(self):
-        # The move's target and template both come from the first
-        # matching transition; the template keeps that very transition.
+        # Over every known state and vocabulary symbol: no match is
+        # _MISSING; a forward-only self-loop on a non-constructor does
+        # nothing and is absent; any other first match is present, its
+        # target and template from that very transition.
         forward_only = (fwd(),)
         for name, automaton in reference_cases().items():
-            pairs = set()
-            for state, symbol, matching in matches(automaton):
-                first = matching[0]
-                target, template = automaton.moves[symbol][state]
-                assert target == first.target, (name, state, symbol)
-                if first.output == forward_only:
-                    assert template is None, (name, state, symbol)
-                else:
-                    assert template.transition is first, (name, state, symbol)
-                    assert template[1:] == reference_template(first), \
-                        (name, state, symbol)
-                pairs.add((symbol, state))
-            assert {(symbol, state) for symbol, by_state in automaton.moves.items()
-                    for state in by_state} == pairs, name
+            assert automaton.moves.keys() == automaton.vocabulary, name
+            states = known_states(automaton)
+            for symbol in automaton.vocabulary:
+                by_state = automaton.moves[symbol]
+                assert by_state.keys() <= states, (name, symbol)
+                for state in states:
+                    where = (name, state, symbol)
+                    matching = reference_matching(automaton, state, symbol)
+                    if not matching:
+                        assert by_state[state] is _MISSING, where
+                        continue
+                    first = matching[0]
+                    if (first.output == forward_only and first.target == state
+                            and symbol.kind is not Kind.CONSTRUCTOR):
+                        assert state not in by_state, where
+                        continue
+                    target, template = by_state[state]
+                    assert by_state[state] is not _MISSING, where
+                    assert target == first.target, where
+                    if first.output == forward_only:
+                        assert template is None, where
+                    else:
+                        assert template.transition is first, where
+                        assert template[1:] == reference_template(first), where
+
+
+class TestMissingTransitionFromUndeclaredStates:
+    """A state that is undeclared but initial, or only a dangling target,
+    has a move on every vocabulary symbol, so on_event, step and
+    violations still raise where no transition leaves it."""
+
+    UNDECLARED_INITIAL = EditAutomaton(
+        frozenset({"0"}), "start", (loop("0", Guard.any_of([DOA, DOB]), (fwd(),)),))
+    DANGLING_TARGET = EditAutomaton(
+        frozenset({"0"}), "0", (loop("0", Guard.exactly(DOA), (fwd(),), "gone"),
+                                loop("0", Guard.exactly(DOB), (fwd(),))))
+    CASES = [(UNDECLARED_INITIAL, [DOB]), (DANGLING_TARGET, [DOA, DOB])]
+
+    @pytest.mark.parametrize("automaton, symbols", CASES)
+    def test_step_and_violations_raise(self, automaton, symbols):
+        stuck = "start" if automaton.initial == "start" else "gone"
+        for symbol in (DOA, DOB):
+            with pytest.raises(MissingTransitionError):
+                step(automaton, stuck, Event(symbol, seq=1))
+        with pytest.raises(MissingTransitionError):
+            violations(automaton, Trace.from_symbols(symbols))
+        # From declared state 0, each move is a forward-only one.
+        assert step(automaton, "0", Event(DOB, seq=1))[0] == "0"
+        assert violations(automaton, Trace.from_symbols([DOX])) == []
+
+    @pytest.mark.parametrize("automaton, symbols", CASES)
+    def test_on_event_raises_unless_the_module_is_disabled(self, automaton,
+                                                           symbols):
+        *leading, last = symbols
+        for enabled in (True, False):
+            enforcer = PolicyEnforcer()
+            module = enforcer.deploy(make_doc("stuck", automaton))
+            for seq, symbol in enumerate(leading, start=1):
+                enforcer.on_event(Event(symbol, seq=seq))
+            enforcer.set_enabled(module, enabled)
+            event = Event(last, seq=len(symbols))
+            if enabled:
+                with pytest.raises(MissingTransitionError):
+                    enforcer.on_event(event)
+                assert enforcer.sink.events == [Event(s, seq=n) for n, s
+                                                in enumerate(leading, start=1)]
+            else:
+                assert enforcer.on_event(event) == ((event,), (), False)
+
+    def test_a_state_the_automaton_never_names_raises_in_step(self):
+        automaton = self.DANGLING_TARGET
+        with pytest.raises(MissingTransitionError):
+            step(automaton, "nowhere", Event(DOB, seq=1))
+        event = Event(DOX, seq=1)
+        assert step(automaton, "nowhere", event) == ("nowhere", [event])
 
 
 def bundled_policies():

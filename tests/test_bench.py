@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from proactive import bench
@@ -62,3 +68,20 @@ class TestRunBenchmark:
 
     def test_empty_result_has_no_highest(self):
         assert BenchResult(actions=(), repetitions=3).highest_overhead() is None
+
+
+class TestColdStartTool:
+    def test_two_rounds_alternate_and_record_the_bytecode_setting(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        out = tmp_path / "cold.json"
+        subprocess.run([sys.executable, str(root / "tools" / "cold_start.py"),
+                        "--rounds", "2", "--out", str(out)],
+                       check=True, capture_output=True)
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["first"] for r in report["runs"]] == ["bare", "run"]
+        for r in report["runs"]:
+            assert r["run_ms"] > 0 and r["bare_ms"] > 0
+            assert r["over_bare_ms"] == pytest.approx(r["run_ms"] - r["bare_ms"],
+                                                      abs=0.02)
+        assert report["pythondontwritebytecode"] \
+            == os.environ.get("PYTHONDONTWRITEBYTECODE")

@@ -53,6 +53,7 @@ from helpers import (
     random_policy_doc,
     random_trace,
     reference_gate,
+    reference_move,
     synth,
 )
 
@@ -714,7 +715,10 @@ class TestFastPathCommits:
         hearhere = handles[self.HEARHERE]
         cached = (8000, 16, 2, 1024, 0)
         hearhere.state, hearhere.cached_ctor_args = "1", cached
-        assert hearhere.policy.automaton.moves[STOP_REC]["1"] == ("1", None)
+        # The idle self-loop is compiled out of moves: nothing to commit.
+        automaton = hearhere.policy.automaton
+        assert reference_move(automaton, "1", STOP_REC) == ("1", None)
+        assert "1" not in automaton.moves[STOP_REC]
         commits = watch_commits(enforcer)
         event = Event(STOP_REC, seq=1)
         assert enforcer.on_event(event) == ((event,), (), False)
