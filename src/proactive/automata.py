@@ -396,7 +396,9 @@ class EditAutomaton:
         forward-only self-loop on a non-constructor is left out, so an
         absent state stays put and forwards.  A state that is declared,
         initial, or a transition's source or target, and that no transition
-        leaves on the symbol, maps to _MISSING.  The form deploy, on_event,
+        leaves on the symbol, maps to _MISSING.  No other state has an
+        entry: nothing puts a module there, and each reader takes it as
+        idle.  The form deploy, on_event,
         step and violations read; built from the transitions in declaration
         order, with one Template.of per editing transition."""
         vocabulary = self.vocabulary
@@ -527,19 +529,12 @@ class BindingContext:
 def _match(automaton: EditAutomaton, state: str,
            symbol: ActionSymbol) -> Optional[Move]:
     """The move of the first-declared matching transition; None bypasses
-    the automaton, or stays in state and forwards the input."""
+    the automaton, or stays in state and forwards the input, as on_event
+    reads it."""
     move = automaton.moves.get(symbol, {}).get(state)
-    if move is _MISSING or (move is None and symbol in automaton.vocabulary
-                            and not _names(automaton, state)):
+    if move is _MISSING:
         raise MissingTransitionError(state, symbol)
     return move
-
-
-def _names(automaton: EditAutomaton, state: str) -> bool:
-    """Whether state is one moves covers: declared, initial, or an end of
-    a transition.  No transition leaves any other state."""
-    return (state in automaton.states or state == automaton.initial
-            or any(state in (t.source, t.target) for t in automaton.transitions))
 
 
 def instantiate(template: Template, trigger: Event, cached_ctor_args: Optional[tuple],

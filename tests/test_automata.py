@@ -632,12 +632,20 @@ class TestMissingTransitionFromUndeclaredStates:
             else:
                 assert enforcer.on_event(event) == ((event,), (), False)
 
-    def test_a_state_the_automaton_never_names_raises_in_step(self):
+    def test_a_state_the_automaton_never_names_is_idle_on_every_path(self):
+        # No initial state or transition puts a module there, so moves
+        # holds nothing for it: step and on_event both stay and forward.
+        # violations starts from the initial state and never gets there.
         automaton = self.DANGLING_TARGET
-        with pytest.raises(MissingTransitionError):
-            step(automaton, "nowhere", Event(DOB, seq=1))
-        event = Event(DOX, seq=1)
-        assert step(automaton, "nowhere", event) == ("nowhere", [event])
+        for symbol in (DOA, DOB, DOX):
+            event = Event(symbol, seq=1)
+            assert step(automaton, "nowhere", event) == ("nowhere", [event])
+        enforcer = PolicyEnforcer()
+        module = enforcer.deploy(make_doc("stuck", automaton))
+        module.state = "nowhere"
+        event = Event(DOB, seq=1)
+        assert enforcer.on_event(event) == ((event,), (), False)
+        assert module.state == "nowhere"
 
 
 def bundled_policies():

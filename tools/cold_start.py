@@ -1,7 +1,7 @@
 """Cold start: what one `proactive` process costs over bare Python.
 
 Each round runs two subprocesses, `python -c pass` and `python -m
-proactive.cli run --scenario <scenario>`, the one that goes first
+proactive.cli run --scenario …/hearhere.scn`, the one that goes first
 alternating from round to round, and times each one's wall time.  The
 repo's `src/` is put first on PYTHONPATH, so the run needs no install.
 The JSON written holds every round, the medians and the median of the
@@ -45,7 +45,6 @@ def timed(argv: list[str], env: dict[str, str]) -> tuple[float, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--scenario", type=Path, default=SCENARIO)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cold_start.json")
     args = parser.parse_args(argv)
     if args.rounds < 2:
@@ -56,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     bare = [sys.executable, "-c", "pass"]
     run = [sys.executable, "-m", "proactive.cli", "run", "--scenario",
-           str(args.scenario)]
+           str(SCENARIO)]
 
     rounds = []
     outputs = set()
@@ -80,13 +79,12 @@ def main(argv: list[str] | None = None) -> int:
     for key in ("bare_ms", "run_ms", "over_bare_ms"):
         values = [r[key] for r in rounds]
         summary[key] = {"median": round(statistics.median(values), 2),
-                        "min": min(values),
                         "quartiles": [round(q, 2) for q in
                                       statistics.quantiles(values, n=4)]}
     report = {
-        "what": "Wall time of one `proactive run` process on a scenario "
+        "what": "Wall time of one `proactive run` process on hearhere.scn "
                 "against bare `python -c pass`, in alternating rounds.",
-        "command": ["python", *run[1:5], os.path.relpath(args.scenario, ROOT)],
+        "command": ["python", *run[1:5], os.path.relpath(SCENARIO, ROOT)],
         "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
