@@ -243,14 +243,6 @@ class OutputItem:
     def forward() -> "OutputItem":
         return _FORWARD_ONLY[0]
 
-    @staticmethod
-    def synthesize(
-        symbol: ActionSymbol,
-        arg_source: ArgSource = ArgSource.NONE,
-        literals: tuple = (),
-    ) -> "OutputItem":
-        return OutputItem(symbol, arg_source, literals)
-
     @property
     def is_forward(self) -> bool:
         return self.symbol is None

@@ -241,15 +241,15 @@ def _parse_item(lp: _LineParser) -> OutputItem:
                 "'input' or 'insert'")
     symbol = _parse_symbol_atom(lp)
     if lp.peek() != "args":
-        return OutputItem.synthesize(symbol)
+        return OutputItem(symbol)
     lp.pos += 1
     source = lp.next("'cached', 'none' or '('")
     if source == "cached":
-        return OutputItem.synthesize(symbol, ArgSource.CACHED)
+        return OutputItem(symbol, ArgSource.CACHED)
     if source == "none":
-        return OutputItem.synthesize(symbol)
+        return OutputItem(symbol)
     if source == "(":
-        return OutputItem.synthesize(symbol, ArgSource.LITERALS, _parse_literals(lp))
+        return OutputItem(symbol, ArgSource.LITERALS, _parse_literals(lp))
     lp.fail("syntax", lp.pos - 1, f"unexpected token {source!r}",
             "'cached', 'none' or '('")
 

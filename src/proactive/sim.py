@@ -53,9 +53,6 @@ class ScenarioError(Exception):
         super().__init__(prefix + message)
 
 
-INTERFACES = ("AudioRecord", "Camera", "LocationManager", "SensorManager",
-              "BluetoothAdapter", "RemoteCallbackList")
-
 # Interfaces whose instances are created through a constructor hook and
 # hold the underlying device exclusively.
 _CONSTRUCTED = {"AudioRecord"}
@@ -72,39 +69,36 @@ _CALLBACK_STATE = {
 
 _LAUNCH = ("onCreate", "onStart", "onResume")
 
+# The activity lifecycle: each command, the states it may start from, and
+# the callbacks it runs there.  Rotating is destroying and launching again.
+_LIFECYCLE: dict[str, dict[Optional[ActivityState], tuple[str, ...]]] = {
+    "launch": {None: _LAUNCH},
+    "background": {ActivityState.RESUMED: ("onPause", "onStop"),
+                   ActivityState.PAUSED: ("onStop",)},
+    "foreground": {ActivityState.STOPPED: ("onRestart", "onStart", "onResume"),
+                   ActivityState.PAUSED: ("onResume",)},
+    "destroy": {ActivityState.RESUMED: ("onPause", "onStop", "onDestroy"),
+                ActivityState.PAUSED: ("onStop", "onDestroy"),
+                ActivityState.STOPPED: ("onDestroy",)},
+}
+_LIFECYCLE["rotate"] = {state: callbacks + _LAUNCH
+                        for state, callbacks in _LIFECYCLE["destroy"].items()}
+
 
 def lifecycle_callbacks(state: Optional[ActivityState], command: str) -> list[str]:
     """Canonical callback sequence for a lifecycle command, or raise
     IllegalLifecycleError if the command is not legal in `state`."""
+    callbacks = _LIFECYCLE.get(command, {}).get(state)
+    if callbacks is not None:
+        return list(callbacks)
     if command == "launch":
-        if state is None:
-            return list(_LAUNCH)
         raise IllegalLifecycleError("activity already launched")
     if state is None:
         raise IllegalLifecycleError(f"{command!r} before launch")
-    if command == "background":
-        if state is ActivityState.RESUMED:
-            return ["onPause", "onStop"]
-        if state is ActivityState.PAUSED:
-            return ["onStop"]
-        raise IllegalLifecycleError(f"cannot background a {state.value} activity")
-    if command == "foreground":
-        if state is ActivityState.STOPPED:
-            return ["onRestart", "onStart", "onResume"]
-        if state is ActivityState.PAUSED:
-            return ["onResume"]
-        raise IllegalLifecycleError(f"cannot foreground a {state.value} activity")
-    if command == "destroy":
-        if state is ActivityState.RESUMED:
-            return ["onPause", "onStop", "onDestroy"]
-        if state is ActivityState.PAUSED:
-            return ["onStop", "onDestroy"]
-        if state is ActivityState.STOPPED:
-            return ["onDestroy"]
-        raise IllegalLifecycleError(f"cannot destroy a {state.value} activity")
-    if command == "rotate":
-        return lifecycle_callbacks(state, "destroy") + list(_LAUNCH)
-    raise IllegalLifecycleError(f"unknown lifecycle command {command!r}")
+    if command not in _LIFECYCLE:
+        raise IllegalLifecycleError(f"unknown lifecycle command {command!r}")
+    verb = "destroy" if command == "rotate" else command
+    raise IllegalLifecycleError(f"cannot {verb} a {state.value} activity")
 
 
 @dataclass
@@ -205,7 +199,7 @@ def parse_scenario(text: str, name: str,
                     f"duplicate 'app' directive (first on line {app_line})",
                     lineno)
             app, app_line = tokens[1], lineno
-        elif head in ("launch", "background", "foreground", "rotate", "destroy"):
+        elif head in _LIFECYCLE:
             if len(tokens) != 1:
                 raise ScenarioError(f"{head} takes no arguments", lineno)
             steps.append(ScenarioStep(head, line=lineno))
@@ -405,6 +399,8 @@ _PROTOCOLS = {
     ("RemoteCallbackList", "kill"): _release,
 }
 
+INTERFACES = tuple(dict.fromkeys(interface for interface, _ in _PROTOCOLS))
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -435,7 +431,9 @@ def run_scenario(script: ScenarioScript,
     world = SimWorld(script.app)
     if enforcer is not None:
         enforcer.sink = world
-    log = enforcer.intervention_log if enforcer is not None else []
+        consume, log = enforcer.on_event, enforcer.intervention_log
+    else:
+        consume, log = world.execute, []
     step_times: list[float] = []
     interventions_per_step: list[int] = []
 
@@ -443,22 +441,14 @@ def run_scenario(script: ScenarioScript,
         instance = None
         if symbol.kind is Kind.API_CALL:
             instance = world.current_instance(symbol.interface)
-        event = Event(symbol=symbol, seq=world.next_seq(), instance=instance,
-                      args=args, origin=Origin.APP)
-        if enforcer is not None:
-            enforcer.on_event(event)
-        else:
-            world.execute(event)
+        consume(Event(symbol=symbol, seq=world.next_seq(), instance=instance,
+                      args=args, origin=Origin.APP))
 
     for step in script.steps:
         logged = len(log)
         started = time.perf_counter()
         try:
-            if step.command in ("launch", "background", "foreground",
-                                "rotate", "destroy"):
-                for method in lifecycle_callbacks(world.state, step.command):
-                    dispatch(ActionSymbol.callback(method))
-            elif step.command == "tap":
+            if step.command == "tap":
                 actions = APP_BUTTONS.get((script.app, step.button))
                 if actions is None:
                     raise ScenarioError(
@@ -469,8 +459,8 @@ def run_scenario(script: ScenarioScript,
             elif step.command == "call":
                 dispatch(step.symbol, step.args)
             else:
-                raise ScenarioError(f"unknown command {step.command!r}",
-                                    step.line)
+                for method in lifecycle_callbacks(world.state, step.command):
+                    dispatch(ActionSymbol.callback(method))
         except (SimProtocolError, IllegalLifecycleError) as exc:
             raise ScenarioError(str(exc), step.line) from exc
         except (HealingFailureError, PolicyAuthoringError) as exc:

@@ -62,6 +62,7 @@ from proactive.enforcer import (
     RecordingSink,
 )
 from proactive.pack import bundled_pack_dir
+from proactive.sim import ActivityState, IllegalLifecycleError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,7 +78,6 @@ RELEASE_AR = ActionSymbol.call("AudioRecord", "release")
 ON_STOP = ActionSymbol.callback("onStop")
 
 fwd = OutputItem.forward
-synth = OutputItem.synthesize
 
 
 def make_doc(name: str, automaton: EditAutomaton,
@@ -95,9 +95,9 @@ def substitution_automaton() -> EditAutomaton:
         states=frozenset({"0", "1"}),
         initial="0",
         transitions=(
-            Transition("0", Guard.exactly(DOA), (synth(DOX),), "0"),
+            Transition("0", Guard.exactly(DOA), (OutputItem(DOX),), "0"),
             Transition("0", other, (fwd(),), "1"),
-            Transition("1", Guard.exactly(DOA), (fwd(), synth(DOX)), "1"),
+            Transition("1", Guard.exactly(DOA), (fwd(), OutputItem(DOX)), "1"),
             Transition("1", other, (fwd(),), "0"),
         ),
     )
@@ -121,7 +121,8 @@ def forced_release_automaton() -> EditAutomaton:
             Transition("2", Guard.exactly(RELEASE_AR), (fwd(),), "0"),
             Transition("2", Guard.exactly(STOP_REC), (fwd(),), "1"),
             Transition("2", Guard.exactly(ON_STOP),
-                       (synth(STOP_REC), synth(RELEASE_AR), fwd()), "0"),
+                       (OutputItem(STOP_REC), OutputItem(RELEASE_AR), fwd()),
+                       "0"),
         ),
     )
 
@@ -181,7 +182,7 @@ def _random_template(rng: random.Random) -> tuple[OutputItem, ...]:
                 rng.choice([rng.randint(-99, 99),
                             "".join(rng.choices(_STRING_CHARS, k=4))])
                 for _ in range(rng.randint(0, 3)))
-        return synth(rng.choice(_SYMBOL_POOL), source, literals)
+        return OutputItem(rng.choice(_SYMBOL_POOL), source, literals)
 
     shape = rng.randrange(6)
     if shape == 0:
@@ -551,6 +552,43 @@ class ReferenceEnforcer(PolicyEnforcer):
 # comment, then tokenize, then unquote, each walking the characters.
 
 _REFERENCE_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}(),]|[^\s{}(),"]+')
+
+
+_LAUNCH = ["onCreate", "onStart", "onResume"]
+
+
+def reference_lifecycle_callbacks(state: Optional[ActivityState],
+                                  command: str) -> list[str]:
+    """sim.lifecycle_callbacks as an if-ladder over commands and states."""
+    if command == "launch":
+        if state is None:
+            return list(_LAUNCH)
+        raise IllegalLifecycleError("activity already launched")
+    if state is None:
+        raise IllegalLifecycleError(f"{command!r} before launch")
+    if command == "background":
+        if state is ActivityState.RESUMED:
+            return ["onPause", "onStop"]
+        if state is ActivityState.PAUSED:
+            return ["onStop"]
+        raise IllegalLifecycleError(f"cannot background a {state.value} activity")
+    if command == "foreground":
+        if state is ActivityState.STOPPED:
+            return ["onRestart", "onStart", "onResume"]
+        if state is ActivityState.PAUSED:
+            return ["onResume"]
+        raise IllegalLifecycleError(f"cannot foreground a {state.value} activity")
+    if command == "destroy":
+        if state is ActivityState.RESUMED:
+            return ["onPause", "onStop", "onDestroy"]
+        if state is ActivityState.PAUSED:
+            return ["onStop", "onDestroy"]
+        if state is ActivityState.STOPPED:
+            return ["onDestroy"]
+        raise IllegalLifecycleError(f"cannot destroy a {state.value} activity")
+    if command == "rotate":
+        return reference_lifecycle_callbacks(state, "destroy") + list(_LAUNCH)
+    raise IllegalLifecycleError(f"unknown lifecycle command {command!r}")
 
 
 def reference_strip_comment(line: str) -> str:

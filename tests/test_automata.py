@@ -53,7 +53,6 @@ from helpers import (
     reference_effect_sets,
     reference_matching,
     reference_validate,
-    synth,
 )
 
 
@@ -81,12 +80,12 @@ SUPPRESSING_CLASH = EditAutomaton(
 # transition matching it.
 INCOMPLETE = EditAutomaton(
     frozenset({"0"}), "0",
-    (loop("0", Guard.exactly(DOA), (synth(DOB), fwd())),))
+    (loop("0", Guard.exactly(DOA), (OutputItem(DOB), fwd())),))
 # doA matched twice and doB never: the guards' sizes sum to the vocabulary's
 # size, but they do not cover it.
 CLASH_AND_GAP = EditAutomaton(
     frozenset({"0"}), "0",
-    (loop("0", Guard.exactly(DOA), (synth(DOB), fwd())),
+    (loop("0", Guard.exactly(DOA), (OutputItem(DOB), fwd())),
      loop("0", Guard.exactly(DOA), (fwd(),))))
 INVALID = {"nondeterministic": NONDETERMINISTIC,
            "dangling-target": DANGLING_TARGET,
@@ -323,7 +322,7 @@ class TestStep:
         automaton = EditAutomaton(
             frozenset({"0"}), "0",
             (loop("0", Guard.exactly(DOA),
-                  (synth(NEW_AR, ArgSource.CACHED), fwd())),
+                  (OutputItem(NEW_AR, ArgSource.CACHED), fwd())),
              loop("0", Guard.any_except([DOA]), (fwd(),))))
         context = BindingContext()
         context.observe(Event(NEW_AR, seq=1, args=(8000, 16), instance="AR#1"))
@@ -335,7 +334,7 @@ class TestStep:
         automaton = EditAutomaton(
             frozenset({"0"}), "0",
             (loop("0", Guard.exactly(DOA),
-                  (synth(NEW_AR, ArgSource.CACHED), fwd())),
+                  (OutputItem(NEW_AR, ArgSource.CACHED), fwd())),
              loop("0", Guard.any_except([DOA]), (fwd(),))))
         with pytest.raises(PolicyAuthoringError):
             step(automaton, "0", Event(DOA, seq=1))
@@ -344,7 +343,7 @@ class TestStep:
         automaton = EditAutomaton(
             frozenset({"0"}), "0",
             (loop("0", Guard.exactly(DOA),
-                  (synth(DOB, ArgSource.LITERALS, (1, "x")), fwd())),
+                  (OutputItem(DOB, ArgSource.LITERALS, (1, "x")), fwd())),
              loop("0", Guard.any_except([DOA]), (fwd(),))))
         _, out = step(automaton, "0", Event(DOA, seq=1))
         assert out[0].args == (1, "x")
@@ -417,7 +416,7 @@ class TestEffectSets:
         automaton = EditAutomaton(
             frozenset({"0"}), "0",
             (loop("0", Guard.exactly(DOA), (fwd(),)),
-             loop("0", Guard.exactly(DOB), (synth(DOX), fwd())),
+             loop("0", Guard.exactly(DOB), (OutputItem(DOX), fwd())),
              loop("0", Guard.any_except([DOA, DOB]), ()),))
         assert automaton.effects.suppressible == frozenset({DOX})
 

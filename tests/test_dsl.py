@@ -3,9 +3,11 @@ import json
 import pytest
 
 from proactive.automata import (
+    ActionSymbol,
     ArgSource,
     EditAutomaton,
     Guard,
+    OutputItem,
     Transition,
     quote,
     unquote,
@@ -35,7 +37,6 @@ from helpers import (
     random_policy_doc,
     reference_tokenize_line,
     reference_unquote,
-    synth,
 )
 
 
@@ -88,6 +89,19 @@ class TestParse:
         doc = parse(text)
         suppressing = [t for t in doc.automaton.transitions if not t.output]
         assert len(suppressing) == 1
+
+    def test_any_of_guard_and_args_none(self):
+        text = ('policy p\nstatement "s"\ntarget T\nstates 0\ninitial 0\n'
+                "on any-of {call T.x call T.y} from 0 to 0 "
+                "emit insert call T.z args none, input\n"
+                "on any-except {call T.x call T.y} from 0 to 0 emit input\n")
+        doc = parse(text)
+        first = doc.automaton.transitions[0]
+        assert first.guard == Guard.any_of([ActionSymbol.call("T", "x"),
+                                            ActionSymbol.call("T", "y")])
+        assert first.output == (OutputItem(ActionSymbol.call("T", "z")),
+                                OutputItem.forward())
+        assert parse(serialize(doc)) == doc
 
     def test_missing_directives_each_reported(self):
         with pytest.raises(PolicyParseError) as exc:
@@ -326,7 +340,8 @@ class TestSerialize:
         base = make_doc("p", EditAutomaton(
             frozenset({"0"}), "0",
             (Transition("0", Guard.exactly(DOA),
-                        (synth(DOB, ArgSource.LITERALS, (f"x{char}y",)), fwd()),
+                        (OutputItem(DOB, ArgSource.LITERALS, (f"x{char}y",)),
+                         fwd()),
                         "0"),
              Transition("0", Guard.exactly(DOB), (fwd(),), "0"))))
         doc = dataclasses.replace(base, statement=f"a{char}b")

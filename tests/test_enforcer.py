@@ -15,6 +15,7 @@ from proactive.automata import (
     Guard,
     MissingTransitionError,
     Origin,
+    OutputItem,
     PolicyAuthoringError,
     Trace,
     Transition,
@@ -54,7 +55,6 @@ from helpers import (
     random_trace,
     reference_gate,
     reference_move,
-    synth,
 )
 
 FAULTY = Trace.from_symbols([NEW_AR, START_REC, ON_STOP])
@@ -420,7 +420,8 @@ class TestOnEvent:
              Transition("0", Guard.any_except([DOA]), (fwd(),), "0"))))
         inserter = make_doc("inserter", EditAutomaton(
             frozenset({"0"}), "0",
-            (Transition("0", Guard.exactly(DOA), (fwd(), synth(DOB)), "0"),
+            (Transition("0", Guard.exactly(DOA), (fwd(), OutputItem(DOB)),
+                        "0"),
              Transition("0", Guard.any_except([DOA]), (fwd(),), "0"))))
         monkeypatch.setattr("proactive.enforcer.check_pair",
                             lambda a, b: InterferenceReport())
@@ -583,7 +584,8 @@ class TestOnEvent:
         enforcer = PolicyEnforcer()
         enforcer.deploy(make_doc("incomplete", EditAutomaton(
             frozenset({"0", "1"}), "0",
-            (Transition("0", Guard.exactly(DOA), (fwd(), synth(DOB)), "1"),))))
+            (Transition("0", Guard.exactly(DOA), (fwd(), OutputItem(DOB)),
+                        "1"),))))
         with pytest.raises(MissingTransitionError):
             enforcer.on_event(Event(DOB, seq=1))
         enforcer.on_event(Event(DOA, seq=2))
@@ -610,7 +612,7 @@ def post_insert_policy():
     """Forwards doA, then inserts doB after it, once."""
     return make_doc("post-insert", EditAutomaton(
         frozenset({"0", "1"}), "0",
-        (Transition("0", Guard.exactly(DOA), (fwd(), synth(DOB)), "1"),
+        (Transition("0", Guard.exactly(DOA), (fwd(), OutputItem(DOB)), "1"),
          Transition("0", Guard.any_except([DOA]), (fwd(),), "0"),
          Transition("1", Guard.any(), (fwd(),), "1"))))
 

@@ -1,6 +1,6 @@
 import itertools
 
-from proactive.automata import EditAutomaton, Guard, Transition
+from proactive.automata import EditAutomaton, Guard, OutputItem, Transition
 from proactive.dsl import parse
 from proactive.interference import Direction, InterferencePair, check_pair, check_set
 
@@ -15,7 +15,6 @@ from helpers import (
     policy_files,
     random_policy_doc,
     reference_check_pair,
-    synth,
 )
 
 
@@ -30,7 +29,8 @@ def forwarder(name, symbol, target="Api"):
 def inserter(name, trigger, inserted):
     automaton = EditAutomaton(
         frozenset({"0"}), "0",
-        (Transition("0", Guard.exactly(trigger), (fwd(), synth(inserted)), "0"),
+        (Transition("0", Guard.exactly(trigger),
+                    (fwd(), OutputItem(inserted)), "0"),
          Transition("0", Guard.any_except([trigger]), (fwd(),), "0")))
     return make_doc(name, automaton)
 

@@ -116,6 +116,16 @@ class TestLoadPack:
         with pytest.raises(PackLoadError, match="unknown expectation"):
             load_pack(tmp_path)
 
+    @pytest.mark.parametrize("line", ["healed", "a healed now"])
+    def test_manifest_line_without_two_fields(self, tmp_path, line):
+        (tmp_path / "manifest").write_text(f"a healed\n{line}\n",
+                                           encoding="utf-8")
+        with pytest.raises(PackLoadError) as exc:
+            load_pack(tmp_path)
+        assert exc.value.problems == [
+            f"manifest:2: expected '<scenario> healed|no-violation', "
+            f"got {line!r}"]
+
     def test_scenario_listed_twice_in_manifest(self, tmp_path):
         (tmp_path / "manifest").write_text(
             "a healed\nb healed\na no-violation\n", encoding="utf-8")

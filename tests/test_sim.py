@@ -3,10 +3,13 @@ import pytest
 from proactive.automata import ActionSymbol, Event, Origin
 from proactive.enforcer import PolicyEnforcer
 from proactive.sim import (
+    INTERFACES,
     ActivityState,
     Checkpoint,
     IllegalLifecycleError,
     ScenarioError,
+    ScenarioScript,
+    ScenarioStep,
     SimProtocolError,
     SimWorld,
     lifecycle_callbacks,
@@ -14,7 +17,10 @@ from proactive.sim import (
     run_scenario,
 )
 
-from helpers import event_shapes
+from helpers import event_shapes, reference_lifecycle_callbacks
+
+LIFECYCLE_COMMANDS = ("launch", "background", "foreground", "rotate",
+                      "destroy")
 
 
 def deploy_all(pack):
@@ -61,6 +67,19 @@ class TestLifecycle:
         with pytest.raises(IllegalLifecycleError):
             lifecycle_callbacks(ActivityState.STOPPED, "background")
 
+    @pytest.mark.parametrize("command", [*LIFECYCLE_COMMANDS, "fly"])
+    @pytest.mark.parametrize("state", [None, *ActivityState],
+                             ids=lambda state: getattr(state, "value", "none"))
+    def test_agrees_with_the_reference_ladder(self, state, command):
+        def outcome(function):
+            try:
+                return function(state, command)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lifecycle_callbacks) \
+            == outcome(reference_lifecycle_callbacks)
+
 
 class TestParseScenario:
     def test_minimal(self):
@@ -79,6 +98,26 @@ class TestParseScenario:
     def test_unknown_command_has_line(self):
         with pytest.raises(ScenarioError, match="line 3"):
             parse_scenario("app X\nlaunch\nfly\n", "x")
+
+    @pytest.mark.parametrize("command", LIFECYCLE_COMMANDS)
+    def test_each_lifecycle_command_is_a_step(self, command):
+        script = parse_scenario(f"app X\nlaunch\n{command}\n", "x")
+        assert script.steps[1] == ScenarioStep(command, line=3)
+
+    @pytest.mark.parametrize("line, message", [
+        ("app", "app directive takes one name"),
+        ("app A B", "app directive takes one name"),
+        ("destroy now", "destroy takes no arguments"),
+        ("tap", "tap takes one button name"),
+        ("tap START STOP", "tap takes one button name"),
+        ("call", "call takes a target"),
+        ("call new", "call new takes an interface"),
+    ])
+    def test_arity_error_names_its_line(self, line, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(f"app X\nlaunch\n{line}\n", "x")
+        assert exc.value.line == 3
+        assert str(exc.value) == f"line 3: {message}"
 
     def test_malformed_call_target(self):
         with pytest.raises(ScenarioError, match="malformed"):
@@ -120,6 +159,11 @@ class TestParseScenario:
 
 
 class TestProtocols:
+    def test_interfaces_are_the_protocols_in_order(self):
+        assert INTERFACES == ("AudioRecord", "Camera", "LocationManager",
+                              "SensorManager", "BluetoothAdapter",
+                              "RemoteCallbackList")
+
     def test_start_recording_requires_acquisition(self):
         world = SimWorld("HearHere")
         with pytest.raises(SimProtocolError):
@@ -227,6 +271,18 @@ class TestRunScenario:
         script = parse_scenario("app HearHere\nlaunch\ntap NOPE\n", "x")
         with pytest.raises(ScenarioError, match="NOPE"):
             run_scenario(script)
+
+    @pytest.mark.parametrize("steps, message", [
+        (("launch", "fly"), "unknown lifecycle command 'fly'"),
+        (("fly",), "'fly' before launch"),
+    ])
+    def test_unknown_command_of_a_built_script(self, steps, message):
+        script = ScenarioScript("x", "X", tuple(
+            ScenarioStep(command, line=line)
+            for line, command in enumerate(steps, start=2)))
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(script)
+        assert str(exc.value) == f"line {len(steps) + 1}: {message}"
 
     def test_step_bookkeeping(self, pack, scenarios):
         result = run_scenario(scenarios["hearhere"], deploy_all(pack))

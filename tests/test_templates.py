@@ -20,6 +20,7 @@ from proactive.automata import (
     Kind,
     MissingTransitionError,
     Origin,
+    OutputItem,
     PolicyAuthoringError,
     Trace,
     Transition,
@@ -36,7 +37,6 @@ from helpers import (
     policy_files,
     random_policy_doc,
     reference_step,
-    synth,
 )
 from test_automata import INVALID
 
@@ -193,7 +193,7 @@ def test_step_and_on_event_share_one_instantiation(monkeypatch):
 
     monkeypatch.setattr(automata_module, "instantiate", counting)
     monkeypatch.setattr(enforcer_module, "instantiate", counting)
-    automaton = one_state(loop(Guard.exactly(DOA), (synth(DOB), fwd())),
+    automaton = one_state(loop(Guard.exactly(DOA), (OutputItem(DOB), fwd())),
                           loop(Guard.any_except([DOA]), (fwd(),)))
     template = automaton.moves[DOA]["0"][1]
     step(automaton, "0", Event(DOA, seq=1))
@@ -207,8 +207,9 @@ def test_step_and_on_event_share_one_instantiation(monkeypatch):
 class TestTemplateEdgeCases:
     def test_literal_constructor_feeds_a_later_cached_item(self):
         automaton = one_state(
-            loop(Guard.exactly(DOA), (synth(NEW_API, ArgSource.LITERALS, (3, "lit")),
-                                      synth(DOB, ArgSource.CACHED), fwd())),
+            loop(Guard.exactly(DOA),
+                 (OutputItem(NEW_API, ArgSource.LITERALS, (3, "lit")),
+                  OutputItem(DOB, ArgSource.CACHED), fwd())),
             loop(Guard.any_except([DOA]), (fwd(),)))
         context = BindingContext(cached_ctor_args=(9,))
         _, out = step(automaton, "0", Event(DOA, seq=1), context)
@@ -226,7 +227,8 @@ class TestTemplateEdgeCases:
 
     def test_item_on_the_app_constructors_interface_gets_its_instance(self):
         automaton = one_state(
-            loop(Guard.exactly(NEW_API), (synth(DOA), fwd(), synth(DOB))),
+            loop(Guard.exactly(NEW_API),
+                 (OutputItem(DOA), fwd(), OutputItem(DOB))),
             loop(Guard.any_except([NEW_API]), (fwd(),)))
         event = Event(NEW_API, seq=2, instance="Api#app", args=(1,))
         context = BindingContext(instances={"Api": "Api#old"})
@@ -244,7 +246,7 @@ class TestTemplateEdgeCases:
     def test_two_inputs_step_emits_both_and_on_event_delivers_one(self):
         # Unvalidated: validate reports multiple-forwards for this template.
         automaton = one_state(
-            loop(Guard.exactly(DOA), (fwd(), synth(DOB), fwd())),
+            loop(Guard.exactly(DOA), (fwd(), OutputItem(DOB), fwd())),
             loop(Guard.any_except([DOA]), (fwd(),)))
         event = Event(DOA, seq=3)
         _, out = step(automaton, "0", event)
