@@ -100,9 +100,8 @@ def run_one(script: ScenarioScript, pack: PolicyPack, enforce: bool,
     if enforce:
         enforcer = PolicyEnforcer()
         for policy in pack.deployable():
-            handle = enforcer.deploy(policy)
-            if policy.name in disabled:
-                enforcer.set_enabled(handle, False)
+            if policy.name not in disabled:
+                enforcer.deploy(policy)
     result = run_scenario(script, enforcer)
     return RunReport(
         scenario=script.name,
@@ -294,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--pack", help="policy pack directory")
     p_run.add_argument("--no-enforce", dest="enforce", action="store_false")
     p_run.add_argument("--disable", action="append", default=[],
-                       metavar="POLICY", help="deploy but disable a policy")
+                       metavar="POLICY",
+                       help="leave a policy undeployed (repeatable)")
     p_run.add_argument("--out", help="write a JSON report to this path")
     p_run.add_argument("--parallel", action="store_true",
                        help="run independent scenarios on separate threads")

@@ -52,10 +52,6 @@ class DuplicatePolicyError(Exception):
     pass
 
 
-class StaleHandleError(Exception):
-    pass
-
-
 class HealingFailureError(Exception):
     """The sink rejected a synthesized event, named with the policy that
     synthesized it; the app event's own failure propagates as is.  No
@@ -93,12 +89,7 @@ class ProactiveModule:
 
     policy: PolicyDoc
     state: str
-    enabled: bool = True
     cached_ctor_args: Optional[tuple] = None
-
-    def reset(self) -> None:
-        self.state = self.policy.automaton.initial
-        self.cached_ctor_args = None
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -137,7 +128,7 @@ def _policy_name(watcher: tuple[ProactiveModule, dict[str, Move]]) -> str:
 
 
 class PolicyEnforcer:
-    """Dispatches intercepted events to enabled modules in policy-name order."""
+    """Dispatches intercepted events to the deployed modules in policy-name order."""
 
     def __init__(self, sink: Optional[EventSink] = None) -> None:
         self.sink: EventSink = sink if sink is not None else RecordingSink()
@@ -178,19 +169,10 @@ class PolicyEnforcer:
                    key=_policy_name)
         return module
 
-    def set_enabled(self, handle: ProactiveModule, on: bool) -> None:
-        """Enable/disable a module; turning on resets it to the initial
-        state and clears the cached constructor args."""
-        if not any(m is handle for m in self.modules):
-            raise StaleHandleError(handle.policy.name)
-        if on and not handle.enabled:
-            handle.reset()
-        handle.enabled = on
-
     def on_event(self, event: Event) -> EnforcementOutcome:
         """Offer one app event to the modules and execute the result.
 
-        One walk of the watchers, in policy-name order, queues each enabled
+        One walk of the watchers, in policy-name order, queues each
         module's move and instantiates an editing move's template at once;
         a module with no move in its state (an idle self-loop) is passed,
         and one whose move is _MISSING raises MissingTransitionError.
@@ -210,7 +192,7 @@ class PolicyEnforcer:
         edits: list[tuple[ProactiveModule, tuple[Event, ...], int, bool]] = []
         for module, moves in self.watchers.get(event.symbol, ()):
             move = moves.get(module.state)
-            if move is None or not module.enabled:
+            if move is None:
                 continue
             next_state, template = move
             if template is not None:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import ActionSymbol, Event, Kind, Origin, PolicyAuthoringError, Trace
+from .automata import ActionSymbol, Event, Kind, Origin, PolicyAuthoringError
 from .dsl import INTEGER
 from .enforcer import HealingFailureError, InterventionRecord, PolicyEnforcer
 
@@ -103,23 +103,21 @@ def lifecycle_callbacks(state: Optional[ActivityState], command: str) -> list[st
 
 @dataclass
 class SimResource:
-    """One simulated resource API; holder is set exactly while held."""
+    """One simulated resource API; the world's one activity holds it
+    while held is set."""
 
     interface: str
     held: bool = False
-    holder: Optional[str] = None
     acquired_at: Optional[int] = None
     instance: Optional[str] = None
     registrations: int = 0
 
-    def acquire(self, holder: str, seq: int) -> None:
+    def acquire(self, seq: int) -> None:
         self.held = True
-        self.holder = holder
         self.acquired_at = seq
 
     def release_all(self) -> None:
         self.held = False
-        self.holder = None
         self.acquired_at = None
         self.instance = None
         self.registrations = 0
@@ -128,7 +126,7 @@ class SimResource:
 @dataclass(frozen=True)
 class LeakEntry:
     interface: str
-    holder: Optional[str]
+    holder: str
     acquired_at: Optional[int]
     checkpoint: Checkpoint
 
@@ -300,7 +298,7 @@ class SimWorld:
                 f"{interface} is exclusively held; cannot acquire it twice")
         self._instance_counter += 1
         instance = f"{interface}#{self._instance_counter}"
-        resource.acquire(self.activity, event.seq)
+        resource.acquire(event.seq)
         resource.instance = instance
         return instance
 
@@ -319,7 +317,7 @@ class SimWorld:
         for resource in self.resources.values():
             if resource.held and resource.interface not in self._candidates:
                 self._candidates[resource.interface] = LeakEntry(
-                    resource.interface, resource.holder,
+                    resource.interface, self.activity,
                     resource.acquired_at, checkpoint)
 
     def leak_report(self) -> LeakReport:
@@ -332,19 +330,19 @@ class SimWorld:
                 continue
             entry = self._candidates.get(resource.interface)
             if entry is None:
-                entry = LeakEntry(resource.interface, resource.holder,
+                entry = LeakEntry(resource.interface, self.activity,
                                   resource.acquired_at, Checkpoint.END_OF_RUN)
             leaks.append(entry)
         leaks.sort(key=lambda e: (e.acquired_at or 0, e.interface))
         return LeakReport(tuple(leaks))
 
 
-# Per-interface protocol handlers.  Acquisition sets the holder; release
+# Per-interface protocol handlers.  Acquisition sets the hold; release
 # clears it.  Releases and stops are tolerant no-ops when idle so that a
 # synthesized cleanup after an app-side release cannot fail.
 
 def _simple_acquire(world, resource, event):
-    resource.acquire(world.activity, event.seq)
+    resource.acquire(event.seq)
 
 
 def _release(world, resource, event):
@@ -364,13 +362,13 @@ def _stop(world, resource, event):
 def _camera_open(world, resource, event):
     if resource.held:
         raise SimProtocolError("Camera is exclusively held; cannot open it twice")
-    resource.acquire(world.activity, event.seq)
+    resource.acquire(event.seq)
 
 
 def _register(world, resource, event):
     resource.registrations += 1
     if not resource.held:
-        resource.acquire(world.activity, event.seq)
+        resource.acquire(event.seq)
 
 
 def _unregister(world, resource, event):
@@ -404,7 +402,9 @@ INTERFACES = tuple(dict.fromkeys(interface for interface, _ in _PROTOCOLS))
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    trace: Trace
+    # The world's events as they executed, with the world's seqs: an
+    # inserted event shares its trigger's seq, as LeakEntry.acquired_at does.
+    trace: tuple[Event, ...]
     leaks: LeakReport
     interventions: tuple[InterventionRecord, ...]
     step_times: tuple[float, ...]  # seconds per script step
@@ -470,7 +470,7 @@ def run_scenario(script: ScenarioScript,
         step_times.append(time.perf_counter() - started)
         interventions_per_step.append(len(log) - logged)
 
-    return ScenarioResult(trace=Trace.of(world.trace),
+    return ScenarioResult(trace=tuple(world.trace),
                           leaks=world.leak_report(),
                           interventions=tuple(log),
                           step_times=tuple(step_times),

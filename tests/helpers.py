@@ -487,7 +487,7 @@ class ReferenceEnforcer(PolicyEnforcer):
         editing: list[tuple[ProactiveModule, Optional[Move]]] = []
         for module in sorted(self.modules, key=lambda m: m.policy.name):
             automaton = module.policy.automaton
-            if not module.enabled or event.symbol not in automaton.vocabulary:
+            if event.symbol not in automaton.vocabulary:
                 continue
             move = reference_move(automaton, module.state, event.symbol)
             if move is None or move[1] is not None:

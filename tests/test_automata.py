@@ -613,23 +613,16 @@ class TestMissingTransitionFromUndeclaredStates:
         assert violations(automaton, Trace.from_symbols([DOX])) == []
 
     @pytest.mark.parametrize("automaton, symbols", CASES)
-    def test_on_event_raises_unless_the_module_is_disabled(self, automaton,
-                                                           symbols):
+    def test_on_event_raises(self, automaton, symbols):
         *leading, last = symbols
-        for enabled in (True, False):
-            enforcer = PolicyEnforcer()
-            module = enforcer.deploy(make_doc("stuck", automaton))
-            for seq, symbol in enumerate(leading, start=1):
-                enforcer.on_event(Event(symbol, seq=seq))
-            enforcer.set_enabled(module, enabled)
-            event = Event(last, seq=len(symbols))
-            if enabled:
-                with pytest.raises(MissingTransitionError):
-                    enforcer.on_event(event)
-                assert enforcer.sink.events == [Event(s, seq=n) for n, s
-                                                in enumerate(leading, start=1)]
-            else:
-                assert enforcer.on_event(event) == ((event,), (), False)
+        enforcer = PolicyEnforcer()
+        enforcer.deploy(make_doc("stuck", automaton))
+        for seq, symbol in enumerate(leading, start=1):
+            enforcer.on_event(Event(symbol, seq=seq))
+        with pytest.raises(MissingTransitionError):
+            enforcer.on_event(Event(last, seq=len(symbols)))
+        assert enforcer.sink.events == [Event(s, seq=n) for n, s
+                                        in enumerate(leading, start=1)]
 
     def test_a_state_the_automaton_never_names_is_idle_on_every_path(self):
         # No initial state or transition puts a module there, so moves

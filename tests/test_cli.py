@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import proactive
 from proactive import cli, enforcer, interference
 from proactive.cli import main
+from proactive.dsl import parse
 from proactive.pack import bundled_pack_dir, bundled_scenarios_dir
 
 from helpers import FIXTURES
@@ -147,6 +148,44 @@ class TestRun:
         assert main(["run", "--scenario", scn("hearhere"), "--disable",
                      "nope"]) == 2
         assert "unknown policy" in capsys.readouterr().err
+
+    def test_disable_is_the_pack_without_the_policy(self, tmp_path, capsys):
+        """run --disable P does what run does on a copy of the pack that
+        lacks P's file: same stdout, stderr, exit code and --out JSON.  An
+        experimental policy is not deployed, so disabling it does nothing."""
+
+        def run(args):
+            code = main(["run", *args, "--out", str(tmp_path / "out.json")])
+            report = json.loads((tmp_path / "out.json").read_text("utf-8"))
+            for entry in report["reports"]:
+                entry["timing_ms"] = len(entry["timing_ms"])
+            return code, capsys.readouterr(), report
+
+        files = {parse(path.read_text("utf-8")): path
+                 for path in sorted(bundled_pack_dir().iterdir())
+                 if path.suffix == ".pol"}
+        deployable = [doc for doc in files if not doc.experimental]
+        experimental = [doc for doc in files if doc.experimental]
+        assert len(deployable) == 7 and experimental
+        scenarios = sorted(bundled_scenarios_dir().glob("*.scn"))
+        for doc in experimental:
+            for scenario in scenarios:
+                assert run(["--disable", doc.name, "--scenario",
+                            str(scenario)]) == run(["--scenario", str(scenario)])
+        codes = set()
+        for doc in deployable:
+            pack = tmp_path / doc.name
+            pack.mkdir()
+            for path in bundled_pack_dir().iterdir():
+                if path != files[doc]:
+                    (pack / path.name).write_bytes(path.read_bytes())
+            for scenario in scenarios:
+                disabled = run(["--disable", doc.name, "--scenario",
+                                str(scenario)])
+                assert disabled == run(["--pack", str(pack), "--scenario",
+                                        str(scenario)]), (doc.name, scenario)
+                codes.add(disabled[0])
+        assert codes == {0, 1}
 
     def test_out_report(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -31,7 +31,6 @@ from proactive.enforcer import (
     PolicyEnforcer,
     ProactiveModule,
     RecordingSink,
-    StaleHandleError,
 )
 from proactive.sim import SimProtocolError, SimWorld
 
@@ -195,7 +194,6 @@ class TestDeploy:
         enforcer = PolicyEnforcer()
         handle = enforcer.deploy(release_policy())
         assert handle.state == "0"
-        assert handle.enabled
         assert handle.cached_ctor_args is None
 
     def test_all_pack_policies_coexist(self, pack):
@@ -299,51 +297,6 @@ class TestGateMatchesAllPairsReference:
                 rejections += sum(deploy_like_reference(enforcer, policy)
                                   for policy in order)
         assert rejections > 0
-
-
-class TestSetEnabled:
-    def test_disabled_module_is_pass_through(self):
-        enforcer = PolicyEnforcer()
-        handle = enforcer.deploy(release_policy())
-        enforcer.set_enabled(handle, False)
-        out, records = enforcer.run_enforced(FAULTY)
-        assert records == []
-        assert event_shapes(out) == event_shapes(FAULTY)
-
-    def test_reenable_resets_to_initial(self):
-        enforcer = PolicyEnforcer()
-        handle = enforcer.deploy(release_policy())
-        enforcer.on_event(Event(NEW_AR, seq=1, args=(1,)))
-        assert handle.state == "1"
-        enforcer.set_enabled(handle, False)
-        enforcer.set_enabled(handle, True)
-        assert handle.state == "0"
-        assert handle.cached_ctor_args is None
-
-    def test_enable_enabled_is_idempotent(self):
-        enforcer = PolicyEnforcer()
-        handle = enforcer.deploy(release_policy())
-        enforcer.on_event(Event(NEW_AR, seq=1))
-        enforcer.set_enabled(handle, True)
-        assert handle.state == "1"
-
-    def test_stale_handle(self):
-        enforcer = PolicyEnforcer()
-        other = PolicyEnforcer()
-        handle = other.deploy(release_policy())
-        with pytest.raises(StaleHandleError):
-            enforcer.set_enabled(handle, False)
-
-    def test_equal_handle_from_another_enforcer_is_stale(self):
-        # Both modules compare equal as dataclasses; only identity tells
-        # them apart.
-        a, b = PolicyEnforcer(), PolicyEnforcer()
-        a_handle = a.deploy(release_policy())
-        b_handle = b.deploy(release_policy())
-        assert a_handle == b_handle
-        with pytest.raises(StaleHandleError):
-            b.set_enabled(a_handle, False)
-        assert a_handle.enabled and b_handle.enabled
 
 
 class TestOnEvent:
@@ -592,21 +545,6 @@ class TestOnEvent:
         with pytest.raises(MissingTransitionError):
             enforcer.on_event(Event(DOA, seq=3))
 
-    def test_disabled_module_does_not_move_on_the_fast_path(self, pack,
-                                                            instantiations):
-        enforcer, handles = deploy_pack(pack)
-        camera = handles["foocam-camera-open-release"]
-        enforcer.set_enabled(camera, False)
-        commits = watch_commits(enforcer)
-        event = Event(CAMERA_OPEN, seq=1)
-        assert enforcer.on_event(event).delivered == (event,)
-        assert commits == []
-        assert camera.state == "0"
-        enforcer.set_enabled(camera, True)
-        enforcer.on_event(Event(CAMERA_OPEN, seq=2))
-        assert camera.state == "1"
-        assert instantiations == []
-
 
 def post_insert_policy():
     """Forwards doA, then inserts doB after it, once."""
@@ -821,7 +759,7 @@ def outcome_or_failure(enforcer, event):
 
 def enforcer_state(enforcer):
     return (enforcer.intervention_log, enforcer.sink.events,
-            [(m.state, m.cached_ctor_args, m.enabled) for m in enforcer.modules],
+            [(m.state, m.cached_ctor_args) for m in enforcer.modules],
             enforcer.bindings)
 
 
@@ -849,10 +787,6 @@ class TestMatchesTwoPassReference:
             vocabulary = frozenset().union(*(p.automaton.vocabulary
                                              for p in policies))
             for event in random_trace(rng, vocabulary, max_len=50, extra=[DOX]):
-                if rng.random() < 0.05:
-                    index, on = rng.randrange(len(policies)), rng.random() < 0.5
-                    for enforcer in enforcers:
-                        enforcer.set_enabled(enforcer.modules[index], on)
                 executed = len(enforcers[0].sink.events)
                 one_pass, two_pass = (outcome_or_failure(e, event)
                                       for e in enforcers)

@@ -226,9 +226,10 @@ class TestProtocols:
         world = SimWorld("HearHere")
         feed(world, ActionSymbol.constructor("AudioRecord"),
              ActionSymbol.call("AudioRecord", "startRecording"))
-        resource = world.resources["AudioRecord"]
-        assert resource.held
-        assert resource.holder == "HearHereActivity"
+        assert world.resources["AudioRecord"].held
+        leak, = world.leak_report().leaks
+        assert (leak.interface, leak.holder) == ("AudioRecord",
+                                                 "HearHereActivity")
 
 
 class TestRunScenario:
@@ -298,3 +299,16 @@ class TestRunScenario:
         methods = [e.symbol.method for e in result.trace
                    if e.origin is Origin.SYNTHESIZED]
         assert methods == ["stop", "release", "AudioRecord", "startRecording"]
+
+    def test_leak_seq_finds_the_acquiring_event_in_the_trace(self, pack):
+        # The trace keeps the world's seqs, where an inserted event shares
+        # its trigger's, as a leak's acquired_at does.
+        script = parse_scenario(
+            "app HearHere\nlaunch\ntap START\nbackground\nforeground\n",
+            "reacquire-leak")
+        result = run_scenario(script, deploy_all(pack))
+        leak, = result.leaks.leaks
+        acquired = [e for e in result.trace if e.seq == leak.acquired_at
+                    and e.symbol == ActionSymbol.constructor("AudioRecord")]
+        assert len(acquired) == 1
+        assert acquired[0].origin is Origin.SYNTHESIZED
