@@ -3,18 +3,18 @@ lets modules transform the stream, and executes synthesized actions
 against the event sink through a transparent resource manager.
 
 One enforcer serves one simulated app session.  One walk of an event's
-watchers instantiates every edit; the synthesized events then execute
-and are never re-offered to any module, so enforcement cannot recurse.
-A watcher that would stay in its state and only forward the event has
-no move on it (see `EditAutomaton.moves`): the walk passes it after one
-dict probe.
+watchers instantiates every edit and builds its record; the synthesized
+events then execute, only constructors through `_execute`, and are never
+re-offered to any module, so enforcement cannot recurse.  A watcher that
+would stay in its state and only forward the event has no move on it
+(see `EditAutomaton.moves`): the walk passes it after one dict probe.
 
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
-in policy-name order under every symbol it watches; an event reaches only
-the modules filed under its symbol, in that order.  Every deployed pair
-has passed deploy's interference gate, so a deploy tests the new policy
-against the deployed union: a clean deploy tests two sets; pairs are
-listed only to report a conflict.
+as a (policy name, module, moves) triple in name order under every symbol
+it watches; an event reaches only the modules filed under its symbol, in
+that order.  Every deployed pair has passed deploy's interference gate,
+so a deploy tests the new policy against the deployed union: a clean
+deploy tests two sets; pairs are listed only to report a conflict.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ class HealingFailureError(Exception):
 
 class EventSink(Protocol):
     def execute(self, event: Event) -> Optional[str]:
-        """Apply an event; returns a fresh instance id for constructors."""
+        """Apply an event; returns a fresh instance id, or None, for a
+        constructor, and None, which the enforcer never reads, otherwise."""
 
 
 class RecordingSink:
@@ -113,6 +114,17 @@ class InterventionRecord:
 
 (_set_trigger, _set_policy, _set_synthesized,
  _set_suppressed) = slot_setters(InterventionRecord)
+_new_object = object.__new__  # a global read: cheaper than object's attribute
+
+
+def _new_record(trigger, policy, synthesized, suppressed) -> InterventionRecord:
+    """InterventionRecord(...) without the type call or its re-check."""
+    record = _new_object(InterventionRecord)
+    _set_trigger(record, trigger)
+    _set_policy(record, policy)
+    _set_synthesized(record, synthesized)
+    _set_suppressed(record, suppressed)
+    return record
 
 
 class EnforcementOutcome(NamedTuple):
@@ -123,19 +135,15 @@ class EnforcementOutcome(NamedTuple):
     suppressed: bool
 
 
-def _policy_name(watcher: tuple[ProactiveModule, dict[str, Move]]) -> str:
-    return watcher[0].policy.name
-
-
 class PolicyEnforcer:
     """Dispatches intercepted events to the deployed modules in policy-name order."""
 
     def __init__(self, sink: Optional[EventSink] = None) -> None:
         self.sink: EventSink = sink if sink is not None else RecordingSink()
         self.modules: list[ProactiveModule] = []
-        # symbol -> (module, its moves on symbol by state), by policy name
+        # symbol -> (unique policy name, module, its moves on symbol by state), sorted
         self.watchers: dict[ActionSymbol,
-                            list[tuple[ProactiveModule, dict[str, Move]]]] = {}
+                            list[tuple[str, ProactiveModule, dict[str, Move]]]] = {}
         # The resource manager: the live instance per interface, so a module
         # can destroy and recreate the object without the app noticing.
         self.bindings: dict[str, Optional[str]] = {}
@@ -159,28 +167,27 @@ class PolicyEnforcer:
                      for pair in check_pair(m.policy, policy).pairs]
             if pairs:
                 raise InterferenceError(InterferenceReport(tuple(pairs)))
-        module = ProactiveModule(policy=policy, state=automaton.initial)
+        module = ProactiveModule(policy, automaton.initial)
         self.modules.append(module)
         self._names.add(policy.name)
         self._touched |= touched
-        moves = automaton.moves
-        for symbol in automaton.vocabulary:
-            insort(self.watchers.setdefault(symbol, []), (module, moves[symbol]),
-                   key=_policy_name)
+        for symbol, moves in automaton.moves.items():
+            insort(self.watchers.setdefault(symbol, []), (policy.name, module, moves))
         return module
 
     def on_event(self, event: Event) -> EnforcementOutcome:
         """Offer one app event to the modules and execute the result.
 
         One walk of the watchers, in policy-name order, queues each
-        module's move and instantiates an editing move's template at once;
-        a module with no move in its state (an idle self-loop) is passed,
-        and one whose move is _MISSING raises MissingTransitionError.
+        module's move and builds an editing move's events and record at
+        once; a module with no move in its state (an idle self-loop) is
+        passed, and one whose move is _MISSING raises MissingTransitionError.
         With no edit the event executes as is.  Otherwise the synthesized
-        events before the forwarded input execute, then the app event,
-        then those after it, module by module in policy-name order, as the
-        records are; deploy order changes neither.  If any editing template
-        omits the input, the app event is suppressed (suppression dominates
+        events before the input execute, then the app event, then those
+        after it, module by module in policy-name order, as the records are;
+        deploy order changes neither.  Only constructors pass through
+        _execute, which binds their instance.  If any editing template omits
+        the input, the app event is suppressed (suppression dominates
         forwarding).  Modules move only after every delivered event executed;
         a PolicyAuthoringError names the module's policy in `policy`."""
         if event.origin is not _APP:
@@ -188,9 +195,13 @@ class PolicyEnforcer:
         constructor = event.symbol.kind is _CONSTRUCTOR
         # (module, next state, next cached constructor args)
         moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
-        # (module, synthesized, how many execute before the input, forwards)
-        edits: list[tuple[ProactiveModule, tuple[Event, ...], int, bool]] = []
-        for module, moves in self.watchers.get(event.symbol, ()):
+        # The inserted events that execute before the input, then those
+        # after it, and the records, each in policy-name order: made at the
+        # first edit, so the fast path allocates none of them
+        before: Optional[list[Event]] = None
+        records: Optional[list[InterventionRecord]] = None
+        suppressed = False
+        for name, module, moves in self.watchers.get(event.symbol, ()):
             move = moves.get(module.state)
             if move is None:
                 continue
@@ -200,17 +211,28 @@ class PolicyEnforcer:
                     synthesized, cached_ctor_args = instantiate(
                         template, event, module.cached_ctor_args, self.bindings)
                 except PolicyAuthoringError as exc:
-                    exc.policy = module.policy.name
+                    exc.policy = name
                     raise
                 moved.append((module, next_state, cached_ctor_args))
-                edits.append((module, synthesized, template.pre, template.forwards))
+                if records is None:
+                    before, after, records = [], (), []
+                pre = template.pre  # sliced only if an inserted event follows the input
+                if pre == len(synthesized):
+                    before += synthesized
+                else:
+                    before += synthesized[:pre]
+                    after += synthesized[pre:]
+                drops = not template.forwards
+                suppressed |= drops
+                if synthesized or drops:
+                    records.append(_new_record(event, name, synthesized, drops))
             elif move is _MISSING:
                 raise MissingTransitionError(module.state, event.symbol)
             else:
                 moved.append((module, next_state, event.args if constructor
                               else module.cached_ctor_args))
 
-        if not edits:
+        if records is None:
             if constructor:
                 event = self._execute(event)
             else:
@@ -221,32 +243,25 @@ class PolicyEnforcer:
             # Skips the NamedTuple's __new__, a Python function.
             return tuple.__new__(EnforcementOutcome, ((event,), (), False))
 
-        suppressed = False
-        records: list[InterventionRecord] = []
-        for module, synthesized, _, forwards in edits:
-            if not forwards:
-                suppressed = True
-            if synthesized or not forwards:
-                records.append(InterventionRecord(
-                    event, module.policy.name, synthesized, not forwards))
-
-        execute = self._execute
+        if not suppressed:
+            before.append(event)
+        before += after
+        execute, bind = self.sink.execute, self._execute
         delivered: list[Event] = []
-        current = event
         try:
-            for module, synthesized, pre, _ in edits:
-                for current in synthesized[:pre]:
-                    delivered.append(execute(current))
-            if not suppressed:
-                current = event
-                delivered.append(execute(event))
-            for module, synthesized, pre, _ in edits:
-                for current in synthesized[pre:]:
-                    delivered.append(execute(current))
+            for current in before:
+                if current.symbol.kind is _CONSTRUCTOR:
+                    current = bind(current)
+                else:
+                    execute(current)
+                delivered.append(current)
         except Exception as exc:
             if current is event:
                 raise
-            raise HealingFailureError(module.policy.name, current, exc) from exc
+            for record in records:  # a loop: a closure would cost a cell per call
+                if id(current) in map(id, record.synthesized):
+                    raise HealingFailureError(record.policy, current, exc) from exc
+            raise
 
         for module, next_state, cached_ctor_args in moved:
             module.state = next_state

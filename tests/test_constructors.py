@@ -1,16 +1,18 @@
 """The constructor contract of the two value types built on the hot path,
 `Event` and `InterventionRecord`: their signature, fields, defaults and
-match args agree, and every way of calling them builds the same object.
+match args agree, and every way of calling them, dispatch's private
+record builder included, builds the same object.
 tests/test_templates.py::TestSlottedTypes checks that they stay frozen,
 slotted, hashable, copyable and picklable."""
 
 import dataclasses
 import inspect
+import pickle
 
 import pytest
 
 from proactive.automata import ActionSymbol, Event, Origin
-from proactive.enforcer import InterventionRecord
+from proactive.enforcer import InterventionRecord, _new_record
 
 SYMBOL = ActionSymbol.call("Api", "doA")
 TRIGGER = Event(SYMBOL, 3, "Api#1", (1, "x"))
@@ -78,3 +80,16 @@ def test_record_that_modifies_nothing_is_rejected():
     record = InterventionRecord(TRIGGER, "p", (INSERTED,), False)
     with pytest.raises(ValueError, match="only for modifications"):
         dataclasses.replace(record, synthesized=())
+
+
+@pytest.mark.parametrize("synthesized, suppressed", [
+    ((INSERTED,), False), ((), True), ((INSERTED, INSERTED), True)])
+def test_record_builder_builds_what_the_constructor_builds(synthesized, suppressed):
+    built = _new_record(TRIGGER, "p", synthesized, suppressed)
+    public = InterventionRecord(TRIGGER, "p", synthesized, suppressed)
+    assert type(built) is type(public)
+    assert built == public and hash(built) == hash(public)
+    assert repr(built) == repr(public)
+    restored = pickle.loads(pickle.dumps(built))
+    assert type(restored) is type(public) and restored == public
+    assert not hasattr(built, "__dict__")

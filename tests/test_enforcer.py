@@ -31,6 +31,7 @@ from proactive.enforcer import (
     PolicyEnforcer,
     ProactiveModule,
     RecordingSink,
+    _new_record,
 )
 from proactive.sim import SimProtocolError, SimWorld
 
@@ -234,9 +235,11 @@ class TestDeploy:
             assert max(map(len, enforcer.watchers.values())) >= 3
             filed = set()
             for symbol, watchers in enforcer.watchers.items():
-                names = [module.policy.name for module, _ in watchers]
+                names = [module.policy.name for _, module, _ in watchers]
                 assert names == sorted(names), (symbol, names)
-                for module, moves in watchers:
+                assert watchers == sorted(watchers), symbol
+                for name, module, moves in watchers:
+                    assert name == module.policy.name
                     assert moves == module.policy.automaton.moves[symbol]
                     filed.add((symbol, module.policy.name))
             assert filed == expected
@@ -555,6 +558,17 @@ def post_insert_policy():
          Transition("1", Guard.any(), (fwd(),), "1"))))
 
 
+def test_bundled_templates_insert_only_before_the_input(pack):
+    """on_event slices an edit's events around the input only when one
+    follows it: the pack never does, so its heals take the unsliced
+    branch, and post_insert_policy covers the sliced one."""
+    templates = [template for policy in pack.policies.values()
+                 for moves in policy.automaton.moves.values()
+                 for _, template in moves.values() if template is not None]
+    assert templates
+    assert all(t.pre == len(t.items) for t in templates)
+
+
 class TestHealingFailureAttribution:
     """Which failure a heal reports, and what it leaves behind."""
 
@@ -644,8 +658,7 @@ class TestAuthoringErrorAttribution:
 
 
 class TestFastPathCommits:
-    """A forward-only move commits only what it changes; a disabled module
-    commits nothing (TestOnEvent.test_disabled_module_does_not_move_on_the_fast_path)."""
+    """A forward-only move commits only what it changes."""
 
     HEARHERE = "hearhere-audiorecord-release"
     CAMERA = "foocam-camera-open-release"
@@ -692,7 +705,8 @@ class TestFastPathCommits:
 
 class TestHotPathBytecode:
     """Dispatch reads enum members from module globals: on CPython 3.11 a
-    `Kind.X` or `Origin.X` read runs EnumType.__getattr__, about 120 ns."""
+    `Kind.X` or `Origin.X` read runs EnumType.__getattr__, about 120 ns.
+    Nor does it close over a local: each call would allocate its cell."""
 
     @staticmethod
     def loaded_globals(code) -> set[str]:
@@ -705,11 +719,17 @@ class TestHotPathBytecode:
 
     @pytest.mark.parametrize("function", [
         PolicyEnforcer.on_event, PolicyEnforcer._execute,
-        instantiate])
+        instantiate, _new_record])
     def test_loads_no_enum_class(self, function):
         loaded = self.loaded_globals(function.__code__)
         assert loaded, function
         assert not loaded & {"Kind", "Origin"}, function.__qualname__
+
+    @pytest.mark.parametrize("function", [
+        PolicyEnforcer.on_event, PolicyEnforcer._execute,
+        instantiate, _new_record])
+    def test_makes_no_cell(self, function):
+        assert function.__code__.co_cellvars == (), function.__qualname__
 
 
 class TestEnforcementOutcome:
