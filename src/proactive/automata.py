@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -101,17 +101,16 @@ class Event:
         _set_origin(self, origin)
 
     def __str__(self) -> str:
-        tag = "+" if self.origin is Origin.SYNTHESIZED else ""
+        tag = "+" if self.origin is _SYNTHESIZED else ""
         return f"{tag}{self.symbol}@{self.seq}"
 
 
-def slot_setters(cls: type) -> tuple:
-    """Each field's slot __set__, in order, for a frozen slotted dataclass's
-    own __init__: the generated one's object.__setattr__ costs about twice."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-_set_symbol, _set_seq, _set_instance, _set_args, _set_origin = slot_setters(Event)
+# Each field's slot __set__, for Event's own __init__: the generated one's
+# object.__setattr__ costs about twice.  instantiate fills in an object of
+# Event's layout whose slots are settable and retypes it: half that again.
+_set_symbol, _set_seq, _set_instance, _set_args, _set_origin = (
+    getattr(Event, name).__set__ for name in Event.__slots__)
+_SettableEvent = type("_SettableEvent", (), {"__slots__": Event.__slots__})
 
 
 @dataclass(frozen=True)
@@ -513,7 +512,7 @@ class BindingContext:
         self.instances: dict[str, Optional[str]] = dict(instances or {})
 
     def observe(self, event: Event) -> None:
-        if event.symbol.kind is Kind.CONSTRUCTOR:
+        if event.symbol.kind is _CONSTRUCTOR:
             self.cached_ctor_args = event.args
             self.instances[event.symbol.interface] = event.instance
 
@@ -548,8 +547,14 @@ def instantiate(template: Template, trigger: Event, cached_ctor_args: Optional[t
                     "args, but no constructor has been intercepted yet")
             args = cached_ctor_args
         interface = symbol.interface
-        events.append(Event(symbol, trigger.seq, trigger.instance if interface == own
-                            else instances.get(interface), args, _SYNTHESIZED))
+        event = _SettableEvent()
+        event.symbol = symbol
+        event.seq = trigger.seq
+        event.instance = trigger.instance if interface == own else instances.get(interface)
+        event.args = args
+        event.origin = _SYNTHESIZED
+        event.__class__ = Event  # frozen from here on
+        events.append(event)
         if constructs:
             cached_ctor_args = args
     return tuple(events), cached_ctor_args

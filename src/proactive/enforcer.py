@@ -3,11 +3,12 @@ lets modules transform the stream, and executes synthesized actions
 against the event sink through a transparent resource manager.
 
 One enforcer serves one simulated app session.  One walk of an event's
-watchers instantiates every edit and builds its record; the synthesized
-events then execute, only constructors through `_execute`, and are never
-re-offered to any module, so enforcement cannot recurse.  A watcher that
-would stay in its state and only forward the event has no move on it
-(see `EditAutomaton.moves`): the walk passes it after one dict probe.
+watchers instantiates every edit and builds its record, an immutable
+tuple made in the walk with `tuple.__new__`; the synthesized events then
+execute, only constructors through `_execute`, and are never re-offered
+to any module, so enforcement cannot recurse.  A watcher that would
+stay in its state and only forward the event has no move on it (see
+`EditAutomaton.moves`): the walk passes it after one dict probe.
 
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
 as a (policy name, module, moves) triple in name order under every symbol
@@ -35,7 +36,6 @@ from .automata import (
     _MISSING,
     _SYNTHESIZED,
     instantiate,
-    slot_setters,
 )
 from .dsl import PolicyDoc
 # check_set is unused here; the benchmark's self-test calls enforcer.check_set.
@@ -93,38 +93,29 @@ class ProactiveModule:
     cached_ctor_args: Optional[tuple] = None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class InterventionRecord:
-    """One enforcement modification: synthesized non-empty or suppressed."""
-
+class _InterventionFields(NamedTuple):
     trigger: Event
     policy: str
     synthesized: tuple[Event, ...]
     suppressed: bool
 
-    def __init__(self, trigger: Event, policy: str, synthesized: tuple[Event, ...],
-                 suppressed: bool) -> None:
+
+class InterventionRecord(_InterventionFields):
+    """One enforcement modification: synthesized non-empty or suppressed.
+    The call and `_make` (so `_replace`) refuse a record that modifies
+    neither; on_event builds its own with tuple.__new__."""
+
+    __slots__ = ()
+
+    def __new__(cls, trigger: Event, policy: str, synthesized: tuple[Event, ...],
+                suppressed: bool) -> "InterventionRecord":
         if not synthesized and not suppressed:
             raise ValueError("intervention records exist only for modifications")
-        _set_trigger(self, trigger)
-        _set_policy(self, policy)
-        _set_synthesized(self, synthesized)
-        _set_suppressed(self, suppressed)
+        return tuple.__new__(cls, (trigger, policy, synthesized, suppressed))
 
-
-(_set_trigger, _set_policy, _set_synthesized,
- _set_suppressed) = slot_setters(InterventionRecord)
-_new_object = object.__new__  # a global read: cheaper than object's attribute
-
-
-def _new_record(trigger, policy, synthesized, suppressed) -> InterventionRecord:
-    """InterventionRecord(...) without the type call or its re-check."""
-    record = _new_object(InterventionRecord)
-    _set_trigger(record, trigger)
-    _set_policy(record, policy)
-    _set_synthesized(record, synthesized)
-    _set_suppressed(record, suppressed)
-    return record
+    @classmethod
+    def _make(cls, iterable) -> "InterventionRecord":
+        return cls(*iterable)
 
 
 class EnforcementOutcome(NamedTuple):
@@ -192,7 +183,8 @@ class PolicyEnforcer:
         a PolicyAuthoringError names the module's policy in `policy`."""
         if event.origin is not _APP:
             raise ValueError("only app events may enter the enforcer")
-        constructor = event.symbol.kind is _CONSTRUCTOR
+        symbol = event.symbol
+        constructor = symbol.kind is _CONSTRUCTOR
         # (module, next state, next cached constructor args)
         moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
         # The inserted events that execute before the input, then those
@@ -201,7 +193,7 @@ class PolicyEnforcer:
         before: Optional[list[Event]] = None
         records: Optional[list[InterventionRecord]] = None
         suppressed = False
-        for name, module, moves in self.watchers.get(event.symbol, ()):
+        for name, module, moves in self.watchers.get(symbol, ()):
             move = moves.get(module.state)
             if move is None:
                 continue
@@ -225,9 +217,10 @@ class PolicyEnforcer:
                 drops = not template.forwards
                 suppressed |= drops
                 if synthesized or drops:
-                    records.append(_new_record(event, name, synthesized, drops))
+                    records.append(tuple.__new__(
+                        InterventionRecord, (event, name, synthesized, drops)))
             elif move is _MISSING:
-                raise MissingTransitionError(module.state, event.symbol)
+                raise MissingTransitionError(module.state, symbol)
             else:
                 moved.append((module, next_state, event.args if constructor
                               else module.cached_ctor_args))

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import ActionSymbol, Event, Kind, Origin, PolicyAuthoringError
+from .automata import ActionSymbol, Event, Kind, PolicyAuthoringError, _API_CALL, _APP
 from .dsl import INTEGER
 from .enforcer import HealingFailureError, InterventionRecord, PolicyEnforcer
 
@@ -439,10 +439,9 @@ def run_scenario(script: ScenarioScript,
 
     def dispatch(symbol: ActionSymbol, args: tuple = ()) -> None:
         instance = None
-        if symbol.kind is Kind.API_CALL:
+        if symbol.kind is _API_CALL:
             instance = world.current_instance(symbol.interface)
-        consume(Event(symbol=symbol, seq=world.next_seq(), instance=instance,
-                      args=args, origin=Origin.APP))
+        consume(Event(symbol, world.next_seq(), instance, args, _APP))
 
     for step in script.steps:
         logged = len(log)

@@ -85,3 +85,65 @@ class TestColdStartTool:
                                                       abs=0.02)
         assert report["pythondontwritebytecode"] \
             == os.environ.get("PYTHONDONTWRITEBYTECODE")
+
+
+STUB_RUN = '''
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open({log!r}, "a") as log:
+    print(json.dumps([{side!r}, args]), file=log)
+value = {base} + int(args["--seed"]) % 3
+print("a line before the result")
+print(json.dumps({{"correct": True, "attempted": 4, "failed": 0, "metrics": {{
+    name: {{"value": value, "unit": "x"}} for name in {names!r}}}}}))
+'''
+
+
+class TestBenchPairsTool:
+    def test_pairs_alternate_share_a_seed_and_summarize_every_metric(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        end_to_end = json.loads((root / "BENCHMARK.json").read_text(
+            encoding="utf-8"))["end_to_end"]
+        names = [m["name"] for m in end_to_end]
+        log = tmp_path / "calls.jsonl"
+        for side, base in (("parent", 20), ("change", 10)):
+            (tmp_path / side / "perfbench").mkdir(parents=True)
+            (tmp_path / side / "perfbench" / "run.py").write_text(
+                STUB_RUN.format(log=str(log), side=side, base=base, names=names),
+                encoding="utf-8")
+        out = tmp_path / "pairs.json"
+        subprocess.run([sys.executable, str(root / "tools" / "bench_pairs.py"),
+                        str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--seed", "40", "--pairs", "3", "--seconds", "0.5",
+                        "--workload", "wide", "--workload", "pack-heal",
+                        "--out", str(out)], check=True, capture_output=True)
+
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(side, args["--workload"], args["--seed"]) for side, args in calls] == [
+            ("parent", "wide", "40"), ("change", "wide", "40"),
+            ("change", "wide", "41"), ("parent", "wide", "41"),
+            ("parent", "wide", "42"), ("change", "wide", "42"),
+            ("parent", "pack-heal", "43"), ("change", "pack-heal", "43"),
+            ("change", "pack-heal", "44"), ("parent", "pack-heal", "44"),
+            ("parent", "pack-heal", "45"), ("change", "pack-heal", "45")]
+        assert {(args["--seconds"], args["--trace"]) for _, args in calls} \
+            == {("0.5", "0")}
+
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert [(r["side"], r["first"]) for r in report["runs"][:4]] == [
+            ("parent", True), ("change", False), ("change", True), ("parent", False)]
+        assert all(r["correct"] and r["metrics"].keys() == set(names)
+                   for r in report["runs"])
+        wide = report["summary"]["wide"]
+        assert (wide["runs"], wide["correct_runs"], wide["failed_sessions"]) == (6, 6, 0)
+        for metric in end_to_end:
+            # Seeds 40-42 give the parent 21, 22, 20 and the change 11, 12, 10.
+            compared = wide[metric["name"]]
+            lower = metric["better"] == "lower"
+            assert compared["parent_median"] == 21 and compared["change_median"] == 11
+            assert compared["parent_quartiles"] == [20, 22]
+            assert compared["change_wins"] == (3 if lower else 0)
+            assert compared["pairs"] == 3 and compared["bound"] == metric["bound"]
+            assert compared["change_worse_by"] == round((-10 if lower else 10) / 21, 4)
+            assert compared["parent_iqr_over_median"] == round(2 / 21, 4)
+            assert compared["medians_apart_over_parent_iqr"] == 5.0

@@ -1,18 +1,36 @@
 """The constructor contract of the two value types built on the hot path,
 `Event` and `InterventionRecord`: their signature, fields, defaults and
-match args agree, and every way of calling them, dispatch's private
-record builder included, builds the same object.
+match args agree, every public way of building a record refuses one that
+modifies nothing, and every record dispatch builds in its watcher walk is
+the one the constructor builds, as is every event instantiate synthesizes.
 tests/test_templates.py::TestSlottedTypes checks that they stay frozen,
 slotted, hashable, copyable and picklable."""
 
+import collections
 import dataclasses
 import inspect
 import pickle
+import random
 
 import pytest
 
-from proactive.automata import ActionSymbol, Event, Origin
-from proactive.enforcer import InterventionRecord, _new_record
+from proactive.automata import (
+    ActionSymbol,
+    ArgSource,
+    Event,
+    Guard,
+    Origin,
+    OutputItem,
+    PolicyAuthoringError,
+    Template,
+    Transition,
+    instantiate,
+)
+from proactive.enforcer import InterventionRecord, PolicyEnforcer
+from proactive.interference import check_set
+from proactive.sim import run_scenario
+
+from helpers import DOX, random_policy_doc, random_trace
 
 SYMBOL = ActionSymbol.call("Api", "doA")
 TRIGGER = Event(SYMBOL, 3, "Api#1", (1, "x"))
@@ -25,8 +43,14 @@ RECORD_FIELDS = [(name, inspect.Parameter.empty) for name in
 
 
 def field_defaults(cls):
-    return [(f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING
-             else f.default) for f in dataclasses.fields(cls)]
+    """(name, default) of each field: a dataclass's or a NamedTuple's."""
+    if dataclasses.is_dataclass(cls):
+        assert all(f.default_factory is dataclasses.MISSING
+                   for f in dataclasses.fields(cls))
+        return [(f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING
+                 else f.default) for f in dataclasses.fields(cls)]
+    return [(name, cls._field_defaults.get(name, inspect.Parameter.empty))
+            for name in cls._fields]
 
 
 @pytest.mark.parametrize("cls, expected", [(Event, EVENT_FIELDS),
@@ -37,10 +61,9 @@ def test_signature_fields_and_match_args_agree(cls, expected):
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
                for p in parameters)
     assert field_defaults(cls) == expected
-    assert all(f.default_factory is dataclasses.MISSING
-               for f in dataclasses.fields(cls))
     assert cls.__match_args__ == tuple(name for name, _ in expected)
-    assert cls.__slots__ == cls.__match_args__
+    # A dataclass keeps its fields in slots, a NamedTuple in the tuple.
+    assert cls.__slots__ == (() if issubclass(cls, tuple) else cls.__match_args__)
 
 
 def test_event_positional_keyword_and_default_construction_agree():
@@ -77,15 +100,22 @@ def test_record_that_modifies_nothing_is_rejected():
     with pytest.raises(ValueError, match="only for modifications"):
         InterventionRecord(trigger=TRIGGER, policy="p", synthesized=(),
                            suppressed=False)
+    with pytest.raises(ValueError, match="only for modifications"):
+        InterventionRecord._make((TRIGGER, "p", (), False))
     record = InterventionRecord(TRIGGER, "p", (INSERTED,), False)
     with pytest.raises(ValueError, match="only for modifications"):
-        dataclasses.replace(record, synthesized=())
+        record._replace(synthesized=())
+    assert record._replace(suppressed=True) \
+        == InterventionRecord(TRIGGER, "p", (INSERTED,), True)
 
 
 @pytest.mark.parametrize("synthesized, suppressed", [
     ((INSERTED,), False), ((), True), ((INSERTED, INSERTED), True)])
 def test_record_builder_builds_what_the_constructor_builds(synthesized, suppressed):
-    built = _new_record(TRIGGER, "p", synthesized, suppressed)
+    """on_event builds its records with tuple.__new__, past the constructor's
+    check: the record so built is the constructor's in every respect."""
+    built = tuple.__new__(InterventionRecord,
+                          (TRIGGER, "p", synthesized, suppressed))
     public = InterventionRecord(TRIGGER, "p", synthesized, suppressed)
     assert type(built) is type(public)
     assert built == public and hash(built) == hash(public)
@@ -93,3 +123,63 @@ def test_record_builder_builds_what_the_constructor_builds(synthesized, suppress
     restored = pickle.loads(pickle.dumps(built))
     assert type(restored) is type(public) and restored == public
     assert not hasattr(built, "__dict__")
+
+
+def assert_built_by_the_constructor(records, kinds) -> None:
+    for record in records:
+        assert type(record) is InterventionRecord
+        assert record == InterventionRecord(*record)
+        kinds[bool(record.synthesized), record.suppressed] += 1
+
+
+def test_every_record_the_walk_logs_is_one_the_constructor_builds(pack, scenarios):
+    kinds = collections.Counter()
+    for script in scenarios.values():
+        enforcer = PolicyEnforcer()
+        for policy in pack.deployable():
+            enforcer.deploy(policy)
+        assert_built_by_the_constructor(
+            run_scenario(script, enforcer).interventions, kinds)
+    assert kinds
+    rng = random.Random(22)
+    docs = [random_policy_doc(seed) for seed in range(60)]
+    for _ in range(60):
+        policies = rng.sample(docs, 2)
+        if not check_set(policies).ok:
+            continue
+        enforcer = PolicyEnforcer()
+        for policy in policies:
+            enforcer.deploy(policy)
+        vocabulary = frozenset().union(*(p.automaton.vocabulary
+                                         for p in policies))
+        for event in random_trace(rng, vocabulary, max_len=40, extra=[DOX]):
+            try:
+                enforcer.on_event(event)
+            except PolicyAuthoringError:
+                break
+        assert_built_by_the_constructor(enforcer.intervention_log, kinds)
+    # Insert-only, suppress-only, and both.
+    assert min(kinds[True, False], kinds[False, True], kinds[True, True]) > 0, kinds
+
+
+def test_every_event_instantiate_synthesizes_is_one_the_constructor_builds():
+    new_api = ActionSymbol.constructor("Api")
+    trigger = Event(new_api, 5, "Api#3", (7,))
+    items = (OutputItem(), OutputItem(SYMBOL, ArgSource.LITERALS, (1, "x")),
+             OutputItem(new_api, ArgSource.CACHED),
+             OutputItem(ActionSymbol.call("Other", "go")))
+    template = Template.of(Transition("0", Guard.exactly(new_api), items, "0"))
+    events, _ = instantiate(template, trigger, None, {"Other": "Other#2"})
+    assert [(e.symbol, e.seq, e.instance, e.args) for e in events] == [
+        (SYMBOL, 5, "Api#3", (1, "x")), (new_api, 5, "Api#3", (7,)),
+        (ActionSymbol.call("Other", "go"), 5, "Other#2", ())]
+    for event in events:
+        built = Event(event.symbol, event.seq, event.instance, event.args,
+                      Origin.SYNTHESIZED)
+        assert type(event) is Event
+        assert event == built and hash(event) == hash(built)
+        assert repr(event) == repr(built) and str(event) == str(built)
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.seq = 9
+        assert pickle.loads(pickle.dumps(event)) == built

@@ -10,6 +10,7 @@ import pytest
 import proactive.enforcer as enforcer_module
 from proactive.automata import (
     ActionSymbol,
+    BindingContext,
     EditAutomaton,
     Event,
     Guard,
@@ -31,9 +32,8 @@ from proactive.enforcer import (
     PolicyEnforcer,
     ProactiveModule,
     RecordingSink,
-    _new_record,
 )
-from proactive.sim import SimProtocolError, SimWorld
+from proactive.sim import SimProtocolError, SimWorld, run_scenario
 
 from helpers import (
     DOA,
@@ -719,15 +719,14 @@ class TestHotPathBytecode:
 
     @pytest.mark.parametrize("function", [
         PolicyEnforcer.on_event, PolicyEnforcer._execute,
-        instantiate, _new_record])
+        instantiate, run_scenario, BindingContext.observe])
     def test_loads_no_enum_class(self, function):
         loaded = self.loaded_globals(function.__code__)
         assert loaded, function
         assert not loaded & {"Kind", "Origin"}, function.__qualname__
 
     @pytest.mark.parametrize("function", [
-        PolicyEnforcer.on_event, PolicyEnforcer._execute,
-        instantiate, _new_record])
+        PolicyEnforcer.on_event, PolicyEnforcer._execute, instantiate])
     def test_makes_no_cell(self, function):
         assert function.__code__.co_cellvars == (), function.__qualname__
 

@@ -299,9 +299,15 @@ class TestSlottedTypes:
     def test_record_is_frozen_and_slotted(self):
         record = InterventionRecord(self.EVENT, "p", (), True)
         assert not hasattr(record, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             record.suppressed = False
-        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(AttributeError):
+            record.note = "x"
+        for clone in (copy.deepcopy(record), copy.copy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(clone) is InterventionRecord
+            assert clone == record
+            assert hash(clone) == hash(record)
 
     def test_record_that_neither_synthesizes_nor_suppresses_is_refused(self):
         with pytest.raises(ValueError):
