@@ -1,12 +1,15 @@
 """Shared builders for the test suite: small hand-made automata, random
 trace generation, a seeded generator of valid policy documents, the
-policy files, the exhaustive exploration of every deploy order of a
-policy set, guard-walking reference forms of the compiled moves, the
-item-by-item reference form of step, the all-pairs reference
-form of the deploy gate, the four-intersection reference form of
-check_pair, the two-pass reference form of the enforcer's on_event, the
-character-walking reference form of the `.pol` lexer, and the parse
-corpus whose results tests/record_parse_digests.py records."""
+policy files, the one breadth-first explorer behind every exhaustive
+check (`reachable`, whose failures name the shortest witness, and
+`explore` over the joint states of deployed policies, which
+`explore_orders` runs under every deploy order), guard-walking reference
+forms of the compiled moves, the item-by-item reference form of step,
+the all-pairs reference form of the deploy gate, the four-intersection
+reference form of check_pair, the two-pass reference form of the
+enforcer's on_event, the character-walking reference form of the `.pol`
+lexer, and the parse corpus whose results tests/record_parse_digests.py
+records."""
 
 from __future__ import annotations
 
@@ -227,10 +230,40 @@ def random_policy_doc(seed: int) -> PolicyDoc:
     )
 
 
-# -- exhaustive exploration of deploy orders -----------------------------
-# Every joint state a policy set's modules can reach, offered every
-# vocabulary symbol under every deploy order; tests/test_order_independence.py
-# says what must agree.
+# -- exhaustive exploration ----------------------------------------------
+
+ALIEN = ActionSymbol.call("Alien", "ping")
+
+
+def reachable(start, successors) -> dict:
+    """Every state reachable from start, breadth first, mapped to its
+    (parent, label), or start to None.  successors(state) yields (label,
+    next) pairs; a next of None is a dead end.  An AssertionError raised
+    while a state is expanded gets the state's witness added."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        try:
+            for label, nxt in successors(state):
+                if nxt is not None and nxt not in parents:
+                    parents[nxt] = state, label
+                    queue.append(nxt)
+        except AssertionError as exc:
+            labels = ", ".join(map(str, witness(parents, state)))
+            exc.args = (f"{exc}\nshortest witness: [{labels}]",)
+            raise
+    return parents
+
+
+def witness(parents: dict, state) -> list:
+    """The labels of the shortest path from the start to state."""
+    labels = []
+    while parents[state] is not None:
+        state, label = parents[state]
+        labels.append(label)
+    return labels[::-1]
+
 
 def app_event(symbol) -> Event:
     """An app event whose constructor args and instance name its interface."""
@@ -272,38 +305,57 @@ def offer(enforcer, state, event):
     seen = (tuple(event_shapes(outcome.delivered)), records,
             outcome.suppressed, tuple(event_shapes(enforcer.sink.events)),
             tuple(r.policy for r in enforcer.intervention_log))
-    after = joint_state(enforcer)
-    return (seen, after), after
+    return seen, joint_state(enforcer)
 
 
-def explore(subset):
-    """Visit every reachable joint state of subset; returns how many, and
-    how many offers logged records from more than one policy."""
-    enforcers = []
-    for order in itertools.permutations(subset):
-        enforcer = PolicyEnforcer(RecordingSink())
-        for policy in order:
-            enforcer.deploy(policy)
-        enforcers.append(enforcer)
-    symbols = sorted(set().union(*(p.automaton.vocabulary for p in subset)),
+def deployed(policies) -> PolicyEnforcer:
+    """An enforcer on a RecordingSink with policies deployed in order."""
+    enforcer = PolicyEnforcer(RecordingSink())
+    for policy in policies:
+        enforcer.deploy(policy)
+    return enforcer
+
+
+def explore(policies, offer, reference, extra=()):
+    """Every (joint state, reference state) reachable from the initial
+    ones with policies deployed.  Each of their vocabulary symbols, and
+    each extra symbol, is offered by offer(enforcer, reference state,
+    event) to an enforcer restored to the joint state; it returns the
+    next reference state, or None to stop there."""
+    enforcer = deployed(policies)
+    symbols = sorted(set(extra).union(*(p.automaton.vocabulary for p in policies)),
                      key=str)
     events = [app_event(symbol) for symbol in symbols]
-    start = joint_state(enforcers[0])
-    reached = {start}
-    queue = deque([start])
-    joint_heals = 0
-    while queue:
-        state = queue.popleft()
+
+    def successors(node):
         for event in events:
-            first, after = offer(enforcers[0], state, event)
-            for enforcer in enforcers[1:]:
-                assert offer(enforcer, state, event)[0] == first, \
-                    ([p.name for p in subset], state, event)
-            joint_heals += after is not None and len(first[0][1]) > 1
-            if after is not None and after not in reached:
-                reached.add(after)
-                queue.append(after)
-    return len(reached), joint_heals
+            restore(enforcer, node[0])
+            after = offer(enforcer, node[1], event)
+            yield event.symbol, (None if after is None
+                                 else (joint_state(enforcer), after))
+
+    return reachable((joint_state(enforcer), reference), successors)
+
+
+def explore_orders(subset):
+    """Offer every vocabulary symbol of subset, and one alien event, from
+    every reachable joint state under every deploy order, explore's own
+    first; returns how many joint states, and how many offers logged
+    records from more than one policy."""
+    others = [deployed(order) for order in itertools.permutations(subset)][1:]
+    joint_heals = 0
+
+    def offer_to_all(enforcer, _, event):
+        nonlocal joint_heals
+        state = joint_state(enforcer)
+        seen, after = offer(enforcer, state, event)
+        for other in others:
+            assert offer(other, state, event) == (seen, after), \
+                ([p.name for p in subset], event)
+        joint_heals += after is not None and len(seen[1]) > 1
+        return None if after is None else ()
+
+    return len(explore(subset, offer_to_all, (), [ALIEN])), joint_heals
 
 
 # -- reference implementations ------------------------------------------

@@ -26,11 +26,11 @@ from proactive.automata import (
     Transition,
     instantiate,
 )
-from proactive.enforcer import InterventionRecord, PolicyEnforcer
+from proactive.enforcer import InterventionRecord
 from proactive.interference import check_set
 from proactive.sim import run_scenario
 
-from helpers import DOX, random_policy_doc, random_trace
+from helpers import DOX, deployed, random_policy_doc, random_trace
 
 SYMBOL = ActionSymbol.call("Api", "doA")
 TRIGGER = Event(SYMBOL, 3, "Api#1", (1, "x"))
@@ -135,11 +135,8 @@ def assert_built_by_the_constructor(records, kinds) -> None:
 def test_every_record_the_walk_logs_is_one_the_constructor_builds(pack, scenarios):
     kinds = collections.Counter()
     for script in scenarios.values():
-        enforcer = PolicyEnforcer()
-        for policy in pack.deployable():
-            enforcer.deploy(policy)
         assert_built_by_the_constructor(
-            run_scenario(script, enforcer).interventions, kinds)
+            run_scenario(script, deployed(pack.deployable())).interventions, kinds)
     assert kinds
     rng = random.Random(22)
     docs = [random_policy_doc(seed) for seed in range(60)]
@@ -147,9 +144,7 @@ def test_every_record_the_walk_logs_is_one_the_constructor_builds(pack, scenario
         policies = rng.sample(docs, 2)
         if not check_set(policies).ok:
             continue
-        enforcer = PolicyEnforcer()
-        for policy in policies:
-            enforcer.deploy(policy)
+        enforcer = deployed(policies)
         vocabulary = frozenset().union(*(p.automaton.vocabulary
                                          for p in policies))
         for event in random_trace(rng, vocabulary, max_len=40, extra=[DOX]):

@@ -1,31 +1,35 @@
 """Exhaustive checks of the edit-automaton contract (Ligatti, Bauer and
-Walker, "Edit automata", 2005) for each bundled policy.
+Walker, "Edit automata", 2005) for each bundled policy and the paper's
+Fig. 3 forced-release model.
 
-Guards read only the symbol, so the states an enforcer and a checker can
-reach are few and are explored completely rather than sampled.  A state
-of the exploration is (enforcer state, constructor seen, checker state):
-the module's state, whether it holds cached constructor args, and the
-state of the policy's checker.  The checker walks the guards directly
-and flags every event that takes an editing move, as `violations` does.
+Guards read only the symbol, so the states an enforcer can reach are few
+and helpers.explore visits them all; a failure names the shortest event
+sequence to it.  Each state pairs the enforcer's joint state with the
+state of the policy's checker, which walks the guards and flags every
+event that takes an editing move, as `violations` does.
 
 - Soundness: the checker, run over what the enforcer delivers, never
   takes an editing move.
 - Transparency: an input the checker accepts takes only forward-only
   moves in the enforcer, so it is delivered unchanged and unrecorded.
+- Agreement with step: each vocabulary symbol, and an alien event, is
+  delivered as `automata.step` emits it from the same state and
+  BindingContext, leaving the same state, cached args and bindings; or
+  both raise PolicyAuthoringError.
 """
-
-from collections import deque
 
 import pytest
 
-from proactive.automata import Event, Kind, _MISSING
-from proactive.enforcer import PolicyEnforcer, RecordingSink
+from proactive.automata import (BindingContext, Kind, PolicyAuthoringError, _MISSING,
+                               step)
 from proactive.pack import bundled_pack_dir, load_policies
 
-from helpers import fwd, reference_matching
+from helpers import (ALIEN, event_shapes, explore, forced_release_automaton, fwd,
+                     joint_state, make_doc, reachable, reference_matching, witness)
 
-CTOR_ARGS = (44100, "ctor")
 BUNDLED, _ = load_policies(bundled_pack_dir())
+FIG3 = make_doc("forced-release", forced_release_automaton(), target="AudioRecord")
+CONTRACT = {**BUNDLED, FIG3.name: FIG3}
 
 
 def checker_step(automaton, state, symbol):
@@ -37,44 +41,29 @@ def checker_step(automaton, state, symbol):
     return first.target, first.output != (fwd(),)
 
 
-def explore(doc, offer):
-    """Every (enforcer state, constructor seen, checker state) reachable
-    from the initial one, each successor computed by offer(enforcer,
-    checker state, event), which returns the checker's next state or None
-    to stop there.  Each event is offered to a module set to the state
-    being expanded."""
-    automaton = doc.automaton
-    enforcer = PolicyEnforcer(RecordingSink())
-    module = enforcer.deploy(doc)
-    symbols = sorted(automaton.vocabulary, key=str)
-    start = (automaton.initial, False, automaton.initial)
-    reached = {start}
-    queue = deque([start])
-    while queue:
-        state, seen, checked = queue.popleft()
-        for symbol in symbols:
-            module.state = state
-            module.cached_ctor_args = CTOR_ARGS if seen else None
-            enforcer.sink.events.clear()
-            enforcer.intervention_log.clear()
-            args = CTOR_ARGS if symbol.kind is Kind.CONSTRUCTOR else ()
-            checked_next = offer(enforcer, checked, Event(symbol, 1, None, args))
-            if checked_next is None:
-                continue
-            nxt = (module.state, module.cached_ctor_args is not None, checked_next)
-            if nxt not in reached:
-                reached.add(nxt)
-                queue.append(nxt)
-    return reached
-
-
 def test_every_bundled_policy_is_explored():
     assert len(BUNDLED) == 8
 
 
-@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_witness_is_the_shortest_route():
+    graph = {"s": [("a", "p"), ("d", "t")], "p": [("b", "q")],
+             "q": [("c", "t"), ("e", None)], "t": []}
+    parents = reachable("s", graph.get)
+    assert parents.keys() == graph.keys()
+    assert [witness(parents, s) for s in "sqt"] == [[], ["a", "b"], ["d"]]
+
+    def failing(state):
+        assert state != "q", "q is bad"
+        return graph[state]
+
+    shown = r"(?s)^q is bad\n.*\nshortest witness: \[a, b\]$"
+    with pytest.raises(AssertionError, match=shown):
+        reachable("s", failing)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_soundness(name):
-    doc = BUNDLED[name]
+    doc = CONTRACT[name]
     automaton = doc.automaton
 
     def offer(enforcer, checked, event):
@@ -84,13 +73,13 @@ def test_soundness(name):
             assert not edits, (name, event, outcome.delivered)
         return checked
 
-    reached = explore(doc, offer)
+    reached = explore([doc], offer, automaton.initial)
     assert len(reached) >= len(automaton.states)
 
 
-@pytest.mark.parametrize("name", sorted(BUNDLED))
+@pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_transparency(name):
-    doc = BUNDLED[name]
+    doc = CONTRACT[name]
     automaton = doc.automaton
 
     def offer(enforcer, checked, event):
@@ -114,6 +103,31 @@ def test_transparency(name):
         assert module.state == checked
         return checked
 
-    reached = explore(doc, offer)
+    reached = explore([doc], offer, automaton.initial)
     # A compliant input keeps the enforcer and the checker in step.
-    assert all(state == checked for state, _, checked in reached)
+    assert all(modules[0][1] == checked for (modules, _), checked in reached)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_enforcer_matches_step(name):
+    doc = BUNDLED[name]
+
+    def offer(enforcer, _, event):
+        ((_, state, cached),), bindings = joint_state(enforcer)
+        context = BindingContext(cached, dict(bindings))
+        try:
+            state, emitted = step(doc.automaton, state, event, context)
+            expected = (event_shapes(emitted),
+                        ((name, state, context.cached_ctor_args),),
+                        tuple(sorted(context.instances.items())))
+        except PolicyAuthoringError:
+            expected = None
+        try:
+            delivered = enforcer.on_event(event).delivered
+            got = (event_shapes(delivered), *joint_state(enforcer))
+        except PolicyAuthoringError:
+            got = None
+        assert got == expected, (name, event)
+        return None if got is None else ()
+
+    assert len(explore([doc], offer, (), [ALIEN])) >= len(doc.automaton.states)

@@ -49,6 +49,7 @@ from helpers import (
     event_shapes,
     forced_release_automaton,
     fwd,
+    deployed,
     make_doc,
     policy_files,
     random_policy_doc,
@@ -198,15 +199,11 @@ class TestDeploy:
         assert handle.cached_ctor_args is None
 
     def test_all_pack_policies_coexist(self, pack):
-        enforcer = PolicyEnforcer()
-        for policy in pack.deployable():
-            enforcer.deploy(policy)
+        enforcer = deployed(pack.deployable())
         assert len(enforcer.modules) == 7
 
     def test_interfering_policy_rejected_with_report(self, pack):
-        enforcer = PolicyEnforcer()
-        for policy in pack.deployable():
-            enforcer.deploy(policy)
+        enforcer = deployed(pack.deployable())
         conflict = parse((FIXTURES / "conflict-camera.pol").read_text())
         with pytest.raises(InterferenceError) as exc:
             enforcer.deploy(conflict)
@@ -229,9 +226,7 @@ class TestDeploy:
         expected = {(symbol, p.name) for p in policies
                     for symbol in p.automaton.vocabulary}
         for order in orders:
-            enforcer = PolicyEnforcer()
-            for policy in order:
-                enforcer.deploy(policy)
+            enforcer = deployed(order)
             assert max(map(len, enforcer.watchers.values())) >= 3
             filed = set()
             for symbol, watchers in enforcer.watchers.items():
@@ -347,9 +342,7 @@ class TestOnEvent:
             enforcer.on_event(Event(DOA, seq=1, origin=Origin.SYNTHESIZED))
 
     def test_non_amplification(self, pack):
-        enforcer = PolicyEnforcer()
-        for policy in pack.deployable():
-            enforcer.deploy(policy)
+        enforcer = deployed(pack.deployable())
         trace = Trace.from_symbols([NEW_AR, START_REC, ON_STOP, NEW_AR,
                                     RELEASE_AR, ON_STOP])
         out, _ = enforcer.run_enforced(trace)
@@ -381,9 +374,7 @@ class TestOnEvent:
              Transition("0", Guard.any_except([DOA]), (fwd(),), "0"))))
         monkeypatch.setattr("proactive.enforcer.check_pair",
                             lambda a, b: InterferenceReport())
-        enforcer = PolicyEnforcer()
-        for policy in (suppressor, inserter):
-            enforcer.deploy(policy)
+        enforcer = deployed([suppressor, inserter])
         outcome = enforcer.on_event(Event(DOA, seq=1))
         assert outcome.suppressed
         delivered_symbols = [e.symbol for e in outcome.delivered]
@@ -502,9 +493,7 @@ class TestOnEvent:
         # synthesized events come out in policy-name order either way.
         names = ["foocam-camera-open-release", "getbackgps-location-updates"]
         for order in (names, names[::-1]):
-            enforcer = PolicyEnforcer()
-            for name in order:
-                enforcer.deploy(pack.policies[name])
+            enforcer = deployed(pack.policies[name] for name in order)
             enforcer.on_event(Event(CAMERA_OPEN, seq=1))
             enforcer.on_event(Event(REQUEST_UPDATES, seq=2))
             outcome = enforcer.on_event(Event(ON_PAUSE, seq=3))
@@ -645,9 +634,7 @@ class TestAuthoringErrorAttribution:
         # Both modules edit onStop; only one template reads cached args.
         policies = [on_stop_policy(uncached, "insert call AudioRecord.stop args cached"),
                     on_stop_policy(other, "insert call Camera.release")]
-        enforcer = PolicyEnforcer()
-        for policy in reversed(policies) if reverse else policies:
-            enforcer.deploy(policy)
+        enforcer = deployed(reversed(policies) if reverse else policies)
         with pytest.raises(PolicyAuthoringError) as exc:
             enforcer.on_event(Event(ON_STOP, seq=1))
         assert exc.value.policy == uncached

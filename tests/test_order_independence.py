@@ -3,13 +3,12 @@ the policies were deployed in.
 
 For every subset of one to three deployable policies, and for every pair
 and triple of generated policies that the interference gate accepts and
-that share vocabulary, every joint state
-the deployed modules can reach is explored: each module's state and its
-cached constructor args, plus the enforcer's bindings.  Each
-constructor symbol comes with its own args and instance, so a replay of
-cached args or of a bound instance is compared and not abstracted away;
-"constructor seen" is a module's cached args being set.  From each
-joint state, every vocabulary symbol of the subset is offered to one
+that share vocabulary, every joint state the deployed modules can reach
+is explored: each module's state and its cached constructor args, plus
+the enforcer's bindings.  Each constructor symbol comes with its own
+args and instance, so a replay of cached args or of a bound instance is
+compared and not abstracted away.  From each joint state, every
+vocabulary symbol of the subset and one alien event are offered to one
 enforcer per deploy order, and all of them must deliver the same events,
 log the same records in the same order, suppress alike, and leave every
 module in the same state.  Records list their policies by name, the order
@@ -24,7 +23,7 @@ import pytest
 from proactive.interference import check_pair
 from proactive.pack import load_bundled_pack
 
-from helpers import explore, random_policy_doc
+from helpers import explore_orders, random_policy_doc
 
 DEPLOYABLE = sorted(load_bundled_pack().deployable(), key=lambda p: p.name)
 SUBSETS = [subset for size in (1, 2, 3)
@@ -39,7 +38,7 @@ def test_subsets_cover_the_deployable_pack():
 @pytest.mark.parametrize("size", (1, 2, 3))
 def test_every_deploy_order_gives_the_same_outcome(size):
     subsets = [s for s in SUBSETS if len(s) == size]
-    results = [explore(subset) for subset in subsets]
+    results = [explore_orders(subset) for subset in subsets]
     # Every module leaves its initial state somewhere in each subset, and
     # with two policies or more some heal edits for two of them at once.
     assert all(reached > 1 for reached, _ in results)
@@ -63,8 +62,8 @@ def gate_accepted(size, seeds):
 
 @pytest.mark.parametrize("size, seeds, expected", ((2, 300, 264), (3, 120, 192)))
 def test_every_set_the_gate_accepts_is_order_independent(size, seeds, expected):
-    # explore deploys each set in every order, so the gate must accept it.
+    # explore_orders deploys each set in every order, so the gate must accept it.
     subsets = gate_accepted(size, seeds)
-    results = [explore(subset) for subset in subsets]
+    results = [explore_orders(subset) for subset in subsets]
     assert len(subsets) == expected
     assert sum(joint for _, joint in results) > 0

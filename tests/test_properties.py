@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from proactive.automata import (
-    ActionSymbol,
     BindingContext,
     Event,
     PolicyAuthoringError,
@@ -16,10 +15,10 @@ from proactive.automata import (
     violations,
 )
 from proactive.dsl import parse, serialize
-from proactive.enforcer import PolicyEnforcer
-from proactive.pack import load_bundled_pack
 
 from helpers import (
+    ALIEN,
+    deployed,
     event_shapes,
     forced_release_automaton,
     random_policy_doc,
@@ -27,9 +26,6 @@ from helpers import (
 )
 
 FIG3 = forced_release_automaton()
-ALIEN = ActionSymbol.call("Alien", "ping")
-
-PACK = load_bundled_pack()
 
 
 def vocab_events(automaton, extra=()):
@@ -88,55 +84,10 @@ def test_dsl_round_trip_on_random_docs(seed):
     assert serialize(parse(serialize(doc))) == serialize(doc)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.integers(min_value=2, max_value=3))
-def test_order_independence_of_non_interfering_modules(seed, size):
-    rng = random.Random(seed)
-    policies = rng.sample(PACK.deployable(), size)
-    vocabulary = frozenset().union(*(p.automaton.vocabulary
-                                     for p in policies))
-    trace = random_trace(rng, vocabulary, max_len=12, extra=[ALIEN])
-
-    def enforced(order):
-        enforcer = PolicyEnforcer()
-        for policy in order:
-            enforcer.deploy(policy)
-        out, _ = enforcer.run_enforced(trace)
-        return event_shapes(out)
-
-    baseline = enforced(policies)
-    assert enforced(list(reversed(policies))) == baseline
-
-
-def assert_enforcer_matches_plain_run(policy, trace):
-    """A single deployed policy emits what run emits, or both raise
-    PolicyAuthoringError."""
-    def emitted(transform):
-        try:
-            return [(e.symbol, e.origin, e.args) for e in transform()]
-        except PolicyAuthoringError:
-            return PolicyAuthoringError
-
-    def enforced():
-        enforcer = PolicyEnforcer()
-        enforcer.deploy(policy)
-        return enforcer.run_enforced(trace)[0]
-
-    assert emitted(enforced) == emitted(lambda: run(policy.automaton, trace))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_enforcer_matches_plain_run_for_single_policy(seed):
-    rng = random.Random(seed)
-    policy = rng.choice(PACK.deployable())
-    trace = random_trace(rng, policy.automaton.vocabulary, max_len=20)
-    assert_enforcer_matches_plain_run(policy, trace)
-
-
-# Seed 81 inserts `new Api` with no args and later inserts events with
-# cached constructor args: both sides must replay the inserted (empty) args.
+# A single deployed policy emits what run emits, or both raise
+# PolicyAuthoringError.  Seed 81 inserts `new Api` with no args and later
+# inserts events with cached constructor args: both sides must replay the
+# inserted (empty) args.
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @example(81)
@@ -144,4 +95,13 @@ def test_enforcer_matches_plain_run_for_random_policy(seed):
     policy = random_policy_doc(seed)
     trace = random_trace(random.Random(seed), policy.automaton.vocabulary,
                          max_len=20, extra=[ALIEN])
-    assert_enforcer_matches_plain_run(policy, trace)
+    enforcer = deployed([policy])
+
+    def emitted(transform):
+        try:
+            return [(e.symbol, e.origin, e.args) for e in transform()]
+        except PolicyAuthoringError:
+            return PolicyAuthoringError
+
+    assert (emitted(lambda: enforcer.run_enforced(trace)[0])
+            == emitted(lambda: run(policy.automaton, trace)))

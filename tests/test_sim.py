@@ -1,7 +1,6 @@
 import pytest
 
 from proactive.automata import ActionSymbol, Event, Origin
-from proactive.enforcer import PolicyEnforcer
 from proactive.sim import (
     INTERFACES,
     ActivityState,
@@ -17,17 +16,10 @@ from proactive.sim import (
     run_scenario,
 )
 
-from helpers import event_shapes, reference_lifecycle_callbacks
+from helpers import deployed, event_shapes, reference_lifecycle_callbacks
 
 LIFECYCLE_COMMANDS = ("launch", "background", "foreground", "rotate",
                       "destroy")
-
-
-def deploy_all(pack):
-    enforcer = PolicyEnforcer()
-    for policy in pack.deployable():
-        enforcer.deploy(policy)
-    return enforcer
 
 
 def feed(world, *symbols):
@@ -242,28 +234,28 @@ class TestRunScenario:
         assert leak.checkpoint is Checkpoint.ON_STOP
 
     def test_hearhere_enforced_is_healed(self, pack, scenarios):
-        result = run_scenario(scenarios["hearhere"], deploy_all(pack))
+        result = run_scenario(scenarios["hearhere"], deployed(pack.deployable()))
         assert result.leaks.clean
         assert len(result.interventions) == 1
         assert result.interventions[0].policy == "hearhere-audiorecord-release"
 
     def test_foocam_open_is_no_violation(self, pack, scenarios):
-        result = run_scenario(scenarios["foocam-open"], deploy_all(pack))
+        result = run_scenario(scenarios["foocam-open"], deployed(pack.deployable()))
         assert result.leaks.clean
         assert result.interventions == ()
 
     def test_rcl_kill_triggers_no_intervention(self, pack, scenarios):
-        result = run_scenario(scenarios["getbackgps-rcl"], deploy_all(pack))
+        result = run_scenario(scenarios["getbackgps-rcl"], deployed(pack.deployable()))
         assert result.leaks.clean
         assert result.interventions == ()
 
     def test_determinism(self, pack, scenarios):
-        first = run_scenario(scenarios["hearhere"], deploy_all(pack))
-        second = run_scenario(scenarios["hearhere"], deploy_all(pack))
+        first = run_scenario(scenarios["hearhere"], deployed(pack.deployable()))
+        second = run_scenario(scenarios["hearhere"], deployed(pack.deployable()))
         assert event_shapes(first.trace) == event_shapes(second.trace)
 
     def test_synthesized_events_marked_in_trace(self, pack, scenarios):
-        result = run_scenario(scenarios["hearhere"], deploy_all(pack))
+        result = run_scenario(scenarios["hearhere"], deployed(pack.deployable()))
         synthesized = [e.symbol.method for e in result.trace
                        if e.origin is Origin.SYNTHESIZED]
         assert synthesized == ["stop", "release"]
@@ -286,7 +278,7 @@ class TestRunScenario:
         assert str(exc.value) == f"line {len(steps) + 1}: {message}"
 
     def test_step_bookkeeping(self, pack, scenarios):
-        result = run_scenario(scenarios["hearhere"], deploy_all(pack))
+        result = run_scenario(scenarios["hearhere"], deployed(pack.deployable()))
         assert len(result.step_times) == len(scenarios["hearhere"].steps)
         assert result.interventions_per_step == (0, 0, 1)
 
@@ -294,7 +286,7 @@ class TestRunScenario:
         script = parse_scenario(
             "app HearHere\nlaunch\ntap START\nbackground\nforeground\n"
             "tap STOP\nbackground\n", "reacquire")
-        result = run_scenario(script, deploy_all(pack))
+        result = run_scenario(script, deployed(pack.deployable()))
         assert result.leaks.clean
         methods = [e.symbol.method for e in result.trace
                    if e.origin is Origin.SYNTHESIZED]
@@ -306,7 +298,7 @@ class TestRunScenario:
         script = parse_scenario(
             "app HearHere\nlaunch\ntap START\nbackground\nforeground\n",
             "reacquire-leak")
-        result = run_scenario(script, deploy_all(pack))
+        result = run_scenario(script, deployed(pack.deployable()))
         leak, = result.leaks.leaks
         acquired = [e for e in result.trace if e.seq == leak.acquired_at
                     and e.symbol == ActionSymbol.constructor("AudioRecord")]
