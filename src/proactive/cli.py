@@ -113,18 +113,20 @@ def run_one(script: ScenarioScript, pack: PolicyPack, enforce: bool,
         timing_ms=tuple(t * 1000.0 for t in result.step_times))
 
 
-def _replay(path: Path, fn: Callable[..., _T], *args) -> _T:
-    """fn(*args), which replays the scenario read from path; a failed heal
-    or a policy authoring error stops the command as a finding, any other
-    replay error as a usage error."""
+def _at(path: Path, fn: Callable[..., _T], *args) -> _T:
+    """fn(*args), which reads or replays the scenario at path.  A failed
+    heal or a policy authoring error stops the command as a finding, and
+    any other scenario or decode error as a usage error."""
     try:
         return fn(*args)
     except HealingFailureError as exc:
-        raise _Stop(f"{path}: line {exc.line}: {exc}", EXIT_FINDING)
+        raise _Stop(f"{path}:{exc.line}:1: {exc}", EXIT_FINDING)
     except PolicyAuthoringError as exc:
-        raise _Stop(f"{path}: line {exc.line}: policy {exc.policy!r}: {exc}",
+        raise _Stop(f"{path}:{exc.line}:1: policy {exc.policy!r}: {exc}",
                     EXIT_FINDING)
     except ScenarioError as exc:
+        raise _Stop(f"{path}:{exc}")
+    except UnicodeDecodeError as exc:
         raise _Stop(f"{path}: {exc}")
 
 
@@ -183,9 +185,9 @@ def _load_inputs(args) -> tuple[PolicyPack, list[tuple[Path, ScenarioScript]]]:
     """The pack, and each scenario file with its parsed script."""
     try:
         pack = load_pack(_pack_dir(args))
-        paths = [Path(path_text) for path_text in args.scenario]
-        return pack, [(path, load_scenario_file(path, pack)) for path in paths]
-    except (PackLoadError, ScenarioError, OSError) as exc:
+        return pack, [(path, _at(path, load_scenario_file, path, pack))
+                      for path in map(Path, args.scenario)]
+    except (PackLoadError, OSError) as exc:
         raise _Stop(str(exc))
 
 
@@ -214,7 +216,7 @@ def cmd_run(args) -> int:
 
     def job(item: tuple[Path, ScenarioScript]) -> RunReport:
         path, script = item
-        return _replay(path, run_one, script, pack, args.enforce, disabled)
+        return _at(path, run_one, script, pack, args.enforce, disabled)
 
     if args.parallel and len(scripts) > 1:
         # map raises the first failure in scenario order, and the with
@@ -256,7 +258,7 @@ def cmd_bench(args) -> int:
     policies = pack.deployable()
     payloads = []
     for path, script in scripts:
-        result = _replay(path, run_benchmark, script, policies, reps)
+        result = _at(path, run_benchmark, script, policies, reps)
         print(f"benchmark {script.name} ({result.repetitions} repetitions)")
         top = result.highest_overhead()
         for action in result.actions:

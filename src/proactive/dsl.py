@@ -21,7 +21,8 @@ to the end of the line; strings are double-quoted, with the escapes \",
             | (a transition may instead emit the single keyword `none`,
                which suppresses the matched input)
 
-Each line is lexed by one regex findall into plain token strings.  A
+Each line of a policy, a `.scn` scenario or the pack manifest is lexed
+by one regex findall into plain token strings (`line_parsers`).  A
 comment can only be the last lexeme, and a lone '"' is a string with no
 closing quote: it ends the line's tokens with a lexical diagnostic.  A
 diagnostic finds its column by scanning its line again, so valid text
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Iterator, NoReturn, Optional
 
 from .automata import (
     ActionSymbol,
@@ -55,8 +56,8 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 # here and `.scn` call args; a version takes no sign.
 INTEGER = re.compile(r"-?[0-9]+")
 _VERSION = re.compile(r"[0-9]+")
-_SINGLE_USE = ("policy", "version", "experimental", "statement", "target",
-               "states", "initial")
+_SINGLE_USE = {"policy", "version", "experimental", "statement", "target",
+               "states", "initial"}
 # One lexeme per match: a token, an unterminated string's lone opening
 # quote, or a comment running to the end of the line.  findall skips what
 # no alternative matches, which is exactly the whitespace between lexemes.
@@ -65,7 +66,7 @@ _LEXEME = re.compile(r'"(?:[^"\\]|\\.)*"|[{}(),]|[^\s{}(),"#]+|"|#.*')
 
 @dataclass(frozen=True)
 class DslDiagnostic:
-    kind: str  # lexical | syntax | semantic
+    kind: str  # lexical | syntax | semantic | replay (a .scn step's)
     line: int
     column: int
     message: str
@@ -94,20 +95,6 @@ class PolicyDoc:
     experimental: bool = False
 
 
-def _tokenize_line(raw: str, lineno: int, diags: list[DslDiagnostic]) -> list[str]:
-    """The texts of raw's tokens, up to an unterminated string."""
-    tokens = _LEXEME.findall(raw)
-    if tokens and tokens[-1][0] == "#":
-        tokens.pop()
-    if '"' in tokens:
-        bad = tokens.index('"')
-        diags.append(DslDiagnostic(
-            "lexical", lineno, _column(raw, bad),
-            "unterminated string or bad character '\"'"))
-        del tokens[bad:]
-    return tokens
-
-
 def _column(raw: str, index: int) -> int:
     """1-based column of raw's lexeme `index`, found again for a diagnostic."""
     return [m.start() for m in _LEXEME.finditer(raw)][index] + 1
@@ -134,7 +121,7 @@ class _LineParser:
             column = _column(self.raw, at)
         else:
             column = _column(self.raw, at - 1) + len(self.tokens[at - 1])
-        raise _Fail(DslDiagnostic(kind, self.lineno, column, message, expected))
+        raise LineError(DslDiagnostic(kind, self.lineno, column, message, expected))
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -162,10 +149,41 @@ class _LineParser:
                       "end of line")
 
 
-class _Fail(Exception):
+class LineError(Exception):
+    """One positioned diagnostic; a line's cursor raises it."""
+
     def __init__(self, diagnostic: DslDiagnostic) -> None:
         self.diagnostic = diagnostic
         super().__init__(str(diagnostic))
+
+
+def line_parsers(lines: list[str],
+                 diags: list[DslDiagnostic]) -> Iterator[_LineParser]:
+    """A cursor over the token texts of each of lines that has any, up to
+    an unterminated string, whose lexical diagnostic is appended to diags
+    before its line's cursor is handed on.  Lines are numbered from 1."""
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = _LEXEME.findall(raw)
+        if tokens and tokens[-1][0] == "#":
+            tokens.pop()
+        if '"' in tokens:
+            bad = tokens.index('"')
+            diags.append(DslDiagnostic(
+                "lexical", lineno, _column(raw, bad),
+                "unterminated string or bad character '\"'"))
+            del tokens[bad:]
+        if tokens:
+            yield _LineParser(tokens, raw, lineno)
+
+
+def call_target(lp: _LineParser) -> ActionSymbol:
+    """The `<interface>.<method>` after a `call`."""
+    ref = lp.next("<interface>.<method>")
+    if "." not in ref:
+        lp.fail("syntax", lp.pos - 1, f"malformed call target {ref!r}",
+                "<interface>.<method>")
+    iface, method = ref.split(".", 1)
+    return ActionSymbol.call(iface, method)
 
 
 def _parse_symbol_atom(lp: _LineParser) -> ActionSymbol:
@@ -175,12 +193,7 @@ def _parse_symbol_atom(lp: _LineParser) -> ActionSymbol:
     if head == "new":
         return ActionSymbol.constructor(lp.next("interface name"))
     if head == "call":
-        ref = lp.next("<interface>.<method>")
-        if "." not in ref:
-            lp.fail("syntax", lp.pos - 1, f"malformed call target {ref!r}",
-                    "<interface>.<method>")
-        iface, method = ref.split(".", 1)
-        return ActionSymbol.call(iface, method)
+        return call_target(lp)
     lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
             "'call', 'callback' or 'new'")
 
@@ -261,9 +274,8 @@ def _parse_transition(lp: _LineParser) -> Transition:
     lp.expect("to")
     target = lp.next("state id")
     lp.expect("emit")
-    if lp.peek() == "none":
+    if lp.peek() == "none":  # parse checks that the line ends here
         lp.pos += 1
-        lp.done()
         return Transition(source, guard, (), target, lp.lineno)
     items = [_parse_item(lp)]
     while lp.pos < len(lp.tokens):
@@ -290,60 +302,51 @@ def parse(text: str) -> PolicyDoc:
     seen: dict[str, int] = {}  # single-use directive -> its line
 
     lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = _tokenize_line(raw, lineno, diags)
-        if not tokens:
-            continue
-        lp = _LineParser(tokens, raw, lineno)
+    for lp in line_parsers(lines, diags):
         head = lp.next("directive")
         try:
-            if head == "on":  # most of a policy's lines
-                transitions.append(_parse_transition(lp))
-                continue
             if head in seen:
                 lp.fail("semantic", 0, f"duplicate {head!r} directive "
                         f"(first on line {seen[head]})")
             if head in _SINGLE_USE:
-                seen[head] = lineno
-            if head == "policy":
+                seen[head] = lp.lineno
+            if head == "on":  # most of a policy's lines
+                transitions.append(_parse_transition(lp))
+            elif head == "policy":
                 tok = lp.next("policy name")
                 if not _IDENT.match(tok):
                     lp.fail("semantic", 1, f"invalid policy name {tok!r}")
                 name = tok
-                lp.done()
             elif head == "version":
                 tok = lp.next("non-negative integer")
                 if not _VERSION.fullmatch(tok):
                     lp.fail("semantic", 1, f"invalid version {tok!r}")
                 version = int(tok)
-                lp.done()
             elif head == "experimental":
                 experimental = True
-                lp.done()
             elif head == "statement":
                 tok = lp.next("quoted statement text")
                 if not tok.startswith('"'):
                     lp.fail("syntax", 1, "statement text must be quoted",
                             '"<text>"')
                 statement = unquote(tok)
-                lp.done()
             elif head == "target":
                 target = lp.next("interface name")
-                lp.done()
             elif head == "states":
-                for at in range(1, len(tokens)):
-                    if tokens[at] in states:
-                        lp.fail("semantic", at, f"duplicate state {tokens[at]!r}")
-                    states.append(tokens[at])
+                while lp.peek() is not None:
+                    tok = lp.next("state id")
+                    if tok in states:
+                        lp.fail("semantic", lp.pos - 1, f"duplicate state {tok!r}")
+                    states.append(tok)
             elif head == "initial":
                 initial = lp.next("state id")
-                lp.done()
             else:
                 lp.fail("syntax", 0, f"unknown directive {head!r}",
                         "'policy', 'version', 'experimental', 'statement', "
                         "'target', 'states', 'initial' or 'on'")
-        except _Fail as fail:
-            diags.append(fail.diagnostic)
+            lp.done()
+        except LineError as error:
+            diags.append(error.diagnostic)
 
     last = len(lines) or 1
     for field_name, value in (("policy", name), ("statement", statement),

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsl import PolicyDoc, PolicyParseError, parse
+from .dsl import (DslDiagnostic, LineError, PolicyDoc, PolicyParseError,
+                  line_parsers, parse)
 from .interference import check_set
-from .sim import Expectation, ScenarioError, ScenarioScript, parse_scenario
+from .sim import Expectation, ScenarioScript, parse_scenario
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -67,37 +68,34 @@ def load_policies(directory: Path) -> tuple[dict[str, PolicyDoc], list[str]]:
 
 
 def _load_manifest(directory: Path) -> tuple[dict[str, Expectation], list[str]]:
+    """Each `<scenario> healed|no-violation` line, read as .pol lines are."""
     expectations: dict[str, Expectation] = {}
     first_line: dict[str, int] = {}
-    problems: list[str] = []
     manifest = directory / "manifest"
     if not manifest.exists():
-        return expectations, problems
+        return expectations, []
     try:
         text = manifest.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return expectations, [f"manifest: {exc}"]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            problems.append(f"manifest:{lineno}: expected '<scenario> "
-                            f"healed|no-violation', got {raw!r}")
-            continue
-        scenario, expectation = parts
-        if scenario in first_line:
-            problems.append(f"manifest:{lineno}: duplicate scenario {scenario!r} "
-                            f"(first on line {first_line[scenario]})")
-            continue
-        first_line[scenario] = lineno
+    diags: list[DslDiagnostic] = []
+    for lp in line_parsers(text.splitlines(), diags):
         try:
-            expectations[scenario] = Expectation(expectation)
-        except ValueError:
-            problems.append(f"manifest:{lineno}: unknown expectation "
-                            f"{expectation!r}")
-    return expectations, problems
+            scenario = lp.next("scenario name")
+            expectation = lp.next("'healed' or 'no-violation'")
+            lp.done()
+            if scenario in first_line:
+                lp.fail("semantic", 0, f"duplicate scenario {scenario!r} "
+                        f"(first on line {first_line[scenario]})")
+            first_line[scenario] = lp.lineno
+            try:
+                expectations[scenario] = Expectation(expectation)
+            except ValueError:
+                lp.fail("semantic", 1, f"unknown expectation {expectation!r}",
+                        "'healed' or 'no-violation'")
+        except LineError as error:
+            diags.append(error.diagnostic)
+    return expectations, [f"manifest:{d}" for d in diags]
 
 
 def load_pack(directory: Path) -> PolicyPack:
@@ -124,13 +122,9 @@ def load_bundled_pack() -> PolicyPack:
 
 
 def load_scenario_file(path: Path, pack: PolicyPack | None = None) -> ScenarioScript:
-    """Parse a .scn file; a ScenarioError names the file."""
-    name = path.stem
-    expected = pack.expectations.get(name) if pack else None
-    try:
-        return parse_scenario(path.read_text(encoding="utf-8"), name, expected)
-    except (ScenarioError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    """Parse a .scn file, named by its stem, with the pack's expectation."""
+    expected = pack.expectations.get(path.stem) if pack else None
+    return parse_scenario(path.read_text(encoding="utf-8"), path.stem, expected)
 
 
 def load_bundled_scenarios(pack: PolicyPack | None = None) -> dict[str, ScenarioScript]:

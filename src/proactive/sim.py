@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import ActionSymbol, Event, Kind, PolicyAuthoringError, _API_CALL, _APP
-from .dsl import INTEGER
+from .dsl import (INTEGER, DslDiagnostic, LineError, _LineParser,
+                  _parse_symbol_atom, call_target, line_parsers)
 from .enforcer import HealingFailureError, InterventionRecord, PolicyEnforcer
 
 
@@ -46,11 +47,8 @@ class IllegalLifecycleError(Exception):
     pass
 
 
-class ScenarioError(Exception):
-    def __init__(self, message: str, line: Optional[int] = None) -> None:
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
+class ScenarioError(LineError):
+    """A .scn parse error, or a replay refusal at its step's line, column 1."""
 
 
 # Interfaces whose instances are created through a constructor hook and
@@ -179,66 +177,65 @@ APP_BUTTONS: dict[tuple[str, str], tuple[tuple[ActionSymbol, tuple], ...]] = {
 
 def parse_scenario(text: str, name: str,
                    expected: Optional[Expectation] = None) -> ScenarioScript:
-    """Parse a .scn file: `app <name>` header then one command per line."""
+    """Parse a .scn file: `app <name>` header then one command per line.
+    Lines lex as .pol's do (proactive.dsl); the first error raises a
+    ScenarioError."""
+    diags: list[DslDiagnostic] = []
+    lines = text.splitlines()
     app: Optional[str] = None
     app_line = 0
     steps: list[ScenarioStep] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "app":
-            if len(tokens) != 2:
-                raise ScenarioError("app directive takes one name", lineno)
-            if app is not None:
-                raise ScenarioError(
-                    f"duplicate 'app' directive (first on line {app_line})",
-                    lineno)
-            app, app_line = tokens[1], lineno
-        elif head in _LIFECYCLE:
-            if len(tokens) != 1:
-                raise ScenarioError(f"{head} takes no arguments", lineno)
-            steps.append(ScenarioStep(head, line=lineno))
-        elif head == "tap":
-            if len(tokens) != 2:
-                raise ScenarioError("tap takes one button name", lineno)
-            steps.append(ScenarioStep("tap", button=tokens[1], line=lineno))
-        elif head == "call":
-            if len(tokens) < 2:
-                raise ScenarioError("call takes a target", lineno)
-            if tokens[1] == "new":
-                if len(tokens) < 3:
-                    raise ScenarioError("call new takes an interface", lineno)
-                symbol = ActionSymbol.constructor(tokens[2])
-                raw_args = tokens[3:]
+    try:
+        for lp in line_parsers(lines, diags):
+            if diags:  # a lexical error on this line or an earlier one
+                break
+            for at, token in enumerate(lp.tokens):
+                if token[0] in '"{}(),':  # .pol's strings and punctuation
+                    lp.fail("syntax", at, f"unexpected token {token!r}")
+            head = lp.next("command")
+            if head == "app":
+                app_name = lp.next("app name")
+                lp.done()
+                if app is not None:
+                    lp.fail("semantic", 0, "duplicate 'app' directive "
+                            f"(first on line {app_line})")
+                app, app_line = app_name, lp.lineno
+            elif head in _LIFECYCLE or head == "tap":
+                button = lp.next("button name") if head == "tap" else None
+                lp.done()
+                steps.append(ScenarioStep(head, button=button, line=lp.lineno))
+            elif head == "call":
+                steps.append(_parse_call(lp))
             else:
-                if "." not in tokens[1]:
-                    raise ScenarioError(
-                        f"malformed call target {tokens[1]!r}", lineno)
-                iface, method = tokens[1].split(".", 1)
-                symbol = ActionSymbol.call(iface, method)
-                raw_args = tokens[2:]
-            if symbol.interface not in INTERFACES:
-                raise ScenarioError(
-                    f"unknown interface {symbol.interface!r}", lineno)
-            if (symbol.kind is Kind.API_CALL
-                    and (symbol.interface, symbol.method) not in _PROTOCOLS):
-                raise ScenarioError(
-                    f"{symbol.interface} has no method {symbol.method!r}", lineno)
-            args = tuple(int(a) if INTEGER.fullmatch(a) else a
-                         for a in raw_args)
-            steps.append(ScenarioStep("call", symbol=symbol, args=args,
-                                      line=lineno))
-        else:
-            raise ScenarioError(f"unknown command {head!r}", lineno)
+                lp.fail("syntax", 0, f"unknown command {head!r}")
+    except LineError as error:
+        diags.append(error.diagnostic)
+    last = len(lines) or 1
     if app is None:
-        raise ScenarioError("missing 'app' directive")
-    if not steps or steps[0].command != "launch":
-        raise ScenarioError("scenario must begin with launch")
+        diags.append(DslDiagnostic("syntax", last, 1,
+                                   "missing 'app' directive", "app <name>"))
+    elif not steps or steps[0].command != "launch":
+        diags.append(DslDiagnostic("semantic", steps[0].line if steps else last,
+                                   1, "scenario must begin with launch"))
+    if diags:  # the first error, which stopped the parse
+        raise ScenarioError(diags[0])
     return ScenarioScript(name=name, app=app, steps=tuple(steps),
                           expected=expected)
+
+
+def _parse_call(lp: _LineParser) -> ScenarioStep:
+    """A `call new <iface> [args]` or `call <iface>.<method> [args]` step."""
+    symbol = _parse_symbol_atom(lp) if lp.peek() == "new" else call_target(lp)
+    if symbol.interface not in INTERFACES:
+        lp.fail("semantic", lp.pos - 1,
+                f"unknown interface {symbol.interface!r}")
+    if (symbol.kind is Kind.API_CALL
+            and (symbol.interface, symbol.method) not in _PROTOCOLS):
+        lp.fail("semantic", lp.pos - 1,
+                f"{symbol.interface} has no method {symbol.method!r}")
+    args = tuple(int(a) if INTEGER.fullmatch(a) else a
+                 for a in lp.tokens[lp.pos:])
+    return ScenarioStep("call", symbol=symbol, args=args, line=lp.lineno)
 
 
 class SimWorld:
@@ -450,9 +447,9 @@ def run_scenario(script: ScenarioScript,
             if step.command == "tap":
                 actions = APP_BUTTONS.get((script.app, step.button))
                 if actions is None:
-                    raise ScenarioError(
-                        f"app {script.app!r} has no button {step.button!r}",
-                        step.line)
+                    raise ScenarioError(DslDiagnostic(
+                        "replay", step.line, 1,
+                        f"app {script.app!r} has no button {step.button!r}"))
                 for symbol, args in actions:
                     dispatch(symbol, args)
             elif step.command == "call":
@@ -461,7 +458,8 @@ def run_scenario(script: ScenarioScript,
                 for method in lifecycle_callbacks(world.state, step.command):
                     dispatch(ActionSymbol.callback(method))
         except (SimProtocolError, IllegalLifecycleError) as exc:
-            raise ScenarioError(str(exc), step.line) from exc
+            raise ScenarioError(
+                DslDiagnostic("replay", step.line, 1, str(exc))) from exc
         except (HealingFailureError, PolicyAuthoringError) as exc:
             exc.line = step.line
             raise

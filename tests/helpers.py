@@ -8,8 +8,9 @@ forms of the compiled moves, the item-by-item reference form of step,
 the all-pairs reference form of the deploy gate, the four-intersection
 reference form of check_pair, the two-pass reference form of the
 enforcer's on_event, the character-walking reference form of the `.pol`
-lexer, and the parse corpus whose results tests/record_parse_digests.py
-records."""
+lexer, the whitespace-splitting reference form of the `.scn` parser with
+a seeded generator of valid scenario texts, and the parse corpus whose
+results tests/record_parse_digests.py records."""
 
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from proactive.automata import (
     state_sort_key,
 )
 from proactive.dsl import (
+    INTEGER,
     DslDiagnostic,
     PolicyDoc,
     PolicyParseError,
@@ -65,7 +67,16 @@ from proactive.enforcer import (
     RecordingSink,
 )
 from proactive.pack import bundled_pack_dir
-from proactive.sim import ActivityState, IllegalLifecycleError
+from proactive.sim import (
+    _LIFECYCLE,
+    _PROTOCOLS,
+    INTERFACES,
+    ActivityState,
+    Expectation,
+    IllegalLifecycleError,
+    ScenarioScript,
+    ScenarioStep,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -682,6 +693,116 @@ def reference_tokenize_line(raw: str, lineno: int) -> tuple[list, list]:
         tokens.append((m.group(0), lineno, pos + 1))
         pos = m.end()
     return tokens, []
+
+
+def reference_parse_scenario(text: str, name: str,
+                             expected: Optional[Expectation] = None
+                             ) -> ScenarioScript:
+    """The `.scn` parser before it read through the `.pol` lexer: its own
+    comment rule and whitespace split, and one message per arity rule."""
+    app: Optional[str] = None
+    app_line = 0
+    steps: list[ScenarioStep] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        head = tokens[0]
+        if head == "app":
+            if len(tokens) != 2:
+                raise ValueError(f"line {lineno}: app directive takes one name")
+            if app is not None:
+                raise ValueError(f"line {lineno}: duplicate 'app' directive "
+                                 f"(first on line {app_line})")
+            app, app_line = tokens[1], lineno
+        elif head in _LIFECYCLE:
+            if len(tokens) != 1:
+                raise ValueError(f"line {lineno}: {head} takes no arguments")
+            steps.append(ScenarioStep(head, line=lineno))
+        elif head == "tap":
+            if len(tokens) != 2:
+                raise ValueError(f"line {lineno}: tap takes one button name")
+            steps.append(ScenarioStep("tap", button=tokens[1], line=lineno))
+        elif head == "call":
+            if len(tokens) < 2:
+                raise ValueError(f"line {lineno}: call takes a target")
+            if tokens[1] == "new":
+                if len(tokens) < 3:
+                    raise ValueError(f"line {lineno}: call new takes an interface")
+                symbol = ActionSymbol.constructor(tokens[2])
+                raw_args = tokens[3:]
+            else:
+                if "." not in tokens[1]:
+                    raise ValueError(f"line {lineno}: malformed call target "
+                                     f"{tokens[1]!r}")
+                iface, method = tokens[1].split(".", 1)
+                symbol = ActionSymbol.call(iface, method)
+                raw_args = tokens[2:]
+            if symbol.interface not in INTERFACES:
+                raise ValueError(f"line {lineno}: unknown interface "
+                                 f"{symbol.interface!r}")
+            if (symbol.kind is Kind.API_CALL
+                    and (symbol.interface, symbol.method) not in _PROTOCOLS):
+                raise ValueError(f"line {lineno}: {symbol.interface} has no "
+                                 f"method {symbol.method!r}")
+            args = tuple(int(a) if INTEGER.fullmatch(a) else a
+                         for a in raw_args)
+            steps.append(ScenarioStep("call", symbol=symbol, args=args,
+                                      line=lineno))
+        else:
+            raise ValueError(f"line {lineno}: unknown command {head!r}")
+    if app is None:
+        raise ValueError("missing 'app' directive")
+    if not steps or steps[0].command != "launch":
+        raise ValueError("scenario must begin with launch")
+    return ScenarioScript(name=name, app=app, steps=tuple(steps),
+                          expected=expected)
+
+
+_WORD_CHARS = "abcXYZ019-+._\\'\u00e9\u00b2"
+
+
+def random_scenario_text(rng: random.Random) -> str:
+    """A valid `.scn` text using every command, with spaces and tabs
+    between tokens, blank lines and trailing `#` comments.  Its args are
+    integers and bare words without `{}(),"#`."""
+    def word() -> str:
+        return "".join(rng.choice(_WORD_CHARS) for _ in range(rng.randint(1, 6)))
+
+    def arg() -> str:
+        return str(rng.randint(-999, 999)) if rng.random() < 0.5 else word()
+
+    commands = ["launch"] + [rng.choice(("lifecycle", "tap", "call", "new"))
+                             for _ in range(rng.randint(0, 12))]
+    at = rng.randint(0, len(commands))
+    commands.insert(at, "app")
+    lines = []
+    for command in commands:
+        if command == "app":
+            tokens = ["app", word()]
+        elif command == "lifecycle":
+            tokens = [rng.choice(list(_LIFECYCLE))]
+        elif command == "tap":
+            tokens = ["tap", word()]
+        elif command == "call":
+            interface, method = rng.choice(list(_PROTOCOLS))
+            tokens = ["call", f"{interface}.{method}"]
+            tokens += [arg() for _ in range(rng.randint(0, 4))]
+        elif command == "new":
+            tokens = ["call", "new", rng.choice(INTERFACES)]
+            tokens += [arg() for _ in range(rng.randint(0, 4))]
+        else:
+            tokens = [command]
+        gaps = [rng.choice((" ", "\t", "  ", " \t ")) for _ in tokens]
+        line = rng.choice(("", " ", "\t")) + "".join(
+            token + gap for token, gap in zip(tokens, gaps)).rstrip(" \t")
+        if rng.random() < 0.3:
+            line += rng.choice((" ", "\t", "")) + "# " + word() + " (x, \"y\")"
+        lines.append(line)
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "  ", "\t", "# only a comment")))
+    return "\n".join(lines) + rng.choice(("\n", ""))
 
 
 _LINE_BREAK_CODES = {f"{ord(c):04x}": c for c in LINE_BREAKS if c != "\n"}

@@ -245,16 +245,17 @@ class TestRun:
                         encoding="utf-8")
         assert main(["run", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err \
-            == f"{path}: line 3: unknown interface 'Foo'\n"
+            == f"{path}:3:6: semantic error: unknown interface 'Foo'\n"
 
     @pytest.mark.parametrize("text, message", [
         ("app HearHere\nlaunch\ntap NOPE\n",
-         "line 3: app 'HearHere' has no button 'NOPE'"),
-        ("app FooCam\nlaunch\nlaunch\n", "line 3: activity already launched"),
+         "3:1: replay error: app 'HearHere' has no button 'NOPE'"),
+        ("app FooCam\nlaunch\nlaunch\n",
+         "3:1: replay error: activity already launched"),
         ("app FooCam\nlaunch\ncall Camera.open\ncall Camera.open\n",
-         "line 4: Camera is exclusively held; cannot open it twice"),
+         "4:1: replay error: Camera is exclusively held; cannot open it twice"),
         ("app FooCam\nlaunch\nforeground\n",
-         "line 3: cannot foreground a resumed activity"),
+         "3:1: replay error: cannot foreground a resumed activity"),
     ], ids=["unknown-button", "second-launch", "second-open",
             "resumed-foreground"])
     @pytest.mark.parametrize("extra", [[], ["--parallel"]],
@@ -267,7 +268,7 @@ class TestRun:
                      str(path), *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"{path}: {message}\n"
+        assert captured.err == f"{path}:{message}\n"
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "x.scn")]) == 2
@@ -329,7 +330,7 @@ class TestFailedHeal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"{path}: line 3: policy 'bad-preview' failed to execute "
+            f"{path}:3:1: policy 'bad-preview' failed to execute "
             "+call Camera.startPreview@4: startPreview on an unheld Camera\n")
 
     def test_serial_run_stops_at_the_first_failure(self, tmp_path, capsys,
@@ -368,7 +369,7 @@ class TestAuthoringError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"{path}: line 3: policy 'uncached-stop': template synthesizes "
+            f"{path}:3:1: policy 'uncached-stop': template synthesizes "
             "call AudioRecord.stop with cached constructor args, but no "
             "constructor has been intercepted yet\n")
 
@@ -434,7 +435,8 @@ class TestBench:
         path.write_text("app HearHere\nlaunch\ntap NOPE\n", encoding="utf-8")
         assert main(["bench", "--scenario", str(path), "--reps", "3"]) == 2
         assert capsys.readouterr().err \
-            == f"{path}: line 3: app 'HearHere' has no button 'NOPE'\n"
+            == f"{path}:3:1: replay error: app 'HearHere' has no button " \
+            "'NOPE'\n"
 
     def test_unwritable_out_is_one_usage_line(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "bench.json"
@@ -498,7 +500,8 @@ def fuzzed_files(draw):
 
 class TestFuzzedInput:
     """No input file makes the CLI raise: every run ends with exit 0 (ok),
-    1 (a finding) or 2 (a usage or input error)."""
+    1 (a finding) or 2 (a usage or input error), and a scenario's usage
+    error reads `path:line:col: ` unless the file does not decode."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -507,10 +510,16 @@ class TestFuzzedInput:
         pol, scn_path = tmp_path / "fuzzed.pol", tmp_path / "fuzzed.scn"
         pol.write_bytes(policy)
         scn_path.write_bytes(scenario)
+        scenario_error = re.compile(
+            rf"{re.escape(str(scn_path))}:(\d+:\d+: |"
+            " 'utf-8' codec can't decode)")
         for argv in (["validate", str(pol)],
                      ["run", "--scenario", str(scn_path)],
                      ["bench", "--scenario", str(scn_path), "--reps", "3"]):
+            err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+                    contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2), (argv, code)
+            if code == 2 and argv[0] != "validate":
+                assert scenario_error.match(err.getvalue()), err.getvalue()

@@ -16,7 +16,7 @@ from proactive.automata import (
 from proactive.dsl import (
     PolicyParseError,
     _column,
-    _tokenize_line,
+    line_parsers,
     parse,
     serialize,
 )
@@ -370,19 +370,24 @@ class TestLexerAgreesWithReference:
         # parse treats as line breaks, also reach the lexer inside a line.
         lexical = strings = 0
         for text in parse_corpus():
-            for lineno, raw in enumerate(text.split("\n"), start=1):
-                diags = []
-                tokens = _tokenize_line(raw, lineno, diags)
-                expected_tokens, expected_diags = \
+            raws = text.split("\n")
+            diags = []
+            tokens_at = {lp.lineno: lp.tokens
+                         for lp in line_parsers(raws, diags)}
+            expected_diags = []
+            for lineno, raw in enumerate(raws, start=1):
+                tokens = tokens_at.get(lineno, [])
+                expected_tokens, line_diags = \
                     reference_tokenize_line(raw, lineno)
                 assert [(t, lineno, _column(raw, i))
                         for i, t in enumerate(tokens)] == expected_tokens, raw
-                assert diags == expected_diags, raw
-                lexical += len(diags)
+                expected_diags += line_diags
                 for t in tokens:
                     if t.startswith('"'):
                         strings += 1
                         assert unquote(t) == reference_unquote(t)
+            assert diags == expected_diags, text
+            lexical += len(diags)
         assert lexical > 100 and strings > 1000
 
     def test_parse_reports_the_reference_lexical_diagnostics(self):

@@ -1,14 +1,20 @@
+import random
+import re
+
 import pytest
 
 from proactive.automata import ActionSymbol, Guard, OutputItem
 from proactive.interference import check_set
 from proactive.pack import (
     PackLoadError,
+    _load_manifest,
     bundled_pack_dir,
     load_pack,
     load_policies,
 )
 from proactive.sim import Expectation
+
+from helpers import mutated_policy_text
 
 TABLE_STATEMENTS = {
     "bluechat-bluetooth-disable":
@@ -113,26 +119,53 @@ class TestLoadPack:
 
     def test_bad_manifest_line(self, tmp_path):
         (tmp_path / "manifest").write_text("scen maybe\n", encoding="utf-8")
-        with pytest.raises(PackLoadError, match="unknown expectation"):
+        with pytest.raises(PackLoadError) as exc:
             load_pack(tmp_path)
+        assert exc.value.problems == [
+            "manifest:1:6: semantic error: unknown expectation 'maybe' "
+            "(expected 'healed' or 'no-violation')"]
 
-    @pytest.mark.parametrize("line", ["healed", "a healed now"])
-    def test_manifest_line_without_two_fields(self, tmp_path, line):
+    @pytest.mark.parametrize("line, problem", [
+        pytest.param(line, problem, id=line) for line, problem in [
+            ("healed", "manifest:2:7: syntax error: unexpected end of line "
+             "(expected 'healed' or 'no-violation')"),
+            ("a healed now", "manifest:2:10: syntax error: trailing token "
+             "'now' (expected end of line)"),
+        ]])
+    def test_manifest_line_without_two_fields(self, tmp_path, line, problem):
         (tmp_path / "manifest").write_text(f"a healed\n{line}\n",
                                            encoding="utf-8")
         with pytest.raises(PackLoadError) as exc:
             load_pack(tmp_path)
-        assert exc.value.problems == [
-            f"manifest:2: expected '<scenario> healed|no-violation', "
-            f"got {line!r}"]
+        assert exc.value.problems == [problem]
 
     def test_scenario_listed_twice_in_manifest(self, tmp_path):
         (tmp_path / "manifest").write_text(
             "a healed\nb healed\na no-violation\n", encoding="utf-8")
         with pytest.raises(PackLoadError) as exc:
             load_pack(tmp_path)
-        assert exc.value.problems \
-            == ["manifest:3: duplicate scenario 'a' (first on line 1)"]
+        assert exc.value.problems == ["manifest:3:1: semantic error: "
+                                      "duplicate scenario 'a' (first on line 1)"]
+
+    def test_every_manifest_problem_is_inside_its_text(self, tmp_path):
+        # The manifest reads through the .pol lexer: each problem of a
+        # mutated bundled manifest names a line of the text and a column
+        # of that line.
+        bundled = (bundled_pack_dir() / "manifest").read_text(encoding="utf-8")
+        rng = random.Random(13)
+        failed = 0
+        for text in [bundled] + [mutated_policy_text(rng, bundled)
+                                 for _ in range(300)]:
+            (tmp_path / "manifest").write_text(text, encoding="utf-8")
+            expectations, problems = _load_manifest(tmp_path)
+            failed += bool(problems)
+            lines = text.splitlines()
+            for problem in problems:
+                line, column = map(int, re.match(
+                    r"manifest:(\d+):(\d+): ", problem).groups())
+                assert 1 <= line <= len(lines), (text, problem)
+                assert 1 <= column <= len(lines[line - 1]) + 1, (text, problem)
+        assert failed > 100
 
     def test_interfering_deployable_pack_rejected(self, tmp_path):
         base = ('policy {name}\nstatement "s"\ntarget T\nstates 0 1\ninitial 0\n'

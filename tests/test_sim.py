@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from proactive.automata import ActionSymbol, Event, Origin
+from proactive.automata import ActionSymbol, Event, Kind, Origin
 from proactive.sim import (
     INTERFACES,
     ActivityState,
@@ -16,7 +18,16 @@ from proactive.sim import (
     run_scenario,
 )
 
-from helpers import deployed, event_shapes, reference_lifecycle_callbacks
+from proactive.pack import bundled_scenarios_dir
+
+from helpers import (
+    deployed,
+    event_shapes,
+    mutated_policy_text,
+    random_scenario_text,
+    reference_lifecycle_callbacks,
+    reference_parse_scenario,
+)
 
 LIFECYCLE_COMMANDS = ("launch", "background", "foreground", "rotate",
                       "destroy")
@@ -80,15 +91,18 @@ class TestParseScenario:
         assert [s.command for s in script.steps] == ["launch"]
 
     def test_missing_app(self):
-        with pytest.raises(ScenarioError, match="app"):
+        with pytest.raises(ScenarioError, match=r"^1:1: syntax error: missing "
+                           r"'app' directive \(expected app <name>\)$"):
             parse_scenario("launch\n", "x")
 
     def test_must_begin_with_launch(self):
-        with pytest.raises(ScenarioError, match="launch"):
+        with pytest.raises(ScenarioError, match="^2:1: semantic error: "
+                           "scenario must begin with launch$"):
             parse_scenario("app X\nbackground\n", "x")
 
     def test_unknown_command_has_line(self):
-        with pytest.raises(ScenarioError, match="line 3"):
+        with pytest.raises(ScenarioError, match="^3:1: syntax error: "
+                           "unknown command 'fly'"):
             parse_scenario("app X\nlaunch\nfly\n", "x")
 
     @pytest.mark.parametrize("command", LIFECYCLE_COMMANDS)
@@ -96,24 +110,55 @@ class TestParseScenario:
         script = parse_scenario(f"app X\nlaunch\n{command}\n", "x")
         assert script.steps[1] == ScenarioStep(command, line=3)
 
-    @pytest.mark.parametrize("line, message", [
-        ("app", "app directive takes one name"),
-        ("app A B", "app directive takes one name"),
-        ("destroy now", "destroy takes no arguments"),
-        ("tap", "tap takes one button name"),
-        ("tap START STOP", "tap takes one button name"),
-        ("call", "call takes a target"),
-        ("call new", "call new takes an interface"),
-    ])
+    @pytest.mark.parametrize("line, message", [pytest.param(
+        line, message, id=f"{line}-{rule}") for line, rule, message in [
+        ("app", "app directive takes one name",
+         "3:4: syntax error: unexpected end of line (expected app name)"),
+        ("app A B", "app directive takes one name",
+         "3:7: syntax error: trailing token 'B' (expected end of line)"),
+        ("destroy now", "destroy takes no arguments",
+         "3:9: syntax error: trailing token 'now' (expected end of line)"),
+        ("tap", "tap takes one button name",
+         "3:4: syntax error: unexpected end of line (expected button name)"),
+        ("tap START STOP", "tap takes one button name",
+         "3:11: syntax error: trailing token 'STOP' (expected end of line)"),
+        ("call", "call takes a target",
+         "3:5: syntax error: unexpected end of line "
+         "(expected <interface>.<method>)"),
+        ("call new", "call new takes an interface",
+         "3:9: syntax error: unexpected end of line (expected interface name)"),
+    ]])
     def test_arity_error_names_its_line(self, line, message):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(f"app X\nlaunch\n{line}\n", "x")
-        assert exc.value.line == 3
-        assert str(exc.value) == f"line 3: {message}"
+        assert exc.value.diagnostic.line == 3
+        assert str(exc.value) == message
 
     def test_malformed_call_target(self):
-        with pytest.raises(ScenarioError, match="malformed"):
+        with pytest.raises(ScenarioError) as exc:
             parse_scenario("app X\nlaunch\ncall nodot\n", "x")
+        assert str(exc.value) == ("3:6: syntax error: malformed call target "
+                                  "'nodot' (expected <interface>.<method>)")
+
+    @pytest.mark.parametrize("line, column, token", [
+        ("tap (START)", 5, "("),
+        ("call Camera.open 3, 4", 19, ","),
+        ("call Camera.open 3 }", 20, "}"),
+        ('call Camera.open "hz" # a comment', 18, '"hz"'),
+        ("{ launch", 1, "{"),
+    ])
+    def test_strings_and_punctuation_are_syntax_errors(self, line, column,
+                                                       token):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(f"app X\nlaunch\n{line}\n", "x")
+        assert str(exc.value) \
+            == f"3:{column}: syntax error: unexpected token {token!r}"
+
+    def test_unterminated_string_is_a_lexical_error(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario('app X\nlaunch\n\ttap "START\n', "x")
+        assert str(exc.value) == ("3:6: lexical error: unterminated string "
+                                  "or bad character '\"'")
 
     def test_call_args_parsed(self):
         script = parse_scenario("app X\nlaunch\ncall Camera.open 3 -4 hz\n", "x")
@@ -127,8 +172,8 @@ class TestParseScenario:
     def test_duplicate_app_directive(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("app X\nlaunch\napp Y\n", "x")
-        assert exc.value.line == 3
-        assert "duplicate 'app' directive (first on line 1)" in str(exc.value)
+        assert str(exc.value) == ("3:1: semantic error: duplicate 'app' "
+                                  "directive (first on line 1)")
 
     @pytest.mark.parametrize("target, message", [
         ("Foo.bar", "unknown interface 'Foo'"),
@@ -140,14 +185,61 @@ class TestParseScenario:
     def test_unknown_call_target_is_rejected_on_its_line(self, target, message):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(f"app X\nlaunch\n\ncall {target}\n", "x")
-        assert exc.value.line == 4
-        assert str(exc.value) == f"line 4: {message}"
+        # The column is the interface's: col 10 after `call new `, else 6.
+        column = 10 if target.startswith("new ") else 6
+        assert str(exc.value) == f"4:{column}: semantic error: {message}"
 
     def test_constructor_step(self):
         script = parse_scenario("app X\nlaunch\ncall new AudioRecord 8000\n",
                                 "x")
         assert script.steps[1].symbol == ActionSymbol.constructor("AudioRecord")
         assert script.steps[1].args == (8000,)
+
+
+def scenario_texts() -> list[str]:
+    paths = sorted(bundled_scenarios_dir().glob("*.scn"))
+    assert len(paths) == 7
+    return [path.read_text(encoding="utf-8") for path in paths]
+
+
+class TestOneReader:
+    """.scn files read through the .pol lexer: valid text parses as the
+    whitespace-splitting parser read it, and every error is positioned
+    inside its text."""
+
+    def test_bundled_scenarios_parse_as_before(self):
+        for text in scenario_texts():
+            assert parse_scenario(text, "x") \
+                == reference_parse_scenario(text, "x")
+
+    def test_generated_scenarios_parse_as_before(self):
+        rng = random.Random(11)
+        heads = set()
+        for _ in range(300):
+            text = random_scenario_text(rng)
+            script = parse_scenario(text, "x")
+            assert script == reference_parse_scenario(text, "x"), text
+            heads.update(step.command for step in script.steps)
+            heads.update(step.symbol.kind for step in script.steps
+                         if step.command == "call")
+        assert heads >= {*LIFECYCLE_COMMANDS, "tap", "call",
+                         Kind.API_CALL, Kind.CONSTRUCTOR}
+
+    def test_every_error_is_inside_its_text(self):
+        rng = random.Random(12)
+        texts = scenario_texts()
+        failed = 0
+        for text in texts + [mutated_policy_text(rng, rng.choice(texts))
+                             for _ in range(700)]:
+            try:
+                parse_scenario(text, "x")
+            except ScenarioError as exc:
+                failed += 1
+                d = exc.diagnostic
+                lines = text.splitlines()
+                assert 1 <= d.line <= len(lines), (text, d)
+                assert 1 <= d.column <= len(lines[d.line - 1]) + 1, (text, d)
+        assert failed > 100
 
 
 class TestProtocols:
@@ -262,7 +354,8 @@ class TestRunScenario:
 
     def test_unknown_button_aborts_with_line(self, pack):
         script = parse_scenario("app HearHere\nlaunch\ntap NOPE\n", "x")
-        with pytest.raises(ScenarioError, match="NOPE"):
+        with pytest.raises(ScenarioError, match="^3:1: replay error: app "
+                           "'HearHere' has no button 'NOPE'$"):
             run_scenario(script)
 
     @pytest.mark.parametrize("steps, message", [
@@ -275,7 +368,8 @@ class TestRunScenario:
             for line, command in enumerate(steps, start=2)))
         with pytest.raises(ScenarioError) as exc:
             run_scenario(script)
-        assert str(exc.value) == f"line {len(steps) + 1}: {message}"
+        assert str(exc.value) \
+            == f"{len(steps) + 1}:1: replay error: {message}"
 
     def test_step_bookkeeping(self, pack, scenarios):
         result = run_scenario(scenarios["hearhere"], deployed(pack.deployable()))
