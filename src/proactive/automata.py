@@ -157,7 +157,7 @@ _ANY, _EXACTLY, _ANY_OF, _ANY_EXCEPT = (GuardKind.ANY, GuardKind.EXACTLY,
                                         GuardKind.ANY_OF, GuardKind.ANY_EXCEPT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Guard:
     """Input condition of a transition.
 
@@ -168,13 +168,16 @@ class Guard:
     kind: GuardKind
     symbols: frozenset[ActionSymbol] = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.kind in (_ANY_OF, _ANY_EXCEPT) and not self.symbols:
-            raise ValueError(f"{self.kind.value} guard requires a non-empty symbol set")
-        if self.kind is _EXACTLY and len(self.symbols) != 1:
+    # Guard's and the other parse-tree nodes' __init__ fill __dict__ in one
+    # update: a frozen dataclass's own calls object.__setattr__ per field.
+    def __init__(self, kind: GuardKind, symbols: frozenset[ActionSymbol] = frozenset()):
+        if kind in (_ANY_OF, _ANY_EXCEPT) and not symbols:
+            raise ValueError(f"{kind.value} guard requires a non-empty symbol set")
+        if kind is _EXACTLY and len(symbols) != 1:
             raise ValueError("exactly guard takes a single symbol")
-        if self.kind is _ANY and self.symbols:
+        if kind is _ANY and symbols:
             raise ValueError("any guard takes no symbols")
+        self.__dict__.update(kind=kind, symbols=symbols)
 
     @staticmethod
     def any() -> "Guard":
@@ -182,7 +185,7 @@ class Guard:
 
     @staticmethod
     def exactly(symbol: ActionSymbol) -> "Guard":
-        return Guard(_EXACTLY, frozenset([symbol]))
+        return Guard(_EXACTLY, frozenset((symbol,)))
 
     @staticmethod
     def any_of(symbols: Iterable[ActionSymbol]) -> "Guard":
@@ -193,8 +196,7 @@ class Guard:
         return Guard(_ANY_EXCEPT, frozenset(symbols))
 
     def matches(self, symbol: ActionSymbol) -> bool:
-        """Whether the guard accepts a vocabulary symbol: accepted, one
-        symbol at a time."""
+        """Whether the guard accepts a vocabulary symbol: `accepted`'s test."""
         if self.kind is _ANY:
             return True
         if self.kind is _ANY_EXCEPT:
@@ -202,8 +204,8 @@ class Guard:
         return symbol in self.symbols
 
     def accepted(self, vocabulary: frozenset[ActionSymbol]) -> frozenset[ActionSymbol]:
-        """The vocabulary symbols the guard matches, by set algebra: how
-        validate, moves and effects read a guard."""
+        """The vocabulary symbols the guard matches, by set algebra: read
+        once per transition, when its automaton is built."""
         if self.kind is _ANY:
             return vocabulary
         if self.kind is _ANY_EXCEPT:
@@ -226,7 +228,7 @@ class ArgSource(enum.Enum):
     LITERALS = "literals"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OutputItem:
     """One element of a transition's output template.
 
@@ -237,6 +239,9 @@ class OutputItem:
     symbol: Optional[ActionSymbol] = None
     arg_source: ArgSource = ArgSource.NONE
     literals: tuple = ()
+
+    def __init__(self, symbol=None, arg_source=ArgSource.NONE, literals=()):
+        self.__dict__.update(symbol=symbol, arg_source=arg_source, literals=literals)
 
     @staticmethod
     def forward() -> "OutputItem":
@@ -282,7 +287,7 @@ def unquote(quoted: str) -> str:
                        quoted[1:-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transition:
     source: str
     guard: Guard
@@ -291,6 +296,10 @@ class Transition:
     # The line of its `on` directive, set by dsl.parse; 0 if built in code.
     line: int = field(default=0, compare=False, repr=False)
 
+    def __init__(self, source, guard, output, target, line=0):
+        self.__dict__.update(source=source, guard=guard, output=output,
+                             target=target, line=line)
+
     def sort_key(self):
         return (state_sort_key(self.source), self.guard.text(),
                 tuple(i.text() for i in self.output), state_sort_key(self.target))
@@ -298,9 +307,7 @@ class Transition:
 
 def state_sort_key(state: str):
     """Numeric ids first, by value; the id itself breaks ties ("3", "03")."""
-    if state.isdecimal():
-        return (0, int(state), state)
-    return (1, 0, state)
+    return (0, int(state), state) if state.isdecimal() else (1, 0, state)
 
 
 class Template(NamedTuple):
@@ -335,29 +342,46 @@ _FORWARD_ONLY = (OutputItem(),)
 _MISSING: Move = (None, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EffectSets:
     inserted: frozenset[ActionSymbol]
     suppressible: frozenset[ActionSymbol]
+    # Insertable or suppressible symbols: what deploy and check_pair read.
+    touched: frozenset[ActionSymbol] = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def touched(self) -> frozenset[ActionSymbol]:
-        """Insertable or suppressible symbols: what deploy and check_pair read."""
-        return self.inserted | self.suppressible
+    def __init__(self, inserted, suppressible):
+        self.__dict__.update(inserted=inserted, suppressible=suppressible,
+                             touched=inserted | suppressible)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EditAutomaton:
     """Deterministic, vocabulary-complete edit automaton.
 
     Equality ignores transition declaration order: determinism makes the
     order irrelevant, and the DSL serializer reorders transitions into
     canonical form.
+
+    Building one compiles, in one pass that reads each guard once, its
+    `vocabulary` (the symbols guards name or templates insert), `accepted`
+    (each transition's vocabulary symbols, in order) and `effects` (what
+    it can insert, and what a transition omitting the input suppresses).
     """
 
     states: frozenset[str]
     initial: str
     transitions: tuple[Transition, ...]
+
+    def __init__(self, states, initial, transitions):
+        inserted = frozenset([i.symbol for t in transitions for i in t.output
+                              if i.symbol is not None])
+        vocabulary = inserted.union(*[t.guard.symbols for t in transitions])
+        accepted = tuple([t.guard.accepted(vocabulary) for t in transitions])
+        suppressible = frozenset().union(*[a for t, a in zip(transitions, accepted)
+                                           if None not in [i.symbol for i in t.output]])
+        self.__dict__.update(states=states, initial=initial, transitions=transitions,
+                             vocabulary=vocabulary, accepted=accepted,
+                             effects=EffectSets(inserted, suppressible))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EditAutomaton):
@@ -371,15 +395,6 @@ class EditAutomaton:
         return hash((self.states, self.initial, frozenset(self.transitions)))
 
     @cached_property
-    def vocabulary(self) -> frozenset[ActionSymbol]:
-        """All symbols named in guards plus all synthesized symbols."""
-        symbols: set[ActionSymbol] = set()
-        for t in self.transitions:
-            symbols.update(t.guard.symbols)
-            symbols.update(i.symbol for i in t.output if not i.is_forward)
-        return frozenset(symbols)
-
-    @cached_property
     def moves(self) -> dict[ActionSymbol, dict[str, Move]]:
         """vocabulary symbol -> state -> (target, template) of the first
         matching transition, the template None when it is exactly (input,):
@@ -389,15 +404,15 @@ class EditAutomaton:
         initial, or a transition's source or target, and that no transition
         leaves on the symbol, maps to _MISSING.  No other state has an
         entry: nothing puts a module there, and each reader takes it as
-        idle.  The form deploy, on_event,
-        step and violations read; built from the transitions in declaration
-        order, with one Template.of per editing transition."""
-        vocabulary = self.vocabulary
-        first: dict[ActionSymbol, dict[str, Optional[Move]]] = {s: {} for s in vocabulary}
-        for t in self.transitions:
+        idle.  The form deploy, on_event, step and violations read; built
+        from `accepted` at the first read, with one Template.of per editing
+        transition."""
+        first: dict[ActionSymbol, dict[str, Optional[Move]]] = {
+            s: {} for s in self.vocabulary}
+        for t, accepted in zip(self.transitions, self.accepted):
             move = (t.target, None if t.output == _FORWARD_ONLY else Template.of(t))
             idle = move[1] is None and t.target == t.source
-            for symbol in t.guard.accepted(vocabulary):
+            for symbol in accepted:
                 # None marks an idle first match, so no later one takes its place.
                 first[symbol].setdefault(t.source, None if idle and symbol.kind
                                          is not _CONSTRUCTOR else move)
@@ -406,19 +421,6 @@ class EditAutomaton:
         return {symbol: {state: move for state in states
                          if (move := by_state.get(state, _MISSING)) is not None}
                 for symbol, by_state in first.items()}
-
-    @cached_property
-    def effects(self) -> EffectSets:
-        """Symbols the automaton can insert, and symbols it can suppress.
-        Forwarding the matched input counts as neither.  A vocabulary
-        symbol is suppressible when some transition matching it omits
-        the input."""
-        inserted = {i.symbol for t in self.transitions
-                    for i in t.output if not i.is_forward}
-        suppressible = frozenset().union(
-            *(t.guard.accepted(self.vocabulary) for t in self.transitions
-              if not any(i.is_forward for i in t.output)))
-        return EffectSets(frozenset(inserted), suppressible)
 
 
 @dataclass(frozen=True)
@@ -445,8 +447,8 @@ def validate(automaton: EditAutomaton) -> list[Diagnostic]:
                                 state=automaton.initial))
     vocabulary = automaton.vocabulary
     accepted: dict[str, list[frozenset[ActionSymbol]]] = {}  # by source state
-    for t in automaton.transitions:
-        accepted.setdefault(t.source, []).append(t.guard.accepted(vocabulary))
+    for t, symbols in zip(automaton.transitions, automaton.accepted):
+        accepted.setdefault(t.source, []).append(symbols)
         for endpoint in (t.source, t.target):
             if endpoint not in automaton.states:
                 diags.append(Diagnostic(
@@ -465,8 +467,8 @@ def validate(automaton: EditAutomaton) -> list[Diagnostic]:
                if sum(map(len, sets := accepted.get(state, ()))) != len(vocabulary)
                or len(frozenset().union(*sets)) != len(vocabulary)]
     for state in sorted(flagged, key=state_sort_key):
-        guards = [(t, t.guard.accepted(vocabulary))
-                  for t in automaton.transitions if t.source == state]
+        guards = [(t, symbols) for t, symbols
+                  in zip(automaton.transitions, automaton.accepted) if t.source == state]
         for symbol in sorted(vocabulary, key=str):
             matching = [t for t, symbols in guards if symbol in symbols]
             if len(matching) > 1:

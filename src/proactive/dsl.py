@@ -22,11 +22,11 @@ to the end of the line; strings are double-quoted, with the escapes \",
                which suppresses the matched input)
 
 Each line of a policy, a `.scn` scenario or the pack manifest is lexed
-by one regex findall into plain token strings (`line_parsers`).  A
-comment can only be the last lexeme, and a lone '"' is a string with no
-closing quote: it ends the line's tokens with a lexical diagnostic.  A
-diagnostic finds its column by scanning its line again, so valid text
-never computes one.
+into token strings (`line_parsers`): cut at its first '#', spaced around
+each of {}(), and split if it holds no '"', else by one regex findall,
+which a lone '"' (a string with no closing quote) ends with a lexical
+diagnostic.  A diagnostic finds its column by scanning its line again
+with that regex, so valid text never computes one.
 
 Canonical form uses LF line endings, single-space token separation,
 states sorted by id and transitions sorted by (from, guard text).
@@ -45,6 +45,11 @@ from .automata import (
     Guard,
     OutputItem,
     Transition,
+    _ANY_EXCEPT,
+    _ANY_OF,
+    _API_CALL,
+    _EXACTLY,
+    _FORWARD_ONLY,
     quote,
     state_sort_key,
     unquote,
@@ -83,7 +88,7 @@ class PolicyParseError(Exception):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolicyDoc:
     """A named, parsed policy: enforcement model plus metadata."""
 
@@ -93,6 +98,12 @@ class PolicyDoc:
     automaton: EditAutomaton
     version: int = 0
     experimental: bool = False
+
+    def __init__(self, name, statement, target_interface, automaton, version=0,
+                 experimental=False):  # fills __dict__ as automata.Guard's does
+        self.__dict__.update(name=name, statement=statement,
+                             target_interface=target_interface, automaton=automaton,
+                             version=version, experimental=experimental)
 
 
 def _column(raw: str, index: int) -> int:
@@ -106,10 +117,7 @@ class _LineParser:
     __slots__ = ("tokens", "raw", "lineno", "pos")
 
     def __init__(self, tokens: list[str], raw: str, lineno: int) -> None:
-        self.tokens = tokens
-        self.raw = raw
-        self.lineno = lineno
-        self.pos = 0
+        self.tokens, self.raw, self.lineno, self.pos = tokens, raw, lineno, 0
 
     def fail(self, kind: str, at: Optional[int], message: str,
              expected: Optional[str] = None) -> NoReturn:
@@ -163,15 +171,20 @@ def line_parsers(lines: list[str],
     an unterminated string, whose lexical diagnostic is appended to diags
     before its line's cursor is handed on.  Lines are numbered from 1."""
     for lineno, raw in enumerate(lines, start=1):
-        tokens = _LEXEME.findall(raw)
-        if tokens and tokens[-1][0] == "#":
-            tokens.pop()
-        if '"' in tokens:
-            bad = tokens.index('"')
-            diags.append(DslDiagnostic(
-                "lexical", lineno, _column(raw, bad),
-                "unterminated string or bad character '\"'"))
-            del tokens[bad:]
+        if '"' not in raw:  # _LEXEME's tokens, by str methods at a third the cost
+            tokens = (raw.partition("#")[0].replace("{", " { ").replace("}", " } ")
+                      .replace("(", " ( ").replace(")", " ) ").replace(",", " , ")
+                      .split())
+        else:
+            tokens = _LEXEME.findall(raw)
+            if tokens and tokens[-1][0] == "#":
+                tokens.pop()
+            if '"' in tokens:
+                bad = tokens.index('"')
+                diags.append(DslDiagnostic(
+                    "lexical", lineno, _column(raw, bad),
+                    "unterminated string or bad character '\"'"))
+                del tokens[bad:]
         if tokens:
             yield _LineParser(tokens, raw, lineno)
 
@@ -179,70 +192,45 @@ def line_parsers(lines: list[str],
 def call_target(lp: _LineParser) -> ActionSymbol:
     """The `<interface>.<method>` after a `call`."""
     ref = lp.next("<interface>.<method>")
-    if "." not in ref:
+    iface, dot, method = ref.partition(".")
+    if not dot:
         lp.fail("syntax", lp.pos - 1, f"malformed call target {ref!r}",
                 "<interface>.<method>")
-    iface, method = ref.split(".", 1)
-    return ActionSymbol.call(iface, method)
+    return ActionSymbol(_API_CALL, iface, method)
 
 
 def _parse_symbol_atom(lp: _LineParser) -> ActionSymbol:
     head = lp.next("'call', 'callback' or 'new'")
+    if head == "call":
+        return call_target(lp)
     if head == "callback":
         return ActionSymbol.callback(lp.next("callback method name"))
     if head == "new":
         return ActionSymbol.constructor(lp.next("interface name"))
-    if head == "call":
-        return call_target(lp)
     lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
             "'call', 'callback' or 'new'")
 
 
-def _parse_symbol_set(lp: _LineParser) -> tuple[frozenset[ActionSymbol], int]:
-    opener = lp.expect("{")
-    symbols: set[ActionSymbol] = set()
-    while True:
-        tok = lp.peek()
-        if tok is None:
-            lp.fail("syntax", opener, "unclosed symbol set", "'}'")
-        if tok == "}":
-            lp.pos += 1
-            return frozenset(symbols), opener
-        symbols.add(_parse_symbol_atom(lp))
-
-
 def _parse_guard(lp: _LineParser) -> Guard:
-    tok = lp.peek()
-    if tok is None:
+    kind = lp.peek()
+    if kind is None:
         lp.fail("syntax", None, "missing guard", "guard")
-    if tok == "any":
+    if kind == "any":
         lp.pos += 1
         return Guard.any()
-    if tok in ("any-of", "any-except"):
-        lp.pos += 1
-        symbols, opener = _parse_symbol_set(lp)
-        if not symbols:
-            lp.fail("semantic", opener, f"{tok} guard has an empty symbol set")
-        if tok == "any-of":
-            return Guard.any_of(symbols)
-        return Guard.any_except(symbols)
-    return Guard.exactly(_parse_symbol_atom(lp))
-
-
-def _parse_literals(lp: _LineParser) -> tuple:
-    """The literals after an `args (`, through the closing `)`."""
-    values: list = []
-    while True:
-        tok = lp.next("literal or ')'")
-        if tok == ")":
-            return tuple(values)
-        if tok.startswith('"'):
-            values.append(unquote(tok))
-        elif INTEGER.fullmatch(tok):
-            values.append(int(tok))
-        else:
-            lp.fail("syntax", lp.pos - 1, f"bad literal {tok!r}",
-                    "integer or quoted string")
+    if kind not in ("any-of", "any-except"):
+        return Guard(_EXACTLY, frozenset((_parse_symbol_atom(lp),)))
+    lp.pos += 1
+    opener = lp.expect("{")
+    symbols: set[ActionSymbol] = set()
+    while (tok := lp.peek()) != "}":
+        if tok is None:
+            lp.fail("syntax", opener, "unclosed symbol set", "'}'")
+        symbols.add(_parse_symbol_atom(lp))
+    lp.pos += 1
+    if not symbols:
+        lp.fail("semantic", opener, f"{kind} guard has an empty symbol set")
+    return Guard(_ANY_OF if kind == "any-of" else _ANY_EXCEPT, frozenset(symbols))
 
 
 def _parse_item(lp: _LineParser) -> OutputItem:
@@ -261,10 +249,19 @@ def _parse_item(lp: _LineParser) -> OutputItem:
         return OutputItem(symbol, ArgSource.CACHED)
     if source == "none":
         return OutputItem(symbol)
-    if source == "(":
-        return OutputItem(symbol, ArgSource.LITERALS, _parse_literals(lp))
-    lp.fail("syntax", lp.pos - 1, f"unexpected token {source!r}",
-            "'cached', 'none' or '('")
+    if source != "(":
+        lp.fail("syntax", lp.pos - 1, f"unexpected token {source!r}",
+                "'cached', 'none' or '('")
+    values: list = []  # the literals, through the closing ')'
+    while (tok := lp.next("literal or ')'")) != ")":
+        if tok.startswith('"'):
+            values.append(unquote(tok))
+        elif INTEGER.fullmatch(tok):
+            values.append(int(tok))
+        else:
+            lp.fail("syntax", lp.pos - 1, f"bad literal {tok!r}",
+                    "integer or quoted string")
+    return OutputItem(symbol, ArgSource.LITERALS, tuple(values))
 
 
 def _parse_transition(lp: _LineParser) -> Transition:
@@ -274,6 +271,9 @@ def _parse_transition(lp: _LineParser) -> Transition:
     lp.expect("to")
     target = lp.next("state id")
     lp.expect("emit")
+    if lp.tokens[lp.pos:] == ["input"]:  # most transitions: one shared output
+        lp.pos += 1
+        return Transition(source, guard, _FORWARD_ONLY, target, lp.lineno)
     if lp.peek() == "none":  # parse checks that the line ends here
         lp.pos += 1
         return Transition(source, guard, (), target, lp.lineno)
@@ -303,7 +303,7 @@ def parse(text: str) -> PolicyDoc:
 
     lines = text.splitlines()
     for lp in line_parsers(lines, diags):
-        head = lp.next("directive")
+        head, lp.pos = lp.tokens[0], 1  # a cursor has at least one token
         try:
             if head in seen:
                 lp.fail("semantic", 0, f"duplicate {head!r} directive "
@@ -369,9 +369,7 @@ def parse(text: str) -> PolicyDoc:
     if diags:
         raise PolicyParseError(diags)
 
-    return PolicyDoc(name=name, statement=statement, target_interface=target,
-                     automaton=automaton, version=version,
-                     experimental=experimental)
+    return PolicyDoc(name, statement, target, automaton, version, experimental)
 
 
 def serialize(doc: PolicyDoc) -> str:
@@ -389,10 +387,7 @@ def serialize(doc: PolicyDoc) -> str:
     lines.append("states " + " ".join(ordered_states))
     lines.append(f"initial {doc.automaton.initial}")
     for t in sorted(doc.automaton.transitions, key=Transition.sort_key):
-        if t.output:
-            emitted = ", ".join(i.text() for i in t.output)
-        else:
-            emitted = "none"
+        emitted = ", ".join(i.text() for i in t.output) or "none"
         lines.append(f"on {t.guard.text()} from {t.source} to {t.target} "
                      f"emit {emitted}")
     return "\n".join(lines) + "\n"

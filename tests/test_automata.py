@@ -31,8 +31,9 @@ from proactive.automata import (
     validate,
     violations,
 )
-from proactive.dsl import parse
+from proactive.dsl import parse, serialize
 from proactive.enforcer import PolicyEnforcer
+from proactive.interference import check_set
 from proactive.pack import bundled_pack_dir
 
 from helpers import (
@@ -654,12 +655,26 @@ class TestOneCompiledForm:
             assert "moves" in doc.automaton.__dict__, doc.name
         assert not hasattr(EditAutomaton, "table")
 
-    def test_validating_a_valid_automaton_builds_no_table(self):
-        # validate reads the guards' accepted sets, not a compiled form.
-        for seed in range(200):
-            automaton = random_policy_doc(seed).automaton
-            assert validate(automaton) == [], seed
-            assert not {"moves", "effects"} & set(automaton.__dict__), seed
+    def test_each_guard_is_read_once_from_parse_to_first_deploy(self, monkeypatch):
+        # Building an automaton compiles its accepted and effect sets;
+        # validate, check_set and deploy read them, and only deploy builds
+        # moves.
+        texts = [p.read_text(encoding="utf-8")
+                 for p in sorted(bundled_pack_dir().glob("*.pol"))]
+        texts += [serialize(random_policy_doc(seed)) for seed in range(200)]
+        calls = []
+        accepted = Guard.accepted
+        monkeypatch.setattr(Guard, "accepted", lambda guard, vocabulary: (
+            calls.append(guard), accepted(guard, vocabulary))[1])
+        docs = [parse(text) for text in texts]
+        assert all(validate(doc.automaton) == [] for doc in docs)
+        check_set(docs)
+        for doc in docs:
+            assert "moves" not in doc.automaton.__dict__, doc.name
+            PolicyEnforcer().deploy(doc)
+            assert "moves" in doc.automaton.__dict__, doc.name
+        assert sorted(map(id, calls)) == sorted(
+            id(t.guard) for doc in docs for t in doc.automaton.transitions)
 
     def test_the_forward_item_is_shared(self):
         assert OutputItem.forward() is OutputItem.forward()

@@ -14,6 +14,7 @@ from proactive.automata import (
     validate,
 )
 from proactive.dsl import (
+    _LEXEME,
     PolicyParseError,
     _column,
     line_parsers,
@@ -400,6 +401,35 @@ class TestLexerAgreesWithReference:
             except PolicyParseError as exc:
                 found = [d for d in exc.diagnostics if d.kind == "lexical"]
             assert found == expected, text
+
+
+class TestQuoteFreeLinesLexLikeTheRegex:
+    """A line with no '"' is lexed with str methods; on every code point
+    that is not a line break they give the tokens _LEXEME gives, so
+    str.split() whitespace and the regex's \\s agree on this Python."""
+
+    def test_every_code_point_between_tokens_beside_punctuation_and_hash(self):
+        points = [chr(i) for i in range(0x110000)
+                  if chr(i) not in LINE_BREAKS + '"']
+        assert len(points) == 0x110000 - len(LINE_BREAKS) - 1
+        plain = [c for c in points if c != "#"]
+        # Each code point glued to a neighbour, so every punctuation mark
+        # has one on each side and the token count stays near the points'.
+        pairs = [a + b for a, b in zip(plain[::2], plain[1::2] + ["x"])]
+        lines = ["x".join(plain) + "x"]  # between two tokens
+        lines += [p + p.join(pairs) + p for p in "{}(),"]
+        # Before the first '#', and after one and before the next in the comment.
+        lines += ["x".join(points[i:i + 4096]).replace("#", "x") + "#"
+                  + "#".join(points[i:i + 4096]) for i in range(0, len(points), 4096)]
+        lines += [f"x{c}#{c}x" for c in points if c.isspace() or c in "{}(),"]
+        diags = []
+        tokens = [lp.tokens for lp in line_parsers(lines, diags)]
+        assert diags == [] and len(tokens) == len(lines)
+        for raw, got in zip(lines, tokens):
+            expected = _LEXEME.findall(raw)
+            if expected and expected[-1][0] == "#":
+                expected.pop()
+            assert got == expected, raw[:80]
 
 
 class TestGoldenParseResults:
