@@ -189,9 +189,17 @@ def line_parsers(lines: list[str],
             yield _LineParser(tokens, raw, lineno)
 
 
+def _name(lp: _LineParser, expected: str) -> str:
+    """The next token, a symbol's interface or method name: not a string."""
+    tok = lp.next(expected)
+    if tok[0] == '"':
+        lp.fail("syntax", lp.pos - 1, f"unexpected token {tok!r}", expected)
+    return tok
+
+
 def call_target(lp: _LineParser) -> ActionSymbol:
     """The `<interface>.<method>` after a `call`."""
-    ref = lp.next("<interface>.<method>")
+    ref = _name(lp, "<interface>.<method>")
     iface, dot, method = ref.partition(".")
     if not dot:
         lp.fail("syntax", lp.pos - 1, f"malformed call target {ref!r}",
@@ -204,9 +212,9 @@ def _parse_symbol_atom(lp: _LineParser) -> ActionSymbol:
     if head == "call":
         return call_target(lp)
     if head == "callback":
-        return ActionSymbol.callback(lp.next("callback method name"))
+        return ActionSymbol.callback(_name(lp, "callback method name"))
     if head == "new":
-        return ActionSymbol.constructor(lp.next("interface name"))
+        return ActionSymbol.constructor(_name(lp, "interface name"))
     lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
             "'call', 'callback' or 'new'")
 

@@ -83,6 +83,25 @@ class TestParse:
         semantic = [d for d in exc.value.diagnostics if d.kind == "semantic"]
         assert semantic and semantic[0].line == 6
 
+    @pytest.mark.parametrize("atom, expected", [
+        ('call "Camera.open"', "<interface>.<method>"),
+        ('callback "onStop"', "callback method name"),
+        ('new "Camera"', "interface name"),
+    ], ids=["call", "callback", "new"])
+    def test_a_string_is_no_symbol_name(self, atom, expected):
+        # It was once a name that kept its quotes, which no event matches:
+        # now a syntax error at the string, in a guard or an inserted item.
+        header = 'policy p\nstatement "s"\ntarget Camera\nstates 0\ninitial 0\n'
+        string = atom.split(" ")[1]
+        for line in (f"on {atom} from 0 to 0 emit input",
+                     f"on any from 0 to 0 emit insert {atom}, input"):
+            with pytest.raises(PolicyParseError) as exc:
+                parse(header + line + "\n")
+            found = exc.value.diagnostics[0]
+            assert (found.kind, found.line, found.column, found.message,
+                    found.expected) == ("syntax", 6, line.index(string) + 1,
+                                        f"unexpected token {string!r}", expected), line
+
     def test_emit_none_suppresses(self):
         text = ('policy p\nstatement "s"\ntarget T\nstates 0\ninitial 0\n'
                 "on call T.x from 0 to 0 emit none\n"
