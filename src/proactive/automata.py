@@ -168,8 +168,7 @@ class Guard:
     kind: GuardKind
     symbols: frozenset[ActionSymbol] = frozenset()
 
-    # Guard's and the other parse-tree nodes' __init__ fill __dict__ in one
-    # update: a frozen dataclass's own calls object.__setattr__ per field.
+    # Parse-tree nodes fill __dict__ at once, not by object.__setattr__ per field.
     def __init__(self, kind: GuardKind, symbols: frozenset[ActionSymbol] = frozenset()):
         if kind in (_ANY_OF, _ANY_EXCEPT) and not symbols:
             raise ValueError(f"{kind.value} guard requires a non-empty symbol set")
@@ -185,7 +184,7 @@ class Guard:
 
     @staticmethod
     def exactly(symbol: ActionSymbol) -> "Guard":
-        return Guard(_EXACTLY, frozenset((symbol,)))
+        return Guard(_EXACTLY, frozenset([symbol]))
 
     @staticmethod
     def any_of(symbols: Iterable[ActionSymbol]) -> "Guard":

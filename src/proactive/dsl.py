@@ -45,16 +45,12 @@ from .automata import (
     Guard,
     OutputItem,
     Transition,
-    _ANY_EXCEPT,
-    _ANY_OF,
-    _API_CALL,
-    _EXACTLY,
-    _FORWARD_ONLY,
     quote,
     state_sort_key,
     unquote,
     validate,
 )
+from .automata import _ANY_EXCEPT, _ANY_OF, _API_CALL, _EXACTLY, _FORWARD_ONLY
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 # Integers are ASCII digits with an optional minus: `args (...)` literals

@@ -440,6 +440,7 @@ class TestQuoteFreeLinesLexLikeTheRegex:
         # Before the first '#', and after one and before the next in the comment.
         lines += ["x".join(points[i:i + 4096]).replace("#", "x") + "#"
                   + "#".join(points[i:i + 4096]) for i in range(0, len(points), 4096)]
+        # Directly around a '#': each separator, and a glued point per chunk above.
         lines += [f"x{c}#{c}x" for c in points if c.isspace() or c in "{}(),"]
         diags = []
         tokens = [lp.tokens for lp in line_parsers(lines, diags)]
