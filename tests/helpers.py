@@ -9,14 +9,19 @@ the all-pairs reference form of the deploy gate, the four-intersection
 reference form of check_pair, the two-pass reference form of the
 enforcer's on_event, the character-walking reference form of the `.pol`
 lexer, the whitespace-splitting reference form of the `.scn` parser with
-a seeded generator of valid scenario texts, and the parse corpus whose
-results tests/record_parse_digests.py records."""
+a seeded generator of valid scenario texts, the parse corpus whose
+results tests/record_parse_digests.py records, and the `proactive run`
+outputs that tests/record_run_reports.py records."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import random
+import tempfile
 import re
 from collections import deque
 from pathlib import Path
@@ -66,7 +71,7 @@ from proactive.enforcer import (
     ProactiveModule,
     RecordingSink,
 )
-from proactive.pack import bundled_pack_dir
+from proactive.pack import bundled_pack_dir, bundled_scenarios_dir
 from proactive.sim import (
     _LIFECYCLE,
     _PROTOCOLS,
@@ -878,3 +883,35 @@ def parse_result(text: str) -> str:
 def parse_digest(text: str) -> str:
     return hashlib.blake2b(parse_result(text).encode("utf-8"),
                            digest_size=8).hexdigest()
+
+
+RUN_REPORTS = FIXTURES / "run-reports.json"
+
+
+def run_reports() -> list[dict]:
+    """`proactive run --out` on each bundled scenario, enforced and with
+    --no-enforce, then on all of them with --parallel: each run's
+    arguments (scenario file names), exit code, stdout, stderr and JSON
+    report, each timing_ms list replaced by its length."""
+    from proactive.cli import main
+    scenarios = sorted(bundled_scenarios_dir().glob("*.scn"))
+    runs = [([scenario], flags) for scenario in scenarios
+            for flags in ([], ["--no-enforce"])]
+    runs.append((scenarios, ["--parallel"]))
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        for paths, flags in runs:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(["run", *flags, "--out", str(out),
+                             *(arg for path in paths
+                               for arg in ("--scenario", str(path)))])
+            report = json.loads(out.read_text(encoding="utf-8"))
+            for entry in report["reports"]:
+                entry["timing_ms"] = len(entry["timing_ms"])
+            results.append({"args": [*flags, *(path.name for path in paths)],
+                            "code": code, "stdout": stdout.getvalue(),
+                            "stderr": stderr.getvalue(), "report": report})
+    return results

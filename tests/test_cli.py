@@ -18,7 +18,7 @@ from proactive.cli import main
 from proactive.dsl import parse
 from proactive.pack import bundled_pack_dir, bundled_scenarios_dir
 
-from helpers import FIXTURES
+from helpers import FIXTURES, RUN_REPORTS, run_reports
 
 
 def scn(name):
@@ -186,6 +186,16 @@ class TestRun:
                                         str(scenario)]), (doc.name, scenario)
                 codes.add(disabled[0])
         assert codes == {0, 1}
+
+    def test_output_matches_the_recorded_runs(self):
+        """stdout, stderr, exit code and --out JSON of `run` on every
+        bundled scenario, with enforcement on and off and in parallel,
+        are those tests/record_run_reports.py recorded."""
+        recorded = json.loads(RUN_REPORTS.read_text(encoding="utf-8"))
+        runs = run_reports()
+        assert [r["args"] for r in runs] == [r["args"] for r in recorded]
+        for run, expected in zip(runs, recorded):
+            assert run == expected, run["args"]
 
     def test_out_report(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
