@@ -357,9 +357,9 @@ class EffectSets:
 class EditAutomaton:
     """Deterministic, vocabulary-complete edit automaton.
 
-    Equality ignores transition declaration order: determinism makes the
-    order irrelevant, and the DSL serializer reorders transitions into
-    canonical form.
+    Equality, like the hash, reads the transitions as a set: determinism
+    makes their declaration order irrelevant, and the DSL serializer
+    reorders them into canonical form.
 
     Building one compiles, in one pass that reads each guard once, its
     `vocabulary` (the symbols guards name or templates insert), `accepted`
@@ -385,10 +385,8 @@ class EditAutomaton:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EditAutomaton):
             return NotImplemented
-        return (self.states == other.states
-                and self.initial == other.initial
-                and sorted(self.transitions, key=Transition.sort_key)
-                == sorted(other.transitions, key=Transition.sort_key))
+        return ((self.states, self.initial, frozenset(self.transitions))
+                == (other.states, other.initial, frozenset(other.transitions)))
 
     def __hash__(self) -> int:
         return hash((self.states, self.initial, frozenset(self.transitions)))

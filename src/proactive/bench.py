@@ -33,13 +33,16 @@ class ActionTiming:
     label: str
     median_with_ms: float
     median_without_ms: float
-    overhead_percent: float
     interventions: int
 
     @property
     def overhead_us(self) -> float:
         """Absolute cost of enforcement on the action: with minus without."""
         return (self.median_with_ms - self.median_without_ms) * 1000.0
+
+    @property
+    def overhead_percent(self) -> float:
+        return overhead_percent(self.median_with_ms, self.median_without_ms)
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,9 @@ def run_benchmark(script: ScenarioScript, policies: list[PolicyDoc],
 
     actions = []
     for i, step in enumerate(script.steps):
-        median_with = statistics.median(with_times[i]) * 1000.0
-        median_without = statistics.median(without_times[i]) * 1000.0
         actions.append(ActionTiming(
             index=i, label=step.label(),
-            median_with_ms=median_with,
-            median_without_ms=median_without,
-            overhead_percent=overhead_percent(median_with, median_without),
+            median_with_ms=statistics.median(with_times[i]) * 1000.0,
+            median_without_ms=statistics.median(without_times[i]) * 1000.0,
             interventions=enforced.interventions_per_step[i]))
     return BenchResult(actions=tuple(actions), repetitions=repetitions)

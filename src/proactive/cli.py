@@ -14,7 +14,7 @@ import enum
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
@@ -30,7 +30,7 @@ from .pack import (
     load_policies,
     load_scenario_file,
 )
-from .sim import LeakReport, ScenarioError, ScenarioScript, run_scenario
+from .sim import ScenarioError, ScenarioResult, ScenarioScript, run_scenario
 
 if TYPE_CHECKING:
     from .bench import BenchResult
@@ -61,37 +61,32 @@ class Outcome(enum.Enum):
 class RunReport:
     scenario: str
     enforcement: bool
-    outcome: Outcome
-    intervention_count: int
-    intervention_policies: tuple[str, ...]
-    leaks: LeakReport
-    timing_ms: tuple[float, ...]
+    result: ScenarioResult
+
+    @property
+    def outcome(self) -> Outcome:
+        if not self.result.leaks.clean:
+            return Outcome.LEAKED
+        return Outcome.HEALED if self.result.interventions else Outcome.NO_VIOLATION
 
     def to_dict(self) -> dict:
+        interventions = self.result.interventions
         return {
             "scenario": self.scenario,
             "enforcement": self.enforcement,
             "outcome": self.outcome.value,
             "interventions": {
-                "count": self.intervention_count,
-                "policies": list(self.intervention_policies),
+                "count": len(interventions),
+                "policies": [r.policy for r in interventions],
             },
             "leaks": [
                 {"interface": leak.interface, "holder": leak.holder,
                  "acquired_at": leak.acquired_at,
                  "checkpoint": leak.checkpoint.value}
-                for leak in self.leaks.leaks
+                for leak in self.result.leaks.leaks
             ],
-            "timing_ms": [round(t, 3) for t in self.timing_ms],
+            "timing_ms": [round(t * 1000.0, 3) for t in self.result.step_times],
         }
-
-
-def classify(leaks: LeakReport, intervention_count: int) -> Outcome:
-    if not leaks.clean:
-        return Outcome.LEAKED
-    if intervention_count > 0:
-        return Outcome.HEALED
-    return Outcome.NO_VIOLATION
 
 
 def run_one(script: ScenarioScript, pack: PolicyPack, enforce: bool,
@@ -102,15 +97,7 @@ def run_one(script: ScenarioScript, pack: PolicyPack, enforce: bool,
         for policy in pack.deployable():
             if policy.name not in disabled:
                 enforcer.deploy(policy)
-    result = run_scenario(script, enforcer)
-    return RunReport(
-        scenario=script.name,
-        enforcement=enforce,
-        outcome=classify(result.leaks, len(result.interventions)),
-        intervention_count=len(result.interventions),
-        intervention_policies=tuple(r.policy for r in result.interventions),
-        leaks=result.leaks,
-        timing_ms=tuple(t * 1000.0 for t in result.step_times))
+    return RunReport(script.name, enforce, run_scenario(script, enforcer))
 
 
 def _at(path: Path, fn: Callable[..., _T], *args) -> _T:
@@ -195,13 +182,14 @@ def _print_run_report(report: RunReport) -> None:
     mode = "on" if report.enforcement else "off"
     print(f"scenario {report.scenario} (enforcement {mode}): "
           f"{report.outcome.value}")
-    print(f"  interventions: {report.intervention_count}"
-          + (f" ({', '.join(report.intervention_policies)})"
-             if report.intervention_policies else ""))
-    if report.leaks.clean:
+    interventions, leaks = report.result.interventions, report.result.leaks
+    print(f"  interventions: {len(interventions)}"
+          + (f" ({', '.join(r.policy for r in interventions)})"
+             if interventions else ""))
+    if leaks.clean:
         print("  leaks: none")
     else:
-        for leak in report.leaks.leaks:
+        for leak in leaks.leaks:
             print(f"  leak: {leak.interface} held by {leak.holder} "
                   f"(acquired at seq {leak.acquired_at}, "
                   f"caught at {leak.checkpoint.value})")
@@ -239,11 +227,9 @@ def _bench_to_dict(result: BenchResult) -> dict:
     return {
         "repetitions": result.repetitions,
         "actions": [
-            {"index": a.index, "label": a.label,
-             "median_with_ms": round(a.median_with_ms, 3),
+            {**asdict(a), "median_with_ms": round(a.median_with_ms, 3),
              "median_without_ms": round(a.median_without_ms, 3),
-             "overhead_percent": a.overhead_percent,
-             "interventions": a.interventions}
+             "overhead_percent": a.overhead_percent}
             for a in result.actions
         ],
     }
