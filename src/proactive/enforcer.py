@@ -264,16 +264,15 @@ class PolicyEnforcer:
                              (tuple(delivered), tuple(records), suppressed))
 
     def _execute(self, event: Event) -> Event:
-        """Execute an event on the sink and bind a constructor's instance.
-        The sink's instance replaces a synthesized event's, and fills in
-        an app event's only when the app gave none."""
+        """Execute a constructor on the sink and bind its instance.  The
+        sink's instance replaces a synthesized event's, and fills in an
+        app event's only when the app gave none."""
         instance = self.sink.execute(event)
-        if event.symbol.kind is _CONSTRUCTOR:
-            if instance is not None and (event.instance is None
-                                         or event.origin is _SYNTHESIZED):
-                event = Event(event.symbol, event.seq, instance, event.args,
-                              event.origin)
-            self.bindings[event.symbol.interface] = event.instance
+        if instance is not None and (event.instance is None
+                                     or event.origin is _SYNTHESIZED):
+            event = Event(event.symbol, event.seq, instance, event.args,
+                          event.origin)
+        self.bindings[event.symbol.interface] = event.instance
         return event
 
     def run_enforced(self, trace: Trace) -> tuple[Trace, list[InterventionRecord]]:

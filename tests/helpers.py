@@ -542,9 +542,11 @@ class ReferenceEnforcer(PolicyEnforcer):
     watchers did the whole heal: a first loop sorts the matched modules
     into forward-only and editing ones, a second instantiates and records
     each editing move, and each synthesized event executes through its
-    own wrapper that attributes a failure to its policy.  It finds each
-    module's move with reference_move, not in watchers, and commits a
-    forward-only move only when it changes something."""
+    own wrapper that attributes a failure to its policy.  An event of
+    any kind may reach _execute_any, which sends only constructors on to
+    _execute.  It finds each module's move with reference_move, not in
+    watchers, and commits a forward-only move only when it changes
+    something."""
 
     def on_event(self, event: Event) -> EnforcementOutcome:
         if event.origin is not _APP:
@@ -598,7 +600,7 @@ class ReferenceEnforcer(PolicyEnforcer):
         delivered = [self._execute_synthesized(module, synth)
                      for module, out, pre in emitting for synth in out[:pre]]
         if not suppressed:
-            delivered.append(self._execute(event))
+            delivered.append(self._execute_any(event))
         delivered.extend(self._execute_synthesized(module, synth)
                          for module, out, pre in emitting for synth in out[pre:])
 
@@ -610,9 +612,16 @@ class ReferenceEnforcer(PolicyEnforcer):
 
     def _execute_synthesized(self, module: ProactiveModule, event: Event) -> Event:
         try:
-            return self._execute(event)
+            return self._execute_any(event)
         except Exception as exc:
             raise HealingFailureError(module.policy.name, event, exc) from exc
+
+    def _execute_any(self, event: Event) -> Event:
+        """Execute an event of any kind; a constructor binds through _execute."""
+        if event.symbol.kind is _CONSTRUCTOR:
+            return self._execute(event)
+        self.sink.execute(event)
+        return event
 
 
 # -- reference lexer -----------------------------------------------------
