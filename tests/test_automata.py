@@ -49,6 +49,7 @@ from helpers import (
     event_shapes,
     fwd,
     make_doc,
+    policy_texts,
     random_policy_doc,
     random_trace,
     reference_effect_sets,
@@ -449,6 +450,35 @@ class TestAutomatonEquality:
         other = EditAutomaton(forced_release.states, "1",
                               forced_release.transitions)
         assert other != forced_release
+
+    @staticmethod
+    def automata():
+        """Every bundled policy and fixture, then 200 generated policies."""
+        return ([parse(text).automaton for text in policy_texts()]
+                + [random_policy_doc(seed).automaton for seed in range(200)])
+
+    def test_shuffled_or_repeated_transitions_are_equal_and_hash_equal(self):
+        rng = random.Random(26)
+        for automaton in self.automata():
+            shuffled = list(automaton.transitions)
+            rng.shuffle(shuffled)
+            for transitions in (shuffled, shuffled + shuffled[:1]):
+                other = EditAutomaton(automaton.states, automaton.initial,
+                                      tuple(transitions))
+                assert other == automaton, transitions
+                assert hash(other) == hash(automaton), transitions
+
+    def test_one_changed_target_differs(self):
+        for automaton in self.automata():
+            transitions = automaton.transitions
+            for index, transition in enumerate(transitions):
+                target = min(automaton.states - {transition.target},
+                             default=transition.target + "'")
+                changed = dataclasses.replace(transition, target=target)
+                other = EditAutomaton(
+                    automaton.states, automaton.initial,
+                    transitions[:index] + (changed,) + transitions[index + 1:])
+                assert other != automaton, changed
 
 
 def reference_template(transition):
