@@ -747,10 +747,10 @@ def reference_parse_scenario(text: str, name: str,
                 symbol = ActionSymbol.constructor(tokens[2])
                 raw_args = tokens[3:]
             else:
-                if "." not in tokens[1]:
+                iface, dot, method = tokens[1].partition(".")
+                if not (iface and dot and method):
                     raise ValueError(f"line {lineno}: malformed call target "
                                      f"{tokens[1]!r}")
-                iface, method = tokens[1].split(".", 1)
                 symbol = ActionSymbol.call(iface, method)
                 raw_args = tokens[2:]
             if symbol.interface not in INTERFACES:

@@ -102,6 +102,22 @@ class TestParse:
                     found.expected) == ("syntax", 6, line.index(string) + 1,
                                         f"unexpected token {string!r}", expected), line
 
+    @pytest.mark.parametrize("line", [
+        "on call {ref} from 0 to 0 emit input",
+        "on any from 0 to 0 emit insert call {ref}, input",
+    ], ids=["guard", "inserted"])
+    def test_a_call_target_names_both_parts(self, line):
+        # An empty interface or method was once a symbol no event matches.
+        header = 'policy p\nstatement "s"\ntarget Camera\nstates 0\ninitial 0\n'
+        for ref in (".open", "Camera."):
+            text = line.format(ref=ref)
+            with pytest.raises(PolicyParseError) as exc:
+                parse(header + text + "\n")
+            assert [(d.kind, d.line, d.column, d.message, d.expected)
+                    for d in exc.value.diagnostics] == [
+                ("syntax", 6, text.index(ref) + 1,
+                 f"malformed call target {ref!r}", "<interface>.<method>")]
+
     def test_emit_none_suppresses(self):
         text = ('policy p\nstatement "s"\ntarget T\nstates 0\ninitial 0\n'
                 "on call T.x from 0 to 0 emit none\n"

@@ -135,10 +135,13 @@ class TestParseScenario:
         assert str(exc.value) == message
 
     def test_malformed_call_target(self):
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario("app X\nlaunch\ncall nodot\n", "x")
-        assert str(exc.value) == ("3:6: syntax error: malformed call target "
-                                  "'nodot' (expected <interface>.<method>)")
+        # A call target needs a dot with a name on each side of it.
+        for target in ("nodot", ".open", "Camera."):
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(f"app X\nlaunch\ncall {target}\n", "x")
+            assert str(exc.value) == (
+                f"3:6: syntax error: malformed call target {target!r} "
+                "(expected <interface>.<method>)")
 
     @pytest.mark.parametrize("line, column, token", [
         ("tap (START)", 5, "("),
@@ -177,10 +180,8 @@ class TestParseScenario:
 
     @pytest.mark.parametrize("target, message", [
         ("Foo.bar", "unknown interface 'Foo'"),
-        (".open", "unknown interface ''"),
         ("new Foo 1", "unknown interface 'Foo'"),
         ("Camera.fly", "Camera has no method 'fly'"),
-        ("Camera.", "Camera has no method ''"),
     ])
     def test_unknown_call_target_is_rejected_on_its_line(self, target, message):
         with pytest.raises(ScenarioError) as exc:
