@@ -42,6 +42,7 @@ class ActionTiming:
 
     @property
     def overhead_percent(self) -> float:
+        """Relative cost of enforcement on the action, in percent."""
         return overhead_percent(self.median_with_ms, self.median_without_ms)
 
 

@@ -49,6 +49,7 @@ from proactive.automata import (
     instantiate,
     state_sort_key,
 )
+from proactive.cli import main
 from proactive.dsl import (
     INTEGER,
     DslDiagnostic,
@@ -902,7 +903,6 @@ def run_reports() -> list[dict]:
     --no-enforce, then on all of them with --parallel: each run's
     arguments (scenario file names), exit code, stdout, stderr and JSON
     report, each timing_ms list replaced by its length."""
-    from proactive.cli import main
     scenarios = sorted(bundled_scenarios_dir().glob("*.scn"))
     runs = [([scenario], flags) for scenario in scenarios
             for flags in ([], ["--no-enforce"])]
