@@ -180,12 +180,22 @@ class TestParseScenario:
 
     @pytest.mark.parametrize("target, message", [
         ("Foo.bar", "unknown interface 'Foo'"),
+        (".open", "unknown interface ''"),
         ("new Foo 1", "unknown interface 'Foo'"),
         ("Camera.fly", "Camera has no method 'fly'"),
+        ("Camera.", "Camera has no method ''"),
     ])
     def test_unknown_call_target_is_rejected_on_its_line(self, target, message):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(f"app X\nlaunch\n\ncall {target}\n", "x")
+        if "''" in message:
+            # An empty interface or method is malformed before it is
+            # unknown: the syntax error comes first, on the same line.
+            assert message not in str(exc.value)
+            assert str(exc.value) == (
+                f"4:6: syntax error: malformed call target {target!r} "
+                "(expected <interface>.<method>)")
+            return
         # The column is the interface's: col 10 after `call new `, else 6.
         column = 10 if target.startswith("new ") else 6
         assert str(exc.value) == f"4:{column}: semantic error: {message}"
