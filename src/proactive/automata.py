@@ -92,24 +92,26 @@ class Event:
     args: tuple = ()
     origin: Origin = Origin.APP
 
-    def __init__(self, symbol: ActionSymbol, seq: int = 0, instance: Optional[str] = None,
-                 args: tuple = (), origin: Origin = Origin.APP) -> None:
-        _set_symbol(self, symbol)
-        _set_seq(self, seq)
-        _set_instance(self, instance)
-        _set_args(self, args)
-        _set_origin(self, origin)
+    # Fills an object of Event's layout whose slots are settable, then retypes
+    # it: two thirds of an __init__ of five slot __set__ calls (instantiate inlines it).
+    def __new__(cls, symbol, seq=0, instance=None, args=(), origin=_APP) -> "Event":
+        event = _SettableEvent()
+        event.symbol = symbol
+        event.seq = seq
+        event.instance = instance
+        event.args = args
+        event.origin = origin
+        event.__class__ = Event  # frozen from here on
+        return event
+
+    def __reduce__(self) -> tuple:
+        return Event, (self.symbol, self.seq, self.instance, self.args, self.origin)
 
     def __str__(self) -> str:
         tag = "+" if self.origin is _SYNTHESIZED else ""
         return f"{tag}{self.symbol}@{self.seq}"
 
 
-# Each field's slot __set__, for Event's own __init__: the generated one's
-# object.__setattr__ costs about twice.  instantiate fills in an object of
-# Event's layout whose slots are settable and retypes it: half that again.
-_set_symbol, _set_seq, _set_instance, _set_args, _set_origin = (
-    getattr(Event, name).__set__ for name in Event.__slots__)
 _SettableEvent = type("_SettableEvent", (), {"__slots__": Event.__slots__})
 
 
@@ -418,6 +420,13 @@ class EditAutomaton:
         return {symbol: {state: move for state in states
                          if (move := by_state.get(state, _MISSING)) is not None}
                 for symbol, by_state in first.items()}
+
+    @cached_property
+    def editable(self) -> frozenset[ActionSymbol]:
+        """The symbols with an editing or _MISSING move in some state: on any
+        other, a move only changes state or caches a constructor's args."""
+        return frozenset([symbol for symbol, by_state in self.moves.items() if any(
+            template is not None or target is None for target, template in by_state.values())])
 
 
 @dataclass(frozen=True)

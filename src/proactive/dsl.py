@@ -194,10 +194,10 @@ def _name(lp: _LineParser, expected: str) -> str:
 
 
 def call_target(lp: _LineParser) -> ActionSymbol:
-    """The `<interface>.<method>` after a `call`, both names non-empty."""
+    """The `<interface>.<method>` after a `call`: one dot, both names non-empty."""
     ref = _name(lp, "<interface>.<method>")
     iface, dot, method = ref.partition(".")
-    if not (iface and dot and method):
+    if not (iface and dot and method) or "." in method:
         lp.fail("syntax", lp.pos - 1, f"malformed call target {ref!r}",
                 "<interface>.<method>")
     return ActionSymbol(_API_CALL, iface, method)

@@ -2,13 +2,13 @@
 lets modules transform the stream, and executes synthesized actions
 against the event sink through a transparent resource manager.
 
-One enforcer serves one simulated app session.  One walk of an event's
-watchers instantiates every edit and builds its record, an immutable
-tuple made in the walk with `tuple.__new__`; the synthesized events then
-execute, only constructors through `_execute`, and are never re-offered
-to any module, so enforcement cannot recurse.  A watcher that would
-stay in its state and only forward the event has no move on it (see
-`EditAutomaton.moves`): the walk passes it after one dict probe.
+One enforcer serves one simulated app session.  An event on a quiet symbol,
+one outside every deployed `EditAutomaton.editable`, executes first; then
+each watcher moves in place.  On any other, one walk of the watchers
+instantiates every edit and builds its record, an immutable tuple made with
+`tuple.__new__`; the synthesized events then execute, only constructors
+through `_execute`, and are never re-offered to any module, so enforcement
+cannot recurse.  An idle watcher has no move: one dict probe passes it.
 
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
 as a (policy name, module, moves) triple in name order under every symbol
@@ -140,8 +140,9 @@ class PolicyEnforcer:
         self.bindings: dict[str, Optional[str]] = {}
         self.intervention_log: list[InterventionRecord] = []
         self._names: set[str] = set()
-        # Deployed touched symbols; the deployed vocabularies are watchers' keys.
+        # Deployed touched and editable symbols; the deployed vocabularies are watchers' keys.
         self._touched: set[ActionSymbol] = set()
+        self._editable: set[ActionSymbol] = set()
 
     def deploy(self, policy: PolicyDoc) -> ProactiveModule:
         """Append a module for the policy and file it in policy-name order
@@ -162,6 +163,7 @@ class PolicyEnforcer:
         self.modules.append(module)
         self._names.add(policy.name)
         self._touched |= touched
+        self._editable |= automaton.editable
         for symbol, moves in automaton.moves.items():
             insort(self.watchers.setdefault(symbol, []), (policy.name, module, moves))
         return module
@@ -169,31 +171,41 @@ class PolicyEnforcer:
     def on_event(self, event: Event) -> EnforcementOutcome:
         """Offer one app event to the modules and execute the result.
 
-        One walk of the watchers, in policy-name order, queues each
-        module's move and builds an editing move's events and record at
-        once; a module with no move in its state (an idle self-loop) is
-        passed, and one whose move is _MISSING raises MissingTransitionError.
-        With no edit the event executes as is.  Otherwise the synthesized
-        events before the input execute, then the app event, then those
-        after it, module by module in policy-name order, as the records are;
-        deploy order changes neither.  Only constructors pass through
-        _execute, which binds their instance.  If any editing template omits
-        the input, the app event is suppressed (suppression dominates
-        forwarding).  Modules move only after every delivered event executed;
-        a PolicyAuthoringError names the module's policy in `policy`."""
+        Unless the symbol is quiet, one walk of the watchers, in policy-name
+        order, builds each editing move's events and record at once, and
+        raises MissingTransitionError on a _MISSING move.  With no edit the
+        event executes as is.  Otherwise the synthesized events before the
+        input execute, then the app event, then those after it, module by
+        module in policy-name order, as the records are; deploy order
+        changes neither.  Only constructors pass through _execute, which
+        binds their instance.  If any editing template omits the input, the
+        app event is suppressed (suppression dominates forwarding).  Modules
+        move only after every delivered event executed; a
+        PolicyAuthoringError names the module's policy in `policy`."""
         if event.origin is not _APP:
             raise ValueError("only app events may enter the enforcer")
         symbol = event.symbol
         constructor = symbol.kind is _CONSTRUCTOR
-        # (module, next state, next cached constructor args)
+        if symbol not in self._editable:  # quiet: no move edits or fails
+            if constructor:
+                event = self._execute(event)
+            else:
+                self.sink.execute(event)
+            for name, module, moves in self.watchers.get(symbol, ()):
+                move = moves.get(module.state)
+                if move is not None:
+                    module.state = move[0]
+                    if constructor:
+                        module.cached_ctor_args = event.args
+            return tuple.__new__(EnforcementOutcome, ((event,), (), False))
+        # Each move's (module, next state, next cached constructor args); the
+        # inserted events that execute before the input, then those after it,
+        # and the records, in policy-name order, made only at the first edit.
         moved: list[tuple[ProactiveModule, str, Optional[tuple]]] = []
-        # The inserted events that execute before the input, then those
-        # after it, and the records, each in policy-name order: made at the
-        # first edit, so the fast path allocates none of them
         before: Optional[list[Event]] = None
         records: Optional[list[InterventionRecord]] = None
         suppressed = False
-        for name, module, moves in self.watchers.get(symbol, ()):
+        for name, module, moves in self.watchers[symbol]:
             move = moves.get(module.state)
             if move is None:
                 continue
@@ -230,35 +242,33 @@ class PolicyEnforcer:
                 event = self._execute(event)
             else:
                 self.sink.execute(event)
-            for module, next_state, cached_ctor_args in moved:
-                module.state = next_state
-                module.cached_ctor_args = cached_ctor_args
-            # Skips the NamedTuple's __new__, a Python function.
-            return tuple.__new__(EnforcementOutcome, ((event,), (), False))
-
-        if not suppressed:
-            before.append(event)
-        before += after
-        execute, bind = self.sink.execute, self._execute
-        delivered: list[Event] = []
-        try:
-            for current in before:
-                if current.symbol.kind is _CONSTRUCTOR:
-                    current = bind(current)
-                else:
-                    execute(current)
-                delivered.append(current)
-        except Exception as exc:
-            if current is event:
+        else:
+            if not suppressed:
+                before.append(event)
+            before += after
+            execute, bind = self.sink.execute, self._execute
+            delivered: list[Event] = []
+            try:
+                for current in before:
+                    if current.symbol.kind is _CONSTRUCTOR:
+                        current = bind(current)
+                    else:
+                        execute(current)
+                    delivered.append(current)
+            except Exception as exc:
+                if current is event:
+                    raise
+                for record in records:  # a loop: a closure would cost a cell per call
+                    if id(current) in map(id, record.synthesized):
+                        raise HealingFailureError(record.policy, current, exc) from exc
                 raise
-            for record in records:  # a loop: a closure would cost a cell per call
-                if id(current) in map(id, record.synthesized):
-                    raise HealingFailureError(record.policy, current, exc) from exc
-            raise
 
         for module, next_state, cached_ctor_args in moved:
             module.state = next_state
             module.cached_ctor_args = cached_ctor_args
+        if records is None:
+            # Skips the NamedTuple's __new__, a Python function.
+            return tuple.__new__(EnforcementOutcome, ((event,), (), False))
         self.intervention_log.extend(records)
         return tuple.__new__(EnforcementOutcome,
                              (tuple(delivered), tuple(records), suppressed))

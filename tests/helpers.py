@@ -749,7 +749,7 @@ def reference_parse_scenario(text: str, name: str,
                 raw_args = tokens[3:]
             else:
                 iface, dot, method = tokens[1].partition(".")
-                if not (iface and dot and method):
+                if not (iface and dot and method) or "." in method:
                     raise ValueError(f"line {lineno}: malformed call target "
                                      f"{tokens[1]!r}")
                 symbol = ActionSymbol.call(iface, method)

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import itertools
@@ -617,6 +618,23 @@ class TestMovesAgreeWithTable:
                     else:
                         assert template.transition is first, where
                         assert template[1:] == reference_template(first), where
+
+    def test_editable_is_a_scan_of_every_move(self):
+        # A symbol is editable when its first match in some known state
+        # edits, or when some known state has no match (_MISSING).
+        cases = reference_cases()
+        cases.update((f"generated-{seed}", random_policy_doc(seed).automaton)
+                     for seed in range(200, 300))
+        kinds = collections.Counter()
+        for name, automaton in cases.items():
+            scanned = frozenset(
+                symbol for symbol in automaton.vocabulary
+                for state in known_states(automaton)
+                if not (matching := reference_matching(automaton, state, symbol))
+                or matching[0].output != (fwd(),))
+            assert automaton.editable == scanned, name
+            kinds.update((s in scanned, s.kind) for s in automaton.vocabulary)
+        assert len(kinds) == 6, kinds
 
 
 class TestMissingTransitionFromUndeclaredStates:

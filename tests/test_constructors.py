@@ -7,6 +7,7 @@ tests/test_templates.py::TestSlottedTypes checks that they stay frozen,
 slotted, hashable, copyable and picklable."""
 
 import collections
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -23,6 +24,7 @@ from proactive.automata import (
     OutputItem,
     PolicyAuthoringError,
     Template,
+    Trace,
     Transition,
     instantiate,
 )
@@ -81,6 +83,49 @@ def test_event_positional_keyword_and_default_construction_agree():
         case Event(symbol, seq, instance, args, origin):
             assert (symbol, seq, instance, args, origin) \
                 == (SYMBOL, 3, "Api#1", (1, "x"), Origin.APP)
+
+
+EVENT_ROUND_TRIPS = {
+    **{f"pickle-{protocol}": lambda e, protocol=protocol:
+       pickle.loads(pickle.dumps(e, protocol)) for protocol in
+       range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+    "replace-seq": lambda e: dataclasses.replace(
+        dataclasses.replace(e, seq=e.seq + 1), seq=e.seq),
+}
+
+
+@pytest.mark.parametrize("round_trip", EVENT_ROUND_TRIPS.values(),
+                         ids=EVENT_ROUND_TRIPS.keys())
+@pytest.mark.parametrize("event", [TRIGGER, INSERTED, Event(symbol=SYMBOL)],
+                         ids=["app", "synthesized", "defaults"])
+def test_event_round_trips_build_the_same_event(round_trip, event):
+    # Event is built by __new__, so each of these goes through __reduce__
+    # or the keyword call that dataclasses.replace makes.
+    clone = round_trip(event)
+    assert type(clone) is Event
+    assert clone == event and hash(clone) == hash(event)
+    assert clone.symbol is event.symbol and clone.origin is event.origin
+    assert [getattr(clone, n) for n in Event.__slots__] \
+        == [getattr(event, n) for n in Event.__slots__]
+    assert not hasattr(clone, "__dict__")
+
+
+def test_an_event_is_a_frozen_event():
+    events = [TRIGGER, INSERTED, *Trace.from_symbols([SYMBOL, SYMBOL])]
+    assert all(type(e) is Event for e in events)
+    # Keyword construction, as Trace.from_symbols builds its events.
+    assert events[2:] == [Event(symbol=SYMBOL, seq=1), Event(symbol=SYMBOL, seq=2)]
+    assert events[2] != events[3] and hash(events[2]) != hash(events[3])
+    assert TRIGGER != dataclasses.replace(TRIGGER, origin=Origin.SYNTHESIZED)
+    for name in Event.__slots__:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(TRIGGER, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(TRIGGER, name)
+    assert TRIGGER == Event(SYMBOL, 3, "Api#1", (1, "x"))
 
 
 def test_record_positional_and_keyword_construction_agree():

@@ -107,9 +107,10 @@ class TestParse:
         "on any from 0 to 0 emit insert call {ref}, input",
     ], ids=["guard", "inserted"])
     def test_a_call_target_names_both_parts(self, line):
-        # An empty interface or method was once a symbol no event matches.
+        # An empty interface or method, or a second dot, was once a symbol
+        # no event matches.
         header = 'policy p\nstatement "s"\ntarget Camera\nstates 0\ninitial 0\n'
-        for ref in (".open", "Camera."):
+        for ref in (".open", "Camera.", "Camera..open", "Camera.open.x", "a.b.c"):
             text = line.format(ref=ref)
             with pytest.raises(PolicyParseError) as exc:
                 parse(header + text + "\n")

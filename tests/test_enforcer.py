@@ -14,6 +14,7 @@ from proactive.automata import (
     EditAutomaton,
     Event,
     Guard,
+    Kind,
     MissingTransitionError,
     Origin,
     OutputItem,
@@ -670,12 +671,12 @@ class TestFastPathCommits:
         enforcer, handles = deploy_pack(pack)
         commits = watch_commits(enforcer)
         enforcer.on_event(Event(CAMERA_OPEN, seq=1))
-        assert commits == [(self.CAMERA, "state", "1"),
-                           (self.CAMERA, "cached_ctor_args", None)]
+        # A call caches no args: only the state is written.
+        assert commits == [(self.CAMERA, "state", "1")]
         assert handles[self.CAMERA].state == "1"
         # From 1, open is a self-loop: nothing more is committed.
         enforcer.on_event(Event(CAMERA_OPEN, seq=2))
-        assert len(commits) == 2
+        assert len(commits) == 1
 
     def test_forward_only_constructor_self_loop_caches_its_args(self, pack):
         enforcer, handles = deploy_pack(pack)
@@ -688,6 +689,89 @@ class TestFastPathCommits:
         assert commits == [(self.HEARHERE, "state", "1"),
                            (self.HEARHERE, "cached_ctor_args", args)]
         assert (hearhere.state, hearhere.cached_ctor_args) == ("1", args)
+
+
+class TogglingSink(InstanceSink):
+    """Mints instances like InstanceSink, but rejects every event while
+    `rejecting` is set."""
+
+    rejecting = False
+
+    def execute(self, event):
+        if self.rejecting:
+            raise Rejected(f"{event} rejected")
+        return super().execute(event)
+
+
+class TestQuietSymbols:
+    """A symbol no deployed module can edit or fail on executes before its
+    watchers move: a sink failure leaves everything as it was."""
+
+    def test_deploy_unions_the_editable_sets(self, pack):
+        enforcer = PolicyEnforcer()
+        for policy in pack.deployable():
+            enforcer.deploy(policy)
+            assert enforcer._editable == set().union(
+                *(m.policy.automaton.editable for m in enforcer.modules))
+        assert {s.method for s in enforcer._editable} \
+            == {"onPause", "onStop", "onDestroy", "onRestart"}
+
+    def test_a_rejected_quiet_event_changes_nothing(self, pack):
+        policies = pack.deployable()
+        vocabulary = set().union(*(p.automaton.vocabulary for p in policies))
+        moved = collections.Counter()
+        for seed in range(40):
+            enforcer = PolicyEnforcer(TogglingSink())
+            for policy in policies:
+                enforcer.deploy(policy)
+            for event in random_trace(random.Random(seed), vocabulary, max_len=60):
+                before = copy.deepcopy(enforcer_state(enforcer))
+                if event.symbol not in enforcer._editable:
+                    enforcer.sink.rejecting = True
+                    with pytest.raises(Rejected):
+                        enforcer.on_event(event)
+                    enforcer.sink.rejecting = False
+                    assert enforcer_state(enforcer) == before, (seed, event)
+                    modules = before[2]
+                    enforcer.on_event(event)
+                    moved[event.symbol.kind] += enforcer_state(enforcer)[2] != modules
+                else:
+                    enforcer.on_event(event)
+        # Rejected calls and constructors that would have moved a module.
+        assert moved[Kind.API_CALL] > 0 and moved[Kind.CONSTRUCTOR] > 0, moved
+
+    def test_edits_on_calls_and_constructors_match_the_reference(self):
+        # Random policies that edit on calls and on constructors, so those
+        # symbols take the general path, edited or not; the other calls
+        # stay quiet (quiet constructors: the test above).
+        docs = [doc for doc in map(random_policy_doc, range(300))
+                if {s.kind for s in doc.automaton.editable}
+                >= {Kind.API_CALL, Kind.CONSTRUCTOR}]
+        rng = random.Random(27)
+        seen = collections.Counter()
+        for n in range(80):
+            policies = rng.sample(docs, rng.choice([1, 2]))
+            if not check_set(policies).ok:
+                continue
+            enforcers = [cls(InstanceSink())
+                         for cls in (PolicyEnforcer, ReferenceEnforcer)]
+            for enforcer in enforcers:
+                for policy in policies:
+                    enforcer.deploy(policy)
+            vocabulary = frozenset().union(*(p.automaton.vocabulary
+                                             for p in policies))
+            for event in random_trace(rng, vocabulary, max_len=50, extra=[DOX]):
+                one_pass, two_pass = (outcome_or_failure(e, event)
+                                      for e in enforcers)
+                assert one_pass == two_pass, (n, event)
+                assert enforcer_state(enforcers[0]) == enforcer_state(enforcers[1])
+                path = ("quiet" if event.symbol not in enforcers[0]._editable
+                        else "edited" if getattr(one_pass, "records", ())
+                        else "general")
+                seen[path, event.symbol.kind] += 1
+        assert min(seen[path, kind] for path in ("edited", "general")
+                   for kind in (Kind.API_CALL, Kind.CONSTRUCTOR)) > 0, seen
+        assert seen["quiet", Kind.API_CALL] > 0, seen
 
 
 class TestHotPathBytecode:
@@ -706,7 +790,7 @@ class TestHotPathBytecode:
 
     @pytest.mark.parametrize("function", [
         PolicyEnforcer.on_event, PolicyEnforcer._execute,
-        instantiate, run_scenario, BindingContext.observe])
+        instantiate, run_scenario, BindingContext.observe, Event.__new__])
     def test_loads_no_enum_class(self, function):
         loaded = self.loaded_globals(function.__code__)
         assert loaded, function

@@ -135,8 +135,9 @@ class TestParseScenario:
         assert str(exc.value) == message
 
     def test_malformed_call_target(self):
-        # A call target needs a dot with a name on each side of it.
-        for target in ("nodot", ".open", "Camera."):
+        # A call target needs one dot with a name on each side of it.
+        for target in ("nodot", ".open", "Camera.", "Camera..open",
+                       "Camera.open.x"):
             with pytest.raises(ScenarioError) as exc:
                 parse_scenario(f"app X\nlaunch\ncall {target}\n", "x")
             assert str(exc.value) == (
