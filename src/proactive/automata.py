@@ -196,14 +196,6 @@ class Guard:
     def any_except(symbols: Iterable[ActionSymbol]) -> "Guard":
         return Guard(_ANY_EXCEPT, frozenset(symbols))
 
-    def matches(self, symbol: ActionSymbol) -> bool:
-        """Whether the guard accepts a vocabulary symbol: `accepted`'s test."""
-        if self.kind is _ANY:
-            return True
-        if self.kind is _ANY_EXCEPT:
-            return symbol not in self.symbols
-        return symbol in self.symbols
-
     def accepted(self, vocabulary: frozenset[ActionSymbol]) -> frozenset[ActionSymbol]:
         """The vocabulary symbols the guard matches, by set algebra: read
         once per transition, when its automaton is built."""
@@ -343,18 +335,6 @@ _FORWARD_ONLY = (OutputItem(),)
 _MISSING: Move = (None, None)
 
 
-@dataclass(frozen=True, init=False)
-class EffectSets:
-    inserted: frozenset[ActionSymbol]
-    suppressible: frozenset[ActionSymbol]
-    # Insertable or suppressible symbols: what deploy and check_pair read.
-    touched: frozenset[ActionSymbol] = field(init=False, compare=False, repr=False)
-
-    def __init__(self, inserted, suppressible):
-        self.__dict__.update(inserted=inserted, suppressible=suppressible,
-                             touched=inserted | suppressible)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class EditAutomaton:
     """Deterministic, vocabulary-complete edit automaton.
@@ -365,8 +345,9 @@ class EditAutomaton:
 
     Building one compiles, in one pass that reads each guard once, its
     `vocabulary` (the symbols guards name or templates insert), `accepted`
-    (each transition's vocabulary symbols, in order) and `effects` (what
-    it can insert, and what a transition omitting the input suppresses).
+    (each transition's vocabulary symbols, in order), `inserted` (what it
+    can insert), `suppressible` (what a transition omitting the input
+    suppresses) and their union `touched`, which deploy and check_pair read.
     """
 
     states: frozenset[str]
@@ -381,8 +362,8 @@ class EditAutomaton:
         suppressible = frozenset().union(*[a for t, a in zip(transitions, accepted)
                                            if None not in [i.symbol for i in t.output]])
         self.__dict__.update(states=states, initial=initial, transitions=transitions,
-                             vocabulary=vocabulary, accepted=accepted,
-                             effects=EffectSets(inserted, suppressible))
+                             vocabulary=vocabulary, accepted=accepted, inserted=inserted,
+                             suppressible=suppressible, touched=inserted | suppressible)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EditAutomaton):

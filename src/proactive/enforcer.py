@@ -152,7 +152,7 @@ class PolicyEnforcer:
         if policy.name in self._names:
             raise DuplicatePolicyError(policy.name)
         automaton = policy.automaton
-        touched = automaton.effects.touched
+        touched = automaton.touched
         if (not self.watchers.keys().isdisjoint(touched)
                 or not self._touched.isdisjoint(automaton.vocabulary)):
             pairs = [pair for m in self.modules

@@ -2,7 +2,7 @@
 
 Two policies may run concurrently with order-independent results when
 neither inserts nor suppresses a symbol the other monitors, that is when
-neither's touched set (`EffectSets.touched`) meets the other's vocabulary.
+neither automaton's `touched` set meets the other's `vocabulary`.
 Forwarding the matched input counts as neither insertion nor suppression,
 so policies that merely share a lifecycle callback do not interfere.
 check_pair takes the four directed intersections only to report a hit;
@@ -60,20 +60,19 @@ _NO_INTERFERENCE = InterferenceReport()
 
 
 def check_pair(a: PolicyDoc, b: PolicyDoc) -> InterferenceReport:
-    """Report every symbol a's effects touch in b's vocabulary and vice versa."""
-    effects_a = a.automaton.effects
-    effects_b = b.automaton.effects
-    vocab_a = a.automaton.vocabulary
-    vocab_b = b.automaton.vocabulary
-    if (effects_a.touched.isdisjoint(vocab_b)
-            and effects_b.touched.isdisjoint(vocab_a)):
+    """Report every symbol a touches in b's vocabulary and vice versa."""
+    auto_a = a.automaton
+    auto_b = b.automaton
+    vocab_a = auto_a.vocabulary
+    vocab_b = auto_b.vocabulary
+    if auto_a.touched.isdisjoint(vocab_b) and auto_b.touched.isdisjoint(vocab_a):
         return _NO_INTERFERENCE
     pairs: list[InterferencePair] = []
     for direction, symbols in (
-        (Direction.A_INSERTS_INTO_B, effects_a.inserted & vocab_b),
-        (Direction.A_SUPPRESSES_FROM_B, effects_a.suppressible & vocab_b),
-        (Direction.B_INSERTS_INTO_A, effects_b.inserted & vocab_a),
-        (Direction.B_SUPPRESSES_FROM_A, effects_b.suppressible & vocab_a),
+        (Direction.A_INSERTS_INTO_B, auto_a.inserted & vocab_b),
+        (Direction.A_SUPPRESSES_FROM_B, auto_a.suppressible & vocab_b),
+        (Direction.B_INSERTS_INTO_A, auto_b.inserted & vocab_a),
+        (Direction.B_SUPPRESSES_FROM_A, auto_b.suppressible & vocab_a),
     ):
         if symbols:
             pairs.append(InterferencePair(a.name, b.name, direction,

@@ -408,23 +408,9 @@ class ScenarioResult:
     interventions_per_step: tuple[int, ...]
 
 
-def _busy_wait(seconds: float) -> None:
-    if seconds <= 0:
-        return
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
-        pass
-
-
 def run_scenario(script: ScenarioScript,
-                 enforcer: Optional[PolicyEnforcer] = None,
-                 action_work_s: float = 0.0) -> ScenarioResult:
-    """Deterministic replay of a scripted app, optionally enforced.
-
-    action_work_s adds a fixed busy-wait per script step, standing in for
-    the app work a real action performs; it exists so the benchmark
-    measures enforcement overhead against a non-zero action cost.
-    """
+                 enforcer: Optional[PolicyEnforcer] = None) -> ScenarioResult:
+    """Deterministic replay of a scripted app, optionally enforced."""
     world = SimWorld(script.app)
     if enforcer is not None:
         enforcer.sink = world
@@ -463,7 +449,6 @@ def run_scenario(script: ScenarioScript,
         except (HealingFailureError, PolicyAuthoringError) as exc:
             exc.line = step.line
             raise
-        _busy_wait(action_work_s)
         step_times.append(time.perf_counter() - started)
         interventions_per_step.append(len(log) - logged)
 

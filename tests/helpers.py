@@ -32,9 +32,9 @@ from proactive.automata import (
     ArgSource,
     Diagnostic,
     EditAutomaton,
-    EffectSets,
     Event,
     Guard,
+    GuardKind,
     Kind,
     MissingTransitionError,
     Move,
@@ -379,12 +379,21 @@ def explore_orders(subset):
 # Each walks the guards directly, as the automaton did before it was
 # compiled into EditAutomaton.moves; the compiled forms must agree.
 
+def reference_matches(guard: Guard, symbol: ActionSymbol) -> bool:
+    """Whether the guard accepts a vocabulary symbol, one symbol at a time."""
+    if guard.kind is GuardKind.ANY:
+        return True
+    if guard.kind is GuardKind.ANY_EXCEPT:
+        return symbol not in guard.symbols
+    return symbol in guard.symbols
+
+
 def reference_matching(automaton: EditAutomaton, state: str,
                        symbol: ActionSymbol) -> list[Transition]:
     """Every transition from state whose guard accepts symbol, in
     declaration order."""
     return [t for t in automaton.transitions
-            if t.source == state and t.guard.matches(symbol)]
+            if t.source == state and reference_matches(t.guard, symbol)]
 
 
 def reference_move(automaton: EditAutomaton, state: str,
@@ -399,15 +408,18 @@ def reference_move(automaton: EditAutomaton, state: str,
     return first.target, None if first.output == (fwd(),) else Template.of(first)
 
 
-def reference_effect_sets(automaton: EditAutomaton) -> EffectSets:
+def reference_effect_sets(automaton: EditAutomaton
+                          ) -> tuple[frozenset[ActionSymbol], frozenset[ActionSymbol]]:
+    """(inserted, suppressible): what the automaton can insert, and what a
+    transition omitting the input suppresses."""
     vocabulary = automaton.vocabulary
     inserted: set[ActionSymbol] = set()
     suppressible: set[ActionSymbol] = set()
     for t in automaton.transitions:
         inserted.update(i.symbol for i in t.output if not i.is_forward)
         if not any(i.is_forward for i in t.output):
-            suppressible.update(s for s in vocabulary if t.guard.matches(s))
-    return EffectSets(frozenset(inserted), frozenset(suppressible))
+            suppressible.update(s for s in vocabulary if reference_matches(t.guard, s))
+    return frozenset(inserted), frozenset(suppressible)
 
 
 def reference_validate(automaton: EditAutomaton) -> list[Diagnostic]:
@@ -521,16 +533,16 @@ def reference_gate(enforcer, policy: PolicyDoc) -> InterferenceReport:
 def reference_check_pair(a: PolicyDoc, b: PolicyDoc) -> InterferenceReport:
     """check_pair without its disjointness test: the four directed
     intersections of effect sets and vocabularies, always taken."""
-    effects_a = a.automaton.effects
-    effects_b = b.automaton.effects
-    vocab_a = a.automaton.vocabulary
-    vocab_b = b.automaton.vocabulary
+    auto_a = a.automaton
+    auto_b = b.automaton
+    vocab_a = auto_a.vocabulary
+    vocab_b = auto_b.vocabulary
     pairs: list[InterferencePair] = []
     for direction, symbols in (
-        (Direction.A_INSERTS_INTO_B, effects_a.inserted & vocab_b),
-        (Direction.A_SUPPRESSES_FROM_B, effects_a.suppressible & vocab_b),
-        (Direction.B_INSERTS_INTO_A, effects_b.inserted & vocab_a),
-        (Direction.B_SUPPRESSES_FROM_A, effects_b.suppressible & vocab_a),
+        (Direction.A_INSERTS_INTO_B, auto_a.inserted & vocab_b),
+        (Direction.A_SUPPRESSES_FROM_B, auto_a.suppressible & vocab_b),
+        (Direction.B_INSERTS_INTO_A, auto_b.inserted & vocab_a),
+        (Direction.B_SUPPRESSES_FROM_A, auto_b.suppressible & vocab_a),
     ):
         if symbols:
             pairs.append(InterferencePair(a.name, b.name, direction,

@@ -17,6 +17,7 @@ from proactive.automata import (
     EditAutomaton,
     Event,
     Guard,
+    GuardKind,
     Kind,
     MissingTransitionError,
     Origin,
@@ -54,6 +55,7 @@ from helpers import (
     random_policy_doc,
     random_trace,
     reference_effect_sets,
+    reference_matches,
     reference_matching,
     reference_validate,
 )
@@ -230,13 +232,8 @@ class TestGuard:
     def test_exactly_takes_one_symbol(self):
         with pytest.raises(ValueError):
             Guard(Guard.exactly(DOA).kind, frozenset([DOA, DOB]))
-
-    def test_matching(self):
-        assert Guard.any().matches(DOA)
-        assert Guard.exactly(DOA).matches(DOA)
-        assert not Guard.exactly(DOA).matches(DOB)
-        assert Guard.any_except([DOA]).matches(DOB)
-        assert not Guard.any_except([DOA]).matches(DOA)
+        with pytest.raises(ValueError, match="any guard takes no symbols"):
+            Guard(GuardKind.ANY, frozenset([DOA]))
 
     def test_accepted(self):
         vocabulary = frozenset({DOA, DOB, DOX})
@@ -397,23 +394,21 @@ class TestRun:
 
 class TestEffectSets:
     def test_forced_release(self, forced_release):
-        effects = forced_release.effects
-        assert effects.inserted == frozenset({STOP_REC, RELEASE_AR})
-        assert effects.suppressible == frozenset()
+        assert forced_release.inserted == frozenset({STOP_REC, RELEASE_AR})
+        assert forced_release.suppressible == frozenset()
 
     def test_pure_forwarder(self):
         automaton = EditAutomaton(frozenset({"0"}), "0",
                                   (loop("0", Guard.any(), (fwd(),)),))
-        effects = automaton.effects
-        assert effects.inserted == frozenset()
-        assert effects.suppressible == frozenset()
+        assert automaton.inserted == frozenset()
+        assert automaton.suppressible == frozenset()
 
     def test_empty_template_suppresses(self):
         automaton = EditAutomaton(
             frozenset({"0"}), "0",
             (loop("0", Guard.exactly(DOA), ()),
              loop("0", Guard.any_except([DOA]), (fwd(),))))
-        assert automaton.effects.suppressible == frozenset({DOA})
+        assert automaton.suppressible == frozenset({DOA})
 
     def test_suppressing_catch_all_covers_matching_vocabulary(self):
         automaton = EditAutomaton(
@@ -421,7 +416,7 @@ class TestEffectSets:
             (loop("0", Guard.exactly(DOA), (fwd(),)),
              loop("0", Guard.exactly(DOB), (OutputItem(DOX), fwd())),
              loop("0", Guard.any_except([DOA, DOB]), ()),))
-        assert automaton.effects.suppressible == frozenset({DOX})
+        assert automaton.suppressible == frozenset({DOX})
 
 
 class TestViolations:
@@ -451,6 +446,8 @@ class TestAutomatonEquality:
         other = EditAutomaton(forced_release.states, "1",
                               forced_release.transitions)
         assert other != forced_release
+        assert forced_release.__eq__("0") is NotImplemented
+        assert forced_release != "0"
 
     @staticmethod
     def automata():
@@ -556,9 +553,19 @@ class TestTableAgreesWithReference:
                     first.target, [i.symbol or symbol for i in first.output]), \
                     (name, state, symbol)
 
+    def test_accepted_is_the_guard_walked_symbol_by_symbol(self):
+        for name, automaton in reference_cases().items():
+            vocabulary = automaton.vocabulary
+            for t in automaton.transitions:
+                assert t.guard.accepted(vocabulary) == {
+                    s for s in vocabulary if reference_matches(t.guard, s)}, (name, t)
+
     def test_effect_sets(self):
         for name, automaton in reference_cases().items():
-            assert automaton.effects == reference_effect_sets(automaton), name
+            inserted, suppressible = reference_effect_sets(automaton)
+            assert (automaton.inserted, automaton.suppressible,
+                    automaton.touched) == (inserted, suppressible,
+                                           inserted | suppressible), name
 
     def test_validate_codes_and_order(self):
         for name, automaton in reference_cases().items():

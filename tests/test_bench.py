@@ -51,9 +51,9 @@ class TestRunBenchmark:
                                                   monkeypatch):
         calls = []
 
-        def counting(script, enforcer=None, action_work_s=0.0):
+        def counting(script, enforcer=None):
             calls.append(enforcer is not None)
-            return run_scenario(script, enforcer, action_work_s)
+            return run_scenario(script, enforcer)
 
         monkeypatch.setattr(bench, "run_scenario", counting)
         result = run_benchmark(scenarios["hearhere"], pack.deployable(),

@@ -81,7 +81,7 @@ class TestBundledPack:
         automaton = pack.policies["hearhere-audiorecord-release"].automaton
         on_restart = ActionSymbol.callback("onRestart")
         reacquire = [t for t in automaton.transitions
-                     if t.guard.matches(on_restart) and t.source == "suspended"
+                     if on_restart in t.guard.symbols and t.source == "suspended"
                      and any(not i.is_forward for i in t.output)]
         assert len(reacquire) == 1
         first = reacquire[0].output[0]
