@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -84,13 +84,21 @@ class Origin(enum.Enum):
 _APP, _SYNTHESIZED = Origin.APP, Origin.SYNTHESIZED
 
 
-@dataclass(frozen=True, slots=True, init=False)
+# Frozen by hand: with slots=True, frozen=True's generated __setattr__ names
+# the class the decorator replaces and raises TypeError for a non-field.
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Event:
     symbol: ActionSymbol
     seq: int = 0
     instance: Optional[str] = None
     args: tuple = ()
     origin: Origin = Origin.APP
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     # Fills an object of Event's layout whose slots are settable, then retypes
     # it: two thirds of an __init__ of five slot __set__ calls (instantiate inlines it).

@@ -356,6 +356,40 @@ class TestFailedHeal:
         assert capsys.readouterr().err.count("\n") == 1
 
 
+# On stop it inserts {item}, which names what the simulator does not
+# model; a .scn step cannot name an unknown interface, so only a policy
+# brings one to the sink.
+FOO_HEAL = """\
+policy foo-heal
+statement "inserts an unmodelled action on stop"
+target Foo
+states 0
+initial 0
+on callback onStop from 0 to 0 emit insert {item}, input
+on any-except {{callback onStop}} from 0 to 0 emit input
+"""
+
+
+class TestUnmodelledInsertion:
+    @pytest.mark.parametrize("item", ["call Foo.bar", "new Foo"])
+    def test_an_unknown_interface_fails_the_heal(self, tmp_path, capsys, item):
+        pack, path = bad_preview_inputs(tmp_path, FOO_HEAL.format(item=item))
+        assert main(["run", "--pack", str(pack), "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{path}:3:1: policy 'foo-heal' failed to execute "
+            f"+{item}@5: unknown interface 'Foo'\n")
+
+    def test_an_unmodelled_callback_heals(self, tmp_path, capsys):
+        pack, path = bad_preview_inputs(tmp_path, FOO_HEAL.format(item="callback onFoo"))
+        assert main(["run", "--pack", str(pack), "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "scenario x (enforcement on): healed\n"
+            "  interventions: 1 (foo-heal)\n"
+            "  leaks: none\n")
+
+
 # Its template reads cached args, but it never sees a constructor.
 UNCACHED_STOP = """\
 policy uncached-stop

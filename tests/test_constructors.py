@@ -120,7 +120,7 @@ def test_an_event_is_a_frozen_event():
     assert events[2:] == [Event(symbol=SYMBOL, seq=1), Event(symbol=SYMBOL, seq=2)]
     assert events[2] != events[3] and hash(events[2]) != hash(events[3])
     assert TRIGGER != dataclasses.replace(TRIGGER, origin=Origin.SYNTHESIZED)
-    for name in Event.__slots__:
+    for name in (*Event.__slots__, "note"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(TRIGGER, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):

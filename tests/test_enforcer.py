@@ -48,15 +48,18 @@ from helpers import (
     STOP_REC,
     ReferenceEnforcer,
     event_shapes,
+    explore,
     forced_release_automaton,
     fwd,
     deployed,
+    joint_state,
     make_doc,
     policy_files,
     random_policy_doc,
     random_trace,
     reference_gate,
     reference_move,
+    restore,
 )
 
 FAULTY = Trace.from_symbols([NEW_AR, START_REC, ON_STOP])
@@ -691,8 +694,8 @@ class TestFastPathCommits:
         assert (hearhere.state, hearhere.cached_ctor_args) == ("1", args)
 
 
-class TogglingSink(InstanceSink):
-    """Mints instances like InstanceSink, but rejects every event while
+class TogglingSink(RecordingSink):
+    """Records like RecordingSink, but rejects every event while
     `rejecting` is set."""
 
     rejecting = False
@@ -717,26 +720,27 @@ class TestQuietSymbols:
             == {"onPause", "onStop", "onDestroy", "onRestart"}
 
     def test_a_rejected_quiet_event_changes_nothing(self, pack):
-        policies = pack.deployable()
-        vocabulary = set().union(*(p.automaton.vocabulary for p in policies))
+        # From every reachable joint state of the pack, each quiet symbol is
+        # offered to a rejecting sink, then accepted; an editable one moves on.
+        sink = TogglingSink()
         moved = collections.Counter()
-        for seed in range(40):
-            enforcer = PolicyEnforcer(TogglingSink())
-            for policy in policies:
-                enforcer.deploy(policy)
-            for event in random_trace(random.Random(seed), vocabulary, max_len=60):
-                before = copy.deepcopy(enforcer_state(enforcer))
-                if event.symbol not in enforcer._editable:
-                    enforcer.sink.rejecting = True
-                    with pytest.raises(Rejected):
-                        enforcer.on_event(event)
-                    enforcer.sink.rejecting = False
-                    assert enforcer_state(enforcer) == before, (seed, event)
-                    modules = before[2]
-                    enforcer.on_event(event)
-                    moved[event.symbol.kind] += enforcer_state(enforcer)[2] != modules
-                else:
-                    enforcer.on_event(event)
+
+        def offer_rejected_first(enforcer, _, event):
+            enforcer.sink = sink
+            if event.symbol in enforcer._editable:
+                return None if outcome_or_failure(enforcer, event)[0] \
+                    is PolicyAuthoringError else ()
+            before = copy.deepcopy(enforcer_state(enforcer))
+            sink.rejecting = True
+            with pytest.raises(Rejected):
+                enforcer.on_event(event)
+            sink.rejecting = False
+            assert enforcer_state(enforcer) == before, event
+            enforcer.on_event(event)
+            moved[event.symbol.kind] += enforcer_state(enforcer)[2] != before[2]
+            return ()
+
+        explore(pack.deployable(), offer_rejected_first, ())
         # Rejected calls and constructors that would have moved a module.
         assert moved[Kind.API_CALL] > 0 and moved[Kind.CONSTRUCTOR] > 0, moved
 
@@ -816,23 +820,26 @@ class TestEnforcementOutcome:
 
 class TestCopiedSymbols:
     def test_a_copied_symbol_dispatches_like_the_original(self, pack):
-        vocabulary = set().union(*(p.automaton.vocabulary
-                                   for p in pack.deployable()))
+        # From every reachable joint state of the pack, each vocabulary
+        # symbol is offered, and a deep copy of its event to a second
+        # enforcer restored to the same state.
+        copied = deployed(pack.deployable())
         interventions = 0
-        for seed in range(30):
-            trace = random_trace(random.Random(seed), vocabulary, max_len=80)
-            original = PolicyEnforcer(InstanceSink())
-            copied = PolicyEnforcer(InstanceSink())
-            for policy in pack.deployable():
-                original.deploy(policy)
-                copied.deploy(policy)
-            for event in trace:
-                clone = copy.deepcopy(event)
-                assert clone.symbol is event.symbol
-                assert copied.on_event(clone) == original.on_event(event)
-                assert [(m.state, m.cached_ctor_args) for m in copied.modules] \
-                    == [(m.state, m.cached_ctor_args) for m in original.modules]
-            interventions += len(original.intervention_log)
+
+        def offer_both(enforcer, _, event):
+            nonlocal interventions
+            clone = copy.deepcopy(event)
+            assert clone.symbol is event.symbol
+            restore(copied, joint_state(enforcer))
+            outcome = outcome_or_failure(enforcer, event)
+            assert outcome_or_failure(copied, clone) == outcome, event
+            assert enforcer_state(copied) == enforcer_state(enforcer), event
+            if outcome[0] is PolicyAuthoringError:
+                return None
+            interventions += len(outcome.records)
+            return ()
+
+        explore(pack.deployable(), offer_both, ())
         assert interventions > 0
 
 
