@@ -84,8 +84,7 @@ class Origin(enum.Enum):
 _APP, _SYNTHESIZED = Origin.APP, Origin.SYNTHESIZED
 
 
-# Frozen by hand: with slots=True, frozen=True's generated __setattr__ names
-# the class the decorator replaces and raises TypeError for a non-field.
+# Frozen by hand: with slots=True, frozen=True raises TypeError for a non-field.
 @dataclass(slots=True, init=False, unsafe_hash=True)
 class Event:
     symbol: ActionSymbol

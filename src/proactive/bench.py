@@ -5,10 +5,6 @@ Each repetition uses a fresh world and a fresh enforcer so no state
 carries over; timing covers scenario execution only, never report
 serialization.  The per-action intervention counts come from the timed
 enforced replays themselves, which all agree: replay is deterministic.
-
-Each measured step time of both replays gets action_work_s added,
-standing in for the app work a real action performs, so the overhead is
-measured against a non-zero action cost.
 """
 
 from __future__ import annotations
@@ -71,7 +67,9 @@ def _fresh_enforcer(policies: Iterable[PolicyDoc]) -> PolicyEnforcer:
 def run_benchmark(script: ScenarioScript, policies: list[PolicyDoc],
                   repetitions: int = DEFAULT_REPETITIONS,
                   action_work_s: float = DEFAULT_ACTION_WORK_S) -> BenchResult:
-    """Median per-action execution time with and without enforcement."""
+    """Median per-action execution time with and without enforcement.  Each
+    step time gets action_work_s added, standing in for the app work a real
+    action performs, so overhead is measured against a non-zero action cost."""
     if repetitions < 3:
         raise ValueError("benchmark needs at least 3 repetitions")
 

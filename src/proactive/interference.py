@@ -63,16 +63,15 @@ def check_pair(a: PolicyDoc, b: PolicyDoc) -> InterferenceReport:
     """Report every symbol a touches in b's vocabulary and vice versa."""
     auto_a = a.automaton
     auto_b = b.automaton
-    vocab_a = auto_a.vocabulary
-    vocab_b = auto_b.vocabulary
-    if auto_a.touched.isdisjoint(vocab_b) and auto_b.touched.isdisjoint(vocab_a):
+    if (auto_a.touched.isdisjoint(auto_b.vocabulary)
+            and auto_b.touched.isdisjoint(auto_a.vocabulary)):
         return _NO_INTERFERENCE
     pairs: list[InterferencePair] = []
     for direction, symbols in (
-        (Direction.A_INSERTS_INTO_B, auto_a.inserted & vocab_b),
-        (Direction.A_SUPPRESSES_FROM_B, auto_a.suppressible & vocab_b),
-        (Direction.B_INSERTS_INTO_A, auto_b.inserted & vocab_a),
-        (Direction.B_SUPPRESSES_FROM_A, auto_b.suppressible & vocab_a),
+        (Direction.A_INSERTS_INTO_B, auto_a.inserted & auto_b.vocabulary),
+        (Direction.A_SUPPRESSES_FROM_B, auto_a.suppressible & auto_b.vocabulary),
+        (Direction.B_INSERTS_INTO_A, auto_b.inserted & auto_a.vocabulary),
+        (Direction.B_SUPPRESSES_FROM_A, auto_b.suppressible & auto_a.vocabulary),
     ):
         if symbols:
             pairs.append(InterferencePair(a.name, b.name, direction,

@@ -728,8 +728,8 @@ class TestQuietSymbols:
         def offer_rejected_first(enforcer, _, event):
             enforcer.sink = sink
             if event.symbol in enforcer._editable:
-                return None if outcome_or_failure(enforcer, event)[0] \
-                    is PolicyAuthoringError else ()
+                outcome = outcome_or_failure(enforcer, event)
+                return None if outcome[0] is PolicyAuthoringError else ()
             before = copy.deepcopy(enforcer_state(enforcer))
             sink.rejecting = True
             with pytest.raises(Rejected):
