@@ -14,7 +14,7 @@ import enum
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 CALLBACK_INTERFACE = "Activity"
 
@@ -289,16 +289,35 @@ def unquote(quoted: str) -> str:
 
 @dataclass(frozen=True, init=False)
 class Transition:
+    """Its output template is compiled once, in __init__, into `items` (each
+    synthesized item as (symbol, args or None for cached, is a constructor)),
+    `pre` (how many precede the input; all when it is dropped) and `forwards`:
+    not fields, so ==, hash, repr and pickling read the fields alone.  The
+    shared _FORWARD_ONLY output keeps the class defaults."""
+
     source: str
     guard: Guard
     output: tuple[OutputItem, ...]
     target: str
     # The line of its `on` directive, set by dsl.parse; 0 if built in code.
     line: int = field(default=0, compare=False, repr=False)
+    items = ()
+    pre = 0
+    forwards = True
 
     def __init__(self, source, guard, output, target, line=0):
         self.__dict__.update(source=source, guard=guard, output=output,
                              target=target, line=line)
+        if output is not _FORWARD_ONLY:
+            # Only synthesized items precede the first input, so its position
+            # counts them; the end of the output stands in when there is none.
+            inputs = [n for n, i in enumerate(output) if i.symbol is None] + [len(output)]
+            self.__dict__.update(
+                items=tuple([(i.symbol, None if i.arg_source is ArgSource.CACHED
+                              else i.literals if i.arg_source is ArgSource.LITERALS
+                              else (), i.symbol.kind is _CONSTRUCTOR)
+                             for i in output if i.symbol is not None]),
+                pre=inputs[0], forwards=len(inputs) > 1)
 
     def sort_key(self):
         return (state_sort_key(self.source), self.guard.text(),
@@ -310,33 +329,10 @@ def state_sort_key(state: str):
     return (0, int(state), state) if state.isdecimal() else (1, 0, state)
 
 
-class Template(NamedTuple):
-    """A transition's template compiled once: the synthesized items in
-    order as (symbol, args or None for cached, is a constructor), how many
-    precede the input (all when it is dropped), and whether it forwards."""
-
-    transition: Transition
-    items: tuple[tuple[ActionSymbol, Optional[tuple], bool], ...]
-    pre: int
-    forwards: bool
-
-    @staticmethod
-    def of(transition: Transition) -> "Template":
-        output = transition.output
-        items = tuple((i.symbol, None if i.arg_source is ArgSource.CACHED
-                       else i.literals if i.arg_source is ArgSource.LITERALS
-                       else (), i.symbol.kind is _CONSTRUCTOR)
-                      for i in output if not i.is_forward)
-        # Only synthesized items precede the first input, so its position
-        # counts them; the end of the output stands in when there is none.
-        inputs = [n for n, i in enumerate(output) if i.is_forward] + [len(output)]
-        return Template(transition, items, inputs[0], len(inputs) > 1)
-
-
-# A compiled move: the target state, and the template that runs there,
-# or None when the transition only forwards its input.
-Move = tuple[str, Optional[Template]]
-_FORWARD_ONLY = (OutputItem(),)
+# A compiled move: the target state, and the transition whose template runs
+# there, or None when the transition only forwards its input.
+Move = tuple[str, Optional[Transition]]
+_FORWARD_ONLY = (OutputItem(),)  # the output most transitions share
 # The move of a state no transition leaves on the symbol: reading it
 # raises MissingTransitionError.
 _MISSING: Move = (None, None)
@@ -383,21 +379,21 @@ class EditAutomaton:
 
     @cached_property
     def moves(self) -> dict[ActionSymbol, dict[str, Move]]:
-        """vocabulary symbol -> state -> (target, template) of the first
-        matching transition, the template None when it is exactly (input,):
-        a forward-only move.  Only moves that do something are kept: a
-        forward-only self-loop on a non-constructor is left out, so an
+        """vocabulary symbol -> state -> (target, transition) of the first
+        matching transition, the transition None when its output is exactly
+        (input,): a forward-only move.  Only moves that do something are
+        kept: a forward-only self-loop on a non-constructor is left out, so an
         absent state stays put and forwards.  A state that is declared,
         initial, or a transition's source or target, and that no transition
         leaves on the symbol, maps to _MISSING.  No other state has an
         entry: nothing puts a module there, and each reader takes it as
         idle.  The form deploy, on_event, step and violations read; built
-        from `accepted` at the first read, with one Template.of per editing
-        transition."""
+        from `accepted` at the first read.  An editing move holds the very
+        Transition object parse built, whose template is compiled already."""
         first: dict[ActionSymbol, dict[str, Optional[Move]]] = {
             s: {} for s in self.vocabulary}
         for t, accepted in zip(self.transitions, self.accepted):
-            move = (t.target, None if t.output == _FORWARD_ONLY else Template.of(t))
+            move = (t.target, None if t.output == _FORWARD_ONLY else t)
             idle = move[1] is None and t.target == t.source
             for symbol in accepted:
                 # None marks an idle first match, so no later one takes its place.
@@ -414,7 +410,7 @@ class EditAutomaton:
         """The symbols with an editing or _MISSING move in some state: on any
         other, a move only changes state or caches a constructor's args."""
         return frozenset([symbol for symbol, by_state in self.moves.items() if any(
-            template is not None or target is None for target, template in by_state.values())])
+            edit is not None or target is None for target, edit in by_state.values())])
 
 
 @dataclass(frozen=True)
@@ -524,18 +520,19 @@ def _match(automaton: EditAutomaton, state: str,
     return move
 
 
-def instantiate(template: Template, trigger: Event, cached_ctor_args: Optional[tuple],
+def instantiate(transition: Transition, trigger: Event, cached_ctor_args: Optional[tuple],
                 instances: Mapping[str, Optional[str]]
                 ) -> tuple[tuple[Event, ...], Optional[tuple]]:
-    """The events template synthesizes for trigger, in order, and the
-    cached constructor args after them.  Every constructor, the trigger or
-    a synthesized one, caches its args.  An item gets the trigger's
-    instance on the trigger constructor's interface, else instances'."""
+    """The events transition's compiled template synthesizes for trigger, in
+    order, and the cached constructor args after them.  Every constructor,
+    the trigger or a synthesized one, caches its args.  An item gets the
+    trigger's instance on the trigger constructor's interface, else
+    instances'."""
     own = trigger.symbol.interface if trigger.symbol.kind is _CONSTRUCTOR else None
     if own is not None:
         cached_ctor_args = trigger.args
     events = []
-    for symbol, args, constructs in template.items:
+    for symbol, args, constructs in transition.items:
         if args is None:
             if cached_ctor_args is None:
                 raise PolicyAuthoringError(
@@ -567,17 +564,17 @@ def step(automaton: EditAutomaton, state: str, event: Event,
     move = _match(automaton, state, event.symbol)
     if move is None:
         return state, [event]
-    target, template = move
+    target, transition = move
     if context is None:
         context = BindingContext()
     context.observe(event)
-    if template is None:
+    if transition is None:
         return target, [event]
     synthesized, context.cached_ctor_args = instantiate(
-        template, event, context.cached_ctor_args, context.instances)
+        transition, event, context.cached_ctor_args, context.instances)
     rest = iter(synthesized)
     return target, [event if item.is_forward else next(rest)
-                    for item in template.transition.output]
+                    for item in transition.output]
 
 
 def run_from(automaton: EditAutomaton, state: str, events: Iterable[Event],
@@ -613,7 +610,7 @@ def violations(automaton: EditAutomaton, trace: Trace) -> list[Event]:
         move = _match(automaton, state, event.symbol)
         if move is None:
             continue
-        state, template = move
-        if template is not None:
+        state, transition = move
+        if transition is not None:
             found.append(event)
     return found

@@ -18,7 +18,7 @@ from .enforcer import PolicyEnforcer
 from .sim import ScenarioScript, run_scenario
 
 DEFAULT_REPETITIONS = 50
-DEFAULT_ACTION_WORK_S = 0.001
+ACTION_WORK_S = 0.001
 
 
 def overhead_percent(median_with_ms: float, median_without_ms: float) -> float:
@@ -65,10 +65,9 @@ def _fresh_enforcer(policies: Iterable[PolicyDoc]) -> PolicyEnforcer:
 
 
 def run_benchmark(script: ScenarioScript, policies: list[PolicyDoc],
-                  repetitions: int = DEFAULT_REPETITIONS,
-                  action_work_s: float = DEFAULT_ACTION_WORK_S) -> BenchResult:
+                  repetitions: int = DEFAULT_REPETITIONS) -> BenchResult:
     """Median per-action execution time with and without enforcement.  Each
-    step time gets action_work_s added, standing in for the app work a real
+    step time gets ACTION_WORK_S added, standing in for the app work a real
     action performs, so overhead is measured against a non-zero action cost."""
     if repetitions < 3:
         raise ValueError("benchmark needs at least 3 repetitions")
@@ -78,10 +77,10 @@ def run_benchmark(script: ScenarioScript, policies: list[PolicyDoc],
     for _ in range(repetitions):
         enforced = run_scenario(script, _fresh_enforcer(policies))
         for i, t in enumerate(enforced.step_times):
-            with_times[i].append(t + action_work_s)
+            with_times[i].append(t + ACTION_WORK_S)
         plain = run_scenario(script, None)
         for i, t in enumerate(plain.step_times):
-            without_times[i].append(t + action_work_s)
+            without_times[i].append(t + ACTION_WORK_S)
 
     actions = []
     for i, step in enumerate(script.steps):

@@ -146,6 +146,12 @@ class _LineParser:
         tok = self.next(repr(literal))
         self.fail("syntax", pos, f"unexpected token {tok!r}", repr(literal))
 
+    def bare(self) -> None:
+        """Reject a string or any of {}(), (.scn and manifest lines hold words)."""
+        for at, token in enumerate(self.tokens):
+            if token[0] in '"{}(),':
+                self.fail("syntax", at, f"unexpected token {token!r}")
+
     def done(self) -> None:
         pos = self.pos
         if pos < len(self.tokens):
@@ -336,8 +342,8 @@ def parse(text: str) -> PolicyDoc:
                 statement = unquote(tok)
             elif head == "target":
                 target = lp.next("interface name")
-            elif head == "states":
-                while lp.peek() is not None:
+            elif head == "states":  # at least one id (states is empty until now)
+                while not states or lp.peek() is not None:
                     tok = lp.next("state id")
                     if tok in states:
                         lp.fail("semantic", lp.pos - 1, f"duplicate state {tok!r}")
@@ -353,13 +359,11 @@ def parse(text: str) -> PolicyDoc:
             diags.append(error.diagnostic)
 
     last = len(lines) or 1
-    for field_name, value in (("policy", name), ("statement", statement),
-                              ("target", target), ("initial", initial),
-                              ("states", states or None)):
-        if value is None:
+    for directive in ("policy", "statement", "target", "initial", "states"):
+        if directive not in seen:  # a malformed one is reported on its line
             diags.append(DslDiagnostic("syntax", last, 1,
-                                       f"missing {field_name!r} directive",
-                                       f"{field_name} ..."))
+                                       f"missing {directive!r} directive",
+                                       f"{directive} ..."))
     if diags:
         raise PolicyParseError(diags)
 

@@ -209,24 +209,24 @@ class PolicyEnforcer:
             move = moves.get(module.state)
             if move is None:
                 continue
-            next_state, template = move
-            if template is not None:
+            next_state, transition = move
+            if transition is not None:
                 try:
                     synthesized, cached_ctor_args = instantiate(
-                        template, event, module.cached_ctor_args, self.bindings)
+                        transition, event, module.cached_ctor_args, self.bindings)
                 except PolicyAuthoringError as exc:
                     exc.policy = name
                     raise
                 moved.append((module, next_state, cached_ctor_args))
                 if records is None:
                     before, after, records = [], (), []
-                pre = template.pre  # sliced only if an inserted event follows the input
+                pre = transition.pre  # sliced only if an inserted event follows the input
                 if pre == len(synthesized):
                     before += synthesized
                 else:
                     before += synthesized[:pre]
                     after += synthesized[pre:]
-                drops = not template.forwards
+                drops = not transition.forwards
                 suppressed |= drops
                 if synthesized or drops:
                     records.append(tuple.__new__(

@@ -81,6 +81,7 @@ def _load_manifest(directory: Path) -> tuple[dict[str, Expectation], list[str]]:
     diags: list[DslDiagnostic] = []
     for lp in line_parsers(text.splitlines(), diags):
         try:
+            lp.bare()
             scenario = lp.next("scenario name")
             expectation = lp.next("'healed' or 'no-violation'")
             lp.done()

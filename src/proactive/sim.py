@@ -189,9 +189,7 @@ def parse_scenario(text: str, name: str,
         for lp in line_parsers(lines, diags):
             if diags:  # a lexical error on this line or an earlier one
                 break
-            for at, token in enumerate(lp.tokens):
-                if token[0] in '"{}(),':  # .pol's strings and punctuation
-                    lp.fail("syntax", at, f"unexpected token {token!r}")
+            lp.bare()
             head = lp.next("command")
             if head == "app":
                 app_name = lp.next("app name")

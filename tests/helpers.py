@@ -41,7 +41,6 @@ from proactive.automata import (
     Origin,
     OutputItem,
     PolicyAuthoringError,
-    Template,
     Trace,
     Transition,
     _APP,
@@ -398,14 +397,14 @@ def reference_matching(automaton: EditAutomaton, state: str,
 
 def reference_move(automaton: EditAutomaton, state: str,
                    symbol: ActionSymbol) -> Optional[Move]:
-    """(target, template or None when it only forwards) of the first
+    """(target, transition or None when it only forwards) of the first
     matching transition, or None when none matches: every move, as
     EditAutomaton.moves held them before idle self-loops were left out."""
     matching = reference_matching(automaton, state, symbol)
     if not matching:
         return None
     first = matching[0]
-    return first.target, None if first.output == (fwd(),) else Template.of(first)
+    return first.target, None if first.output == (fwd(),) else first
 
 
 def reference_effect_sets(automaton: EditAutomaton
@@ -598,17 +597,17 @@ class ReferenceEnforcer(PolicyEnforcer):
         for module, move in editing:
             if move is None:
                 raise MissingTransitionError(module.state, event.symbol)
-            next_state, template = move
+            next_state, transition = move
             synthesized, cached_ctor_args = instantiate(
-                template, event, module.cached_ctor_args, bindings)
-            forwards = template.forwards
+                transition, event, module.cached_ctor_args, bindings)
+            forwards = transition.forwards
             if not forwards:
                 suppressed = True
             if synthesized or not forwards:
                 records.append(InterventionRecord(
                     event, module.policy.name, synthesized, not forwards))
             moved.append((module, next_state, cached_ctor_args))
-            emitting.append((module, synthesized, template.pre))
+            emitting.append((module, synthesized, transition.pre))
 
         delivered = [self._execute_synthesized(module, synth)
                      for module, out, pre in emitting for synth in out[:pre]]

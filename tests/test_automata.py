@@ -479,6 +479,48 @@ class TestAutomatonEquality:
                 assert other != automaton, changed
 
 
+def compiled(transition):
+    return transition.items, transition.pre, transition.forwards
+
+
+class TestCompiledTransition:
+    """A transition's compiled template is no dataclass field: what reads
+    the fields sees none of it, and every way of building a transition
+    keeps or recompiles it."""
+
+    @staticmethod
+    def transitions():
+        return [t for automaton in TestAutomatonEquality.automata()
+                for t in automaton.transitions]
+
+    def test_equal_fields_compare_hash_and_serialize_equal(self):
+        # A fresh output tuple is compiled even when it only forwards.
+        for doc in [parse(text) for text in policy_texts()]:
+            automaton = doc.automaton
+            twins = tuple(Transition(t.source, t.guard, tuple(list(t.output)),
+                                     t.target, t.line + 1)
+                          for t in automaton.transitions)
+            for t, twin in zip(automaton.transitions, twins):
+                assert twin == t and hash(twin) == hash(t), t
+                assert compiled(twin) == compiled(t) == reference_template(t), t
+            twin_doc = dataclasses.replace(doc, automaton=EditAutomaton(
+                automaton.states, automaton.initial, twins))
+            assert serialize(twin_doc) == serialize(doc)
+
+    def test_repr_shows_the_fields_alone(self):
+        for t in self.transitions():
+            assert repr(t) == (f"Transition(source={t.source!r}, guard={t.guard!r}, "
+                               f"output={t.output!r}, target={t.target!r})")
+
+    def test_pickle_copy_and_replace_keep_or_recompile_it(self):
+        for t in self.transitions():
+            for other in (pickle.loads(pickle.dumps(t)), copy.copy(t),
+                          copy.deepcopy(t), dataclasses.replace(t)):
+                assert other == t and compiled(other) == compiled(t), t
+            changed = dataclasses.replace(t, output=t.output[::-1])
+            assert compiled(changed) == reference_template(changed), t
+
+
 def reference_template(transition):
     """(items, pre, forwards) of a transition's template, walking its
     output: each synthesized item as (symbol, its args or None when they
@@ -598,7 +640,7 @@ class TestMovesAgreeWithTable:
         # Over every known state and vocabulary symbol: no match is
         # _MISSING; a forward-only self-loop on a non-constructor does
         # nothing and is absent; any other first match is present, its
-        # target and template from that very transition.
+        # target and compiled template from that very transition.
         forward_only = (fwd(),)
         for name, automaton in reference_cases().items():
             assert automaton.moves.keys() == automaton.vocabulary, name
@@ -617,14 +659,15 @@ class TestMovesAgreeWithTable:
                             and symbol.kind is not Kind.CONSTRUCTOR):
                         assert state not in by_state, where
                         continue
-                    target, template = by_state[state]
+                    target, transition = by_state[state]
                     assert by_state[state] is not _MISSING, where
                     assert target == first.target, where
                     if first.output == forward_only:
-                        assert template is None, where
+                        assert transition is None, where
                     else:
-                        assert template.transition is first, where
-                        assert template[1:] == reference_template(first), where
+                        assert transition is first, where
+                        assert (transition.items, transition.pre, transition.forwards
+                                ) == reference_template(first), where
 
     def test_editable_is_a_scan_of_every_move(self):
         # A symbol is editable when its first match in some known state
@@ -730,6 +773,22 @@ class TestOneCompiledForm:
             assert "moves" in doc.automaton.__dict__, doc.name
         assert sorted(map(id, calls)) == sorted(
             id(t.guard) for doc in docs for t in doc.automaton.transitions)
+
+    def test_each_editing_move_holds_the_transition_parse_built(self):
+        # Forward-only transitions share one output and store no template.
+        editing = 0
+        for doc in bundled_policies():
+            built = doc.automaton.transitions
+            for moves in doc.automaton.moves.values():
+                for _, transition in moves.values():
+                    if transition is not None:
+                        editing += 1
+                        assert any(transition is t for t in built), doc.name
+            fields = {f.name for f in dataclasses.fields(Transition)}
+            for t in built:
+                if t.output == (fwd(),):
+                    assert vars(t).keys() == fields, t
+        assert editing
 
     def test_the_forward_item_is_shared(self):
         assert OutputItem.forward() is OutputItem.forward()

@@ -33,7 +33,7 @@ class TestRunBenchmark:
 
     def test_per_action_result(self, pack, scenarios):
         result = run_benchmark(scenarios["hearhere"], pack.deployable(),
-                               repetitions=3, action_work_s=0.0002)
+                               repetitions=3)
         assert result.repetitions == 3
         assert len(result.actions) == 3
         assert [a.label for a in result.actions] \
@@ -57,13 +57,13 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "run_scenario", counting)
         result = run_benchmark(scenarios["hearhere"], pack.deployable(),
-                               repetitions=4, action_work_s=0.0)
+                               repetitions=4)
         assert calls == [True, False] * 4
         assert [a.interventions for a in result.actions] == [0, 0, 1]
 
     def test_highest_overhead_is_an_action(self, pack, scenarios):
         result = run_benchmark(scenarios["bluechat"], pack.deployable(),
-                               repetitions=3, action_work_s=0.0002)
+                               repetitions=3)
         assert result.highest_overhead() in result.actions
 
     def test_empty_result_has_no_highest(self):

@@ -23,7 +23,6 @@ from proactive.automata import (
     Origin,
     OutputItem,
     PolicyAuthoringError,
-    Template,
     Trace,
     Transition,
     instantiate,
@@ -208,8 +207,8 @@ def test_every_event_instantiate_synthesizes_is_one_the_constructor_builds():
     items = (OutputItem(), OutputItem(SYMBOL, ArgSource.LITERALS, (1, "x")),
              OutputItem(new_api, ArgSource.CACHED),
              OutputItem(ActionSymbol.call("Other", "go")))
-    template = Template.of(Transition("0", Guard.exactly(new_api), items, "0"))
-    events, _ = instantiate(template, trigger, None, {"Other": "Other#2"})
+    transition = Transition("0", Guard.exactly(new_api), items, "0")
+    events, _ = instantiate(transition, trigger, None, {"Other": "Other#2"})
     assert [(e.symbol, e.seq, e.instance, e.args) for e in events] == [
         (SYMBOL, 5, "Api#3", (1, "x")), (new_api, 5, "Api#3", (7,)),
         (ActionSymbol.call("Other", "go"), 5, "Other#2", ())]

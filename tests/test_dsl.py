@@ -147,6 +147,20 @@ class TestParse:
         for directive in ("policy", "statement", "target", "initial"):
             assert any(directive in m for m in messages)
 
+    @pytest.mark.parametrize("line, malformed, column", [
+        (1, "policy", 7), (1, "policy 1bad", 8), (2, "statement s", 11),
+        (3, "target", 7), (4, "states", 7), (5, "initial", 8),
+    ])
+    def test_a_malformed_directive_is_reported_once_on_its_line(
+            self, line, malformed, column):
+        lines = ['policy p', 'statement "s"', 'target T', 'states 0', 'initial 0',
+                 'on any from 0 to 0 emit input']
+        lines[line - 1] = malformed
+        with pytest.raises(PolicyParseError) as exc:
+            parse("\n".join(lines) + "\n")
+        [d] = exc.value.diagnostics
+        assert (d.line, d.column) == (line, column), d
+
     def test_duplicate_state(self):
         text = ('policy p\nstatement "s"\ntarget T\nstates 0 0\ninitial 0\n'
                 "on any from 0 to 0 emit input\n")

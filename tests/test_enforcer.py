@@ -158,13 +158,13 @@ def deploy_like_reference(enforcer, policy) -> bool:
 
 @pytest.fixture
 def instantiations(monkeypatch):
-    """The templates the enforcer instantiates, one entry per call."""
+    """The transitions the enforcer instantiates, one entry per call."""
     calls = []
     original = enforcer_module.instantiate
 
-    def counting(template, trigger, cached_ctor_args, instances):
-        calls.append(template)
-        return original(template, trigger, cached_ctor_args, instances)
+    def counting(transition, trigger, cached_ctor_args, instances):
+        calls.append(transition)
+        return original(transition, trigger, cached_ctor_args, instances)
 
     monkeypatch.setattr(enforcer_module, "instantiate", counting)
     return calls
@@ -482,11 +482,11 @@ class TestOnEvent:
         assert instantiations == []
         editing = [handles["foocam-camera-open-release"],
                    handles["getbackgps-location-updates"]]
-        templates = [m.policy.automaton.moves[ON_PAUSE][m.state][1]
-                     for m in editing]
+        transitions = [m.policy.automaton.moves[ON_PAUSE][m.state][1]
+                       for m in editing]
         outcome = enforcer.on_event(Event(ON_PAUSE, seq=3))
         assert len(instantiations) == 2
-        assert all(a is b for a, b in zip(instantiations, templates))
+        assert all(a is b for a, b in zip(instantiations, transitions))
         assert {r.policy for r in outcome.records} \
             == {m.policy.name for m in editing}
         assert [m.state for m in editing] == ["0", "0"]
@@ -555,11 +555,11 @@ def test_bundled_templates_insert_only_before_the_input(pack):
     """on_event slices an edit's events around the input only when one
     follows it: the pack never does, so its heals take the unsliced
     branch, and post_insert_policy covers the sliced one."""
-    templates = [template for policy in pack.policies.values()
-                 for moves in policy.automaton.moves.values()
-                 for _, template in moves.values() if template is not None]
-    assert templates
-    assert all(t.pre == len(t.items) for t in templates)
+    editing = [transition for policy in pack.policies.values()
+               for moves in policy.automaton.moves.values()
+               for _, transition in moves.values() if transition is not None]
+    assert editing
+    assert all(t.pre == len(t.items) for t in editing)
 
 
 class TestHealingFailureAttribution:

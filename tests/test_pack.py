@@ -139,6 +139,20 @@ class TestLoadPack:
             load_pack(tmp_path)
         assert exc.value.problems == [problem]
 
+    @pytest.mark.parametrize("line, problem", [
+        ("{ healed", "manifest:2:1: syntax error: unexpected token '{'"),
+        ('"hear here" healed',
+         "manifest:2:1: syntax error: unexpected token '\"hear here\"'"),
+        ("a, healed", "manifest:2:2: syntax error: unexpected token ','"),
+    ])
+    def test_manifest_rejects_strings_and_punctuation_as_a_scn_does(
+            self, tmp_path, line, problem):
+        (tmp_path / "manifest").write_text(f"a healed\n{line}\n",
+                                           encoding="utf-8")
+        with pytest.raises(PackLoadError) as exc:
+            load_pack(tmp_path)
+        assert exc.value.problems == [problem]
+
     def test_scenario_listed_twice_in_manifest(self, tmp_path):
         (tmp_path / "manifest").write_text(
             "a healed\nb healed\na no-violation\n", encoding="utf-8")

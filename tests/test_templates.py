@@ -195,13 +195,13 @@ def test_step_and_on_event_share_one_instantiation(monkeypatch):
     monkeypatch.setattr(enforcer_module, "instantiate", counting)
     automaton = one_state(loop(Guard.exactly(DOA), (OutputItem(DOB), fwd())),
                           loop(Guard.any_except([DOA]), (fwd(),)))
-    template = automaton.moves[DOA]["0"][1]
+    transition = automaton.moves[DOA]["0"][1]
     step(automaton, "0", Event(DOA, seq=1))
     enforcer = PolicyEnforcer()
     enforcer.deploy(make_doc("shared", automaton))
     enforcer.on_event(Event(DOA, seq=2))
     step(automaton, "0", Event(DOB, seq=3))
-    assert len(calls) == 2 and all(t is template for t in calls)
+    assert len(calls) == 2 and all(t is transition for t in calls)
 
 
 class TestTemplateEdgeCases:
