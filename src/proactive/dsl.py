@@ -192,10 +192,14 @@ def line_parsers(lines: list[str],
 
 
 def _name(lp: _LineParser, expected: str) -> str:
-    """The next token, a symbol's interface or method name: not a string."""
-    tok = lp.next(expected)
-    if tok[0] == '"':
-        lp.fail("syntax", lp.pos - 1, f"unexpected token {tok!r}", expected)
+    """The next token, a name or state id: a word, as bare() checks."""
+    pos = lp.pos
+    if pos == len(lp.tokens):  # as next() does, with no second call per name
+        lp.fail("syntax", pos, "unexpected end of line", expected)
+    tok = lp.tokens[pos]
+    if tok[0] in '"{}(),':
+        lp.fail("syntax", pos, f"unexpected token {tok!r}", expected)
+    lp.pos = pos + 1
     return tok
 
 
@@ -277,9 +281,9 @@ def _parse_item(lp: _LineParser) -> OutputItem:
 def _parse_transition(lp: _LineParser) -> Transition:
     guard = _parse_guard(lp)
     lp.expect("from")
-    source = lp.next("state id")
+    source = _name(lp, "state id")
     lp.expect("to")
-    target = lp.next("state id")
+    target = _name(lp, "state id")
     lp.expect("emit")
     if lp.tokens[lp.pos:] == ["input"]:  # most transitions: one shared output
         lp.pos += 1
@@ -341,15 +345,15 @@ def parse(text: str) -> PolicyDoc:
                             '"<text>"')
                 statement = unquote(tok)
             elif head == "target":
-                target = lp.next("interface name")
+                target = _name(lp, "interface name")
             elif head == "states":  # at least one id (states is empty until now)
                 while not states or lp.peek() is not None:
-                    tok = lp.next("state id")
+                    tok = _name(lp, "state id")
                     if tok in states:
                         lp.fail("semantic", lp.pos - 1, f"duplicate state {tok!r}")
                     states.append(tok)
             elif head == "initial":
-                initial = lp.next("state id")
+                initial = _name(lp, "state id")
             else:
                 lp.fail("syntax", 0, f"unknown directive {head!r}",
                         "'policy', 'version', 'experimental', 'statement', "

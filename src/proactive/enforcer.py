@@ -20,6 +20,7 @@ deploy tests two sets; pairs are listed only to report a conflict.
 
 from __future__ import annotations
 
+import operator
 from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
@@ -103,7 +104,7 @@ class _InterventionFields(NamedTuple):
 class InterventionRecord(_InterventionFields):
     """One enforcement modification: synthesized non-empty or suppressed.
     The call and `_make` (so `_replace`) refuse a record that modifies
-    neither; on_event builds its own with tuple.__new__."""
+    neither; on_event builds its own with _tuple_new."""
 
     __slots__ = ()
 
@@ -118,12 +119,22 @@ class InterventionRecord(_InterventionFields):
         return cls(*iterable)
 
 
-class EnforcementOutcome(NamedTuple):
-    """What one on_event did: a (delivered, records, suppressed) tuple."""
+class EnforcementOutcome(tuple):
+    """What one on_event did: a (delivered, records, suppressed) tuple built
+    from one iterable; with no __new__ of its own, its call is tuple's, in C."""
 
-    delivered: tuple[Event, ...]
-    records: tuple[InterventionRecord, ...]
-    suppressed: bool
+    __slots__ = ()
+    _fields = __match_args__ = ("delivered", "records", "suppressed")
+    delivered = property(operator.itemgetter(0))
+    records = property(operator.itemgetter(1))
+    suppressed = property(operator.itemgetter(2))
+
+    def __repr__(self) -> str:
+        return "EnforcementOutcome(delivered=%r, records=%r, suppressed=%r)" % self
+
+
+_tuple_new = tuple.__new__
+_new_event = Event.__new__  # called directly: no class call, no object_init
 
 
 class PolicyEnforcer:
@@ -197,7 +208,7 @@ class PolicyEnforcer:
                     module.state = move[0]
                     if constructor:
                         module.cached_ctor_args = event.args
-            return tuple.__new__(EnforcementOutcome, ((event,), (), False))
+            return EnforcementOutcome(((event,), (), False))
         # Each move's (module, next state, next cached constructor args); the
         # inserted events that execute before the input, then those after it,
         # and the records, in policy-name order, made only at the first edit.
@@ -229,7 +240,7 @@ class PolicyEnforcer:
                 drops = not transition.forwards
                 suppressed |= drops
                 if synthesized or drops:
-                    records.append(tuple.__new__(
+                    records.append(_tuple_new(
                         InterventionRecord, (event, name, synthesized, drops)))
             elif move is _MISSING:
                 raise MissingTransitionError(module.state, symbol)
@@ -267,11 +278,9 @@ class PolicyEnforcer:
             module.state = next_state
             module.cached_ctor_args = cached_ctor_args
         if records is None:
-            # Skips the NamedTuple's __new__, a Python function.
-            return tuple.__new__(EnforcementOutcome, ((event,), (), False))
+            return EnforcementOutcome(((event,), (), False))
         self.intervention_log.extend(records)
-        return tuple.__new__(EnforcementOutcome,
-                             (tuple(delivered), tuple(records), suppressed))
+        return EnforcementOutcome((tuple(delivered), tuple(records), suppressed))
 
     def _execute(self, event: Event) -> Event:
         """Execute a constructor on the sink and bind its instance.  The
@@ -280,8 +289,8 @@ class PolicyEnforcer:
         instance = self.sink.execute(event)
         if instance is not None and (event.instance is None
                                      or event.origin is _SYNTHESIZED):
-            event = Event(event.symbol, event.seq, instance, event.args,
-                          event.origin)
+            event = _new_event(Event, event.symbol, event.seq, instance,
+                               event.args, event.origin)
         self.bindings[event.symbol.interface] = event.instance
         return event
 

@@ -586,8 +586,7 @@ class ReferenceEnforcer(PolicyEnforcer):
             for module, next_state, cached_ctor_args in moved:
                 module.state = next_state
                 module.cached_ctor_args = cached_ctor_args
-            # Skips the NamedTuple's __new__, a Python function.
-            return tuple.__new__(EnforcementOutcome, ((event,), (), False))
+            return EnforcementOutcome(((event,), (), False))
 
         suppressed = False
         records: list[InterventionRecord] = []
@@ -620,7 +619,7 @@ class ReferenceEnforcer(PolicyEnforcer):
             module.state = next_state
             module.cached_ctor_args = cached_ctor_args
         self.intervention_log.extend(records)
-        return EnforcementOutcome(tuple(delivered), tuple(records), suppressed)
+        return EnforcementOutcome((tuple(delivered), tuple(records), suppressed))
 
     def _execute_synthesized(self, module: ProactiveModule, event: Event) -> Event:
         try:

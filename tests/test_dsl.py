@@ -119,6 +119,40 @@ class TestParse:
                 ("syntax", 6, text.index(ref) + 1,
                  f"malformed call target {ref!r}", "<interface>.<method>")]
 
+    @pytest.mark.parametrize("lineno, line, token, expected", [
+        (4, "states 0,1", ",", "state id"),
+        (4, "states 0 (", "(", "state id"),
+        (4, 'states "0"', '"0"', "state id"),
+        (5, "initial (", "(", "state id"),
+        (5, 'initial "0"', '"0"', "state id"),
+        (3, 'target "Camera"', '"Camera"', "interface name"),
+        (3, "target )", ")", "interface name"),
+        (6, "on any from ( to 0 emit input", "(", "state id"),
+        (6, 'on any from "0" to 0 emit input', '"0"', "state id"),
+        (6, "on any from 0 to , emit input", ",", "state id"),
+        (6, "on any from 0 to } emit input", "}", "state id"),
+        (6, "on callback ( from 0 to 0 emit input", "(", "callback method name"),
+        (6, "on new , from 0 to 0 emit input", ",", "interface name"),
+        (6, "on any from 0 to 0 emit insert callback ), input", ")",
+         "callback method name"),
+    ], ids=["states-comma", "states-paren", "states-string", "initial-paren",
+            "initial-string", "target-string", "target-paren", "from-paren",
+            "from-string", "to-comma", "to-brace", "callback-guard",
+            "new-guard", "callback-inserted"])
+    def test_a_name_or_state_id_is_a_bare_word(self, lineno, line, token,
+                                               expected):
+        # Each was once a name or state id: `states 0,1` declared three
+        # states, `target "Camera"` kept its quotes.
+        lines = ['policy p', 'statement "s"', "target Camera", "states 0",
+                 "initial 0", "on any from 0 to 0 emit input"]
+        lines[lineno - 1] = line
+        with pytest.raises(PolicyParseError) as exc:
+            parse("\n".join(lines) + "\n")
+        assert [(d.kind, d.line, d.column, d.message, d.expected)
+                for d in exc.value.diagnostics] == [
+            ("syntax", lineno, line.index(token) + 1,
+             f"unexpected token {token!r}", expected)]
+
     def test_emit_none_suppresses(self):
         text = ('policy p\nstatement "s"\ntarget T\nstates 0\ninitial 0\n'
                 "on call T.x from 0 to 0 emit none\n"

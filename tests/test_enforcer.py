@@ -2,6 +2,7 @@ import collections
 import copy
 import dis
 import itertools
+import pickle
 import random
 from dataclasses import replace
 
@@ -781,7 +782,11 @@ class TestQuietSymbols:
 class TestHotPathBytecode:
     """Dispatch reads enum members from module globals: on CPython 3.11 a
     `Kind.X` or `Origin.X` read runs EnumType.__getattr__, about 120 ns.
-    Nor does it close over a local: each call would allocate its cell."""
+    Nor does it close over a local: each call would allocate its cell.
+    Nor does it look up a `__new__` or call the Event class: on 3.11
+    `tuple.__new__(cls, ...)` costs a type attribute lookup and a method
+    wrapper that packs its arguments again, and a class call a slot_tp_new
+    and object_init round trip."""
 
     @staticmethod
     def loaded_globals(code) -> set[str]:
@@ -805,8 +810,41 @@ class TestHotPathBytecode:
     def test_makes_no_cell(self, function):
         assert function.__code__.co_cellvars == (), function.__qualname__
 
+    @pytest.mark.parametrize("function", [
+        PolicyEnforcer.on_event, PolicyEnforcer._execute])
+    def test_looks_up_no_new(self, function):
+        assert not [i for i in dis.get_instructions(function)
+                    if i.opname in ("LOAD_ATTR", "LOAD_METHOD")
+                    and i.argval == "__new__"], function.__qualname__
+
+    def test_execute_calls_no_event_class(self, monkeypatch):
+        # Event.__new__ builds an Event whatever class it is handed, so only
+        # a call of the class itself reaches the stand-in.
+        def event_class(*args):
+            raise AssertionError("_execute called the Event class")
+
+        monkeypatch.setattr(enforcer_module, "Event", event_class)
+        enforcer = PolicyEnforcer(InstanceSink())
+        made = Event(NEW_AR, 3, "AudioRecord#0", (1,), Origin.SYNTHESIZED)
+        bound = enforcer._execute(made)
+        assert type(bound) is Event
+        assert (bound.symbol, bound.seq, bound.instance, bound.args,
+                bound.origin) == (NEW_AR, 3, "AudioRecord#1", (1,),
+                                  Origin.SYNTHESIZED)
+        assert enforcer.bindings == {"AudioRecord": "AudioRecord#1"}
+
 
 class TestEnforcementOutcome:
+    @staticmethod
+    def healed():
+        enforcer = PolicyEnforcer(InstanceSink())
+        enforcer.deploy(release_policy())
+        for symbol in (NEW_AR, START_REC):
+            enforcer.on_event(Event(symbol))
+        outcome = enforcer.on_event(Event(ON_STOP, seq=3))
+        assert outcome.records
+        return outcome
+
     def test_is_a_delivered_records_suppressed_tuple(self):
         assert EnforcementOutcome._fields == ("delivered", "records",
                                               "suppressed")
@@ -816,6 +854,46 @@ class TestEnforcementOutcome:
         assert outcome == ((event,), (), False)
         assert (delivered, records, suppressed) \
             == (outcome.delivered, outcome.records, outcome.suppressed)
+
+    def test_is_built_from_one_iterable(self):
+        delivered, records = (Event(DOA, seq=1),), ()
+        outcome = EnforcementOutcome((delivered, records, True))
+        assert type(outcome) is EnforcementOutcome
+        assert outcome == (delivered, records, True)
+        assert (outcome.delivered, outcome.records, outcome.suppressed) \
+            == (delivered, records, True)
+        assert EnforcementOutcome(iter(outcome)) == outcome
+        assert not hasattr(outcome, "__dict__")
+        with pytest.raises(AttributeError):
+            outcome.suppressed = False
+
+    def test_matches_its_fields_by_position(self):
+        outcome = self.healed()
+        match outcome:
+            case EnforcementOutcome(delivered, records, suppressed):
+                assert (delivered, records, suppressed) == tuple(outcome)
+            case _:
+                pytest.fail("no match")
+
+    def test_repr_names_each_field(self):
+        event = Event(DOA, seq=1)
+        outcome = EnforcementOutcome(((event,), (), False))
+        assert repr(outcome) == (f"EnforcementOutcome(delivered=({event!r},), "
+                                 "records=(), suppressed=False)")
+        healed = self.healed()
+        assert repr(healed) == (
+            f"EnforcementOutcome(delivered={healed.delivered!r}, "
+            f"records={healed.records!r}, suppressed={healed.suppressed!r})")
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, round_trip):
+        outcome = self.healed()
+        restored = round_trip(outcome)
+        assert type(restored) is EnforcementOutcome
+        assert restored == outcome and hash(restored) == hash(outcome)
+        assert repr(restored) == repr(outcome)
 
 
 class TestCopiedSymbols:
