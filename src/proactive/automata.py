@@ -289,10 +289,11 @@ def unquote(quoted: str) -> str:
 
 @dataclass(frozen=True, init=False)
 class Transition:
-    """Its output template is compiled once, in __init__, into `items` (each
+    """Its output template, forwarding the input at most once (else ValueError),
+    is compiled in __init__ into what every semantic reader takes: `items` (each
     synthesized item as (symbol, args or None for cached, is a constructor)),
-    `pre` (how many precede the input; all when it is dropped) and `forwards`:
-    not fields, so ==, hash, repr and pickling read the fields alone.  The
+    `pre` (how many precede the input; all when it is dropped) and `forwards`.
+    Not fields: ==, hash, repr and pickling read the fields alone, and the
     shared _FORWARD_ONLY output keeps the class defaults."""
 
     source: str
@@ -312,6 +313,8 @@ class Transition:
             # Only synthesized items precede the first input, so its position
             # counts them; the end of the output stands in when there is none.
             inputs = [n for n, i in enumerate(output) if i.symbol is None] + [len(output)]
+            if len(inputs) > 2:
+                raise ValueError("output forwards the input more than once")
             self.__dict__.update(
                 items=tuple([(i.symbol, None if i.arg_source is ArgSource.CACHED
                               else i.literals if i.arg_source is ArgSource.LITERALS
@@ -348,8 +351,8 @@ class EditAutomaton:
 
     Building one compiles, in one pass that reads each guard once, its
     `vocabulary` (the symbols guards name or templates insert), `accepted`
-    (each transition's vocabulary symbols, in order), `inserted` (what it
-    can insert), `suppressible` (what a transition omitting the input
+    (each transition's vocabulary symbols, in order), `inserted` (what its
+    `items` insert), `suppressible` (what a transition that does not forward
     suppresses) and their union `touched`, which deploy and check_pair read.
     """
 
@@ -358,12 +361,11 @@ class EditAutomaton:
     transitions: tuple[Transition, ...]
 
     def __init__(self, states, initial, transitions):
-        inserted = frozenset([i.symbol for t in transitions for i in t.output
-                              if i.symbol is not None])
+        inserted = frozenset([item[0] for t in transitions for item in t.items])
         vocabulary = inserted.union(*[t.guard.symbols for t in transitions])
         accepted = tuple([t.guard.accepted(vocabulary) for t in transitions])
         suppressible = frozenset().union(*[a for t, a in zip(transitions, accepted)
-                                           if None not in [i.symbol for i in t.output]])
+                                           if not t.forwards])
         self.__dict__.update(states=states, initial=initial, transitions=transitions,
                              vocabulary=vocabulary, accepted=accepted, inserted=inserted,
                              suppressible=suppressible, touched=inserted | suppressible)
@@ -380,8 +382,8 @@ class EditAutomaton:
     @cached_property
     def moves(self) -> dict[ActionSymbol, dict[str, Move]]:
         """vocabulary symbol -> state -> (target, transition) of the first
-        matching transition, the transition None when its output is exactly
-        (input,): a forward-only move.  Only moves that do something are
+        matching transition, the transition None when it inserts nothing and
+        forwards: a forward-only move.  Only moves that do something are
         kept: a forward-only self-loop on a non-constructor is left out, so an
         absent state stays put and forwards.  A state that is declared,
         initial, or a transition's source or target, and that no transition
@@ -393,7 +395,7 @@ class EditAutomaton:
         first: dict[ActionSymbol, dict[str, Optional[Move]]] = {
             s: {} for s in self.vocabulary}
         for t, accepted in zip(self.transitions, self.accepted):
-            move = (t.target, None if t.output == _FORWARD_ONLY else t)
+            move = (t.target, None if not t.items and t.forwards else t)
             idle = move[1] is None and t.target == t.source
             for symbol in accepted:
                 # None marks an idle first match, so no later one takes its place.
@@ -426,10 +428,10 @@ class Diagnostic:
 
 
 def validate(automaton: EditAutomaton) -> list[Diagnostic]:
-    """Check every automaton invariant; diagnostics are data, not failures.
-    A state whose guards' accepted sets partition the vocabulary (sizes sum
-    to its size, union covers it) has no finding; only the rest are walked
-    symbol by symbol."""
+    """Check every automaton invariant; diagnostics are data, not failures
+    (Transition itself refuses a doubled input).  A state whose guards'
+    accepted sets partition the vocabulary (sizes sum to its size, union
+    covers it) has no finding; only the rest are walked symbol by symbol."""
     diags: list[Diagnostic] = []
     if automaton.initial not in automaton.states:
         diags.append(Diagnostic("bad-initial",
@@ -446,13 +448,6 @@ def validate(automaton: EditAutomaton) -> list[Diagnostic]:
                     f"transition {t.source!r} -> {t.target!r} references "
                     f"undeclared state {endpoint!r}",
                     state=endpoint, transition=t))
-        forwards = len([i for i in t.output if i.is_forward])
-        if forwards > 1:
-            diags.append(Diagnostic(
-                "multiple-forwards",
-                f"transition from {t.source!r} on {t.guard.text()} forwards "
-                f"the input {forwards} times",
-                state=t.source, transition=t))
     flagged = [state for state in automaton.states
                if sum(map(len, sets := accepted.get(state, ()))) != len(vocabulary)
                or len(frozenset().union(*sets)) != len(vocabulary)]
@@ -558,8 +553,9 @@ def step(automaton: EditAutomaton, state: str, event: Event,
     """Single-step transformation: (next state, emitted events).
 
     Out-of-vocabulary events bypass the automaton unchanged.  The
-    forwarded input, when present, appears in the output as the very
-    event object that was passed in, at each input position.
+    compiled template is spliced as on_event splices it: the forwarded
+    input, when present, appears in the output as the very event object
+    that was passed in, after the first `pre` synthesized events.
     """
     move = _match(automaton, state, event.symbol)
     if move is None:
@@ -572,9 +568,9 @@ def step(automaton: EditAutomaton, state: str, event: Event,
         return target, [event]
     synthesized, context.cached_ctor_args = instantiate(
         transition, event, context.cached_ctor_args, context.instances)
-    rest = iter(synthesized)
-    return target, [event if item.is_forward else next(rest)
-                    for item in transition.output]
+    if not transition.forwards:
+        return target, list(synthesized)
+    return target, [*synthesized[:transition.pre], event, *synthesized[transition.pre:]]
 
 
 def run_from(automaton: EditAutomaton, state: str, events: Iterable[Event],

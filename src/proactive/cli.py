@@ -139,7 +139,7 @@ def cmd_validate(args) -> int:
     status = EXIT_OK
     for path in map(Path, args.paths):
         try:
-            doc = parse(path.read_text(encoding="utf-8"))
+            doc = parse(path.read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise _Stop(f"{path}: {exc}")
         except PolicyParseError as exc:

@@ -15,7 +15,7 @@ to the end of the line; strings are double-quoted, with the escapes \",
 
     guard ::= call <iface>.<method> | callback <method> | new <iface>
             | any | any-of {<symbol> ...} | any-except {<symbol> ...}
-    item  ::= input
+    item  ::= input                        (at most once; a second is an error)
             | insert call <iface>.<method> [args cached|none|(<literals>)]
             | insert new <iface> args cached
             | (a transition may instead emit the single keyword `none`,
@@ -298,6 +298,8 @@ def _parse_transition(lp: _LineParser) -> Transition:
                     "',' or end of line")
         lp.pos += 1
         items.append(_parse_item(lp))
+        if items[-1].symbol is None and items.count(items[-1]) > 1:
+            lp.fail("semantic", lp.pos - 1, "the output forwards the input twice")
     return Transition(source, guard, tuple(items), target, lp.lineno)
 
 

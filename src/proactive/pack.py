@@ -53,7 +53,7 @@ def load_policies(directory: Path) -> tuple[dict[str, PolicyDoc], list[str]]:
     docs: dict[str, PolicyDoc] = {}
     for path in sorted(directory.glob("*.pol")):
         try:
-            doc = parse(path.read_text(encoding="utf-8"))
+            doc = parse(path.read_text(encoding="utf-8-sig"))
         except PolicyParseError as exc:
             problems.extend(f"{path.name}:{d}" for d in exc.diagnostics)
             continue
@@ -75,7 +75,7 @@ def _load_manifest(directory: Path) -> tuple[dict[str, Expectation], list[str]]:
     if not manifest.exists():
         return expectations, []
     try:
-        text = manifest.read_text(encoding="utf-8")
+        text = manifest.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         return expectations, [f"manifest: {exc}"]
     diags: list[DslDiagnostic] = []
@@ -125,7 +125,7 @@ def load_bundled_pack() -> PolicyPack:
 def load_scenario_file(path: Path, pack: PolicyPack | None = None) -> ScenarioScript:
     """Parse a .scn file, named by its stem, with the pack's expectation."""
     expected = pack.expectations.get(path.stem) if pack else None
-    return parse_scenario(path.read_text(encoding="utf-8"), path.stem, expected)
+    return parse_scenario(path.read_text(encoding="utf-8-sig"), path.stem, expected)
 
 
 def load_bundled_scenarios(pack: PolicyPack | None = None) -> dict[str, ScenarioScript]:

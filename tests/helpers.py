@@ -437,13 +437,6 @@ def reference_validate(automaton: EditAutomaton) -> list[Diagnostic]:
                     f"transition {t.source!r} -> {t.target!r} references "
                     f"undeclared state {endpoint!r}",
                     state=endpoint, transition=t))
-        forwards = sum(1 for i in t.output if i.is_forward)
-        if forwards > 1:
-            diags.append(Diagnostic(
-                "multiple-forwards",
-                f"transition from {t.source!r} on {t.guard.text()} forwards "
-                f"the input {forwards} times",
-                state=t.source, transition=t))
     for state in sorted(automaton.states, key=state_sort_key):
         for symbol in sorted(automaton.vocabulary, key=str):
             matching = reference_matching(automaton, state, symbol)

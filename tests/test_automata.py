@@ -74,8 +74,6 @@ DANGLING_TARGET = EditAutomaton(
     (Transition("0", Guard.any(), (fwd(),), "9"),))
 BAD_INITIAL = EditAutomaton(frozenset({"0"}), "9",
                             (loop("0", Guard.any(), (fwd(),)),))
-MULTIPLE_FORWARDS = EditAutomaton(frozenset({"0"}), "0",
-                                  (loop("0", Guard.any(), (fwd(), fwd())),))
 # A clash declared catch-all first, where only the catch-all suppresses.
 SUPPRESSING_CLASH = EditAutomaton(
     frozenset({"0"}), "0",
@@ -95,7 +93,6 @@ CLASH_AND_GAP = EditAutomaton(
 INVALID = {"nondeterministic": NONDETERMINISTIC,
            "dangling-target": DANGLING_TARGET,
            "bad-initial": BAD_INITIAL,
-           "multiple-forwards": MULTIPLE_FORWARDS,
            "suppressing-clash": SUPPRESSING_CLASH,
            "incomplete": INCOMPLETE,
            "clash-and-gap": CLASH_AND_GAP}
@@ -272,9 +269,6 @@ class TestValidate:
 
     def test_bad_initial(self):
         assert "bad-initial" in [d.code for d in validate(BAD_INITIAL)]
-
-    def test_multiple_forwards(self):
-        assert "multiple-forwards" in [d.code for d in validate(MULTIPLE_FORWARDS)]
 
     def test_incomplete_over_synthesized_symbol(self):
         diags = validate(INCOMPLETE)

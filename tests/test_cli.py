@@ -32,6 +32,15 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.count(": ok") == len(paths)
 
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        paths = []
+        for source in sorted(bundled_pack_dir().glob("*.pol")):
+            paths.append(tmp_path / source.name)
+            paths[-1].write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        assert main(["validate", *map(str, paths)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count(": ok") == len(paths) and captured.err == ""
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.pol"
         bad.write_text("policy\n", encoding="utf-8")

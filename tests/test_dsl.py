@@ -215,24 +215,26 @@ class TestParse:
             parse(text)
         assert [str(d).split(": ")[0] for d in exc.value.diagnostics] == ["7:1"]
 
-    @pytest.mark.parametrize("initial, body, code, line", [
-        ("0", "on any from 0 to 9 emit input\n", "dangling-state", 6),
+    @pytest.mark.parametrize("initial, body, code, line, column", [
+        ("0", "on any from 0 to 9 emit input\n", "dangling-state", 6, 1),
+        # A second input is refused at its own token, before validation.
         ("0", "on any from 0 to 0 emit input\n"
-              "on any from 0 to 0 emit input, input\n", "multiple-forwards", 7),
+              "on any from 0 to 0 emit input, input\n",
+         "forwards the input twice", 7, 32),
         ("0", "on call T.x from 0 to 0 emit input\n"
-              "on call T.x from 0 to 0 emit input\n", "nondeterministic", 7),
-        ("9", "on any from 0 to 0 emit input\n", "bad-initial", 5),
+              "on call T.x from 0 to 0 emit input\n", "nondeterministic", 7, 1),
+        ("9", "on any from 0 to 0 emit input\n", "bad-initial", 5, 1),
         ("0", "on call T.x from 0 to 0 emit insert call T.y, input\n",
-         "incomplete", 4),
+         "incomplete", 4, 1),
     ])
-    def test_semantic_finding_names_its_line(self, initial, body, code, line):
+    def test_semantic_finding_names_its_line(self, initial, body, code, line, column):
         text = ('policy p\nstatement "s"\ntarget T\nstates 0\n'
                 f"initial {initial}\n{body}")
         with pytest.raises(PolicyParseError) as exc:
             parse(text)
         found = [(d.line, d.column) for d in exc.value.diagnostics
                  if d.kind == "semantic" and code in d.message]
-        assert found == [(line, 1)]
+        assert found == [(line, column)]
 
     @pytest.mark.parametrize("repeat, first", [
         ("policy q", 1), ("version 1", 2), ("experimental", 3),

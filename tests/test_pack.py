@@ -9,8 +9,10 @@ from proactive.pack import (
     PackLoadError,
     _load_manifest,
     bundled_pack_dir,
+    bundled_scenarios_dir,
     load_pack,
     load_policies,
+    load_scenario_file,
 )
 from proactive.sim import Expectation
 
@@ -200,6 +202,24 @@ class TestLoadPack:
         docs, problems = load_policies(tmp_path)
         assert docs == {}
         assert problems and "bad.pol" in problems[0]
+
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        """A copy of every bundled policy, of the manifest and of hearhere.scn
+        that starts with a UTF-8 byte-order mark loads as the plain copy does."""
+        sources = [*sorted(bundled_pack_dir().iterdir()),
+                   bundled_scenarios_dir() / "hearhere.scn"]
+        loaded = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            directory = tmp_path / name
+            directory.mkdir()
+            for source in sources:
+                (directory / source.name).write_bytes(mark + source.read_bytes())
+            pack = load_pack(directory)
+            loaded.append((pack, load_scenario_file(directory / "hearhere.scn", pack)))
+        assert loaded[1] == loaded[0]
+        pack, script = loaded[0]
+        assert len(pack) == 8 and len(pack.expectations) == 7
+        assert script.expected is Expectation.HEALED
 
     def test_bundled_dir_exists(self):
         assert bundled_pack_dir().is_dir()

@@ -8,6 +8,7 @@ from proactive.sim import (
     ActivityState,
     Checkpoint,
     IllegalLifecycleError,
+    LeakEntry,
     ScenarioError,
     ScenarioScript,
     ScenarioStep,
@@ -397,6 +398,30 @@ class TestRunScenario:
         methods = [e.symbol.method for e in result.trace
                    if e.origin is Origin.SYNTHESIZED]
         assert methods == ["stop", "release", "AudioRecord", "startRecording"]
+
+    def test_a_hold_seen_first_at_ondestroy_is_caught_there(self):
+        script = parse_scenario(
+            "app GetBackGPS\nlaunch\nbackground\n"
+            "call LocationManager.requestLocationUpdates\ndestroy\n", "late")
+        result = run_scenario(script)
+        assert result.leaks.leaks == (LeakEntry(
+            "LocationManager", "GetBackGPSActivity", 6, Checkpoint.ON_DESTROY),)
+
+    def test_leaks_are_listed_in_the_order_they_were_acquired(self):
+        script = parse_scenario(
+            "app GetBackGPS\nlaunch\ncall SensorManager.registerListener\n"
+            "call LocationManager.requestLocationUpdates\n", "two")
+        result = run_scenario(script)
+        assert [(e.interface, e.acquired_at) for e in result.leaks.leaks] \
+            == [("SensorManager", 4), ("LocationManager", 5)]
+
+    def test_an_app_call_carries_the_current_instance(self):
+        script = parse_scenario(
+            "app HearHere\nlaunch\ncall new AudioRecord 1\n"
+            "call AudioRecord.startRecording\n", "instance")
+        result = run_scenario(script)
+        [start] = [e for e in result.trace if e.symbol.method == "startRecording"]
+        assert start.instance == "AudioRecord#1"
 
     def test_leak_seq_finds_the_acquiring_event_in_the_trace(self, pack):
         # The trace keeps the world's seqs, where an inserted event shares

@@ -4,6 +4,7 @@ around its input, and the slotted event and record types."""
 
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -46,7 +47,7 @@ CACHED_CHOICES = (None, (7, "cached"))
 
 def reference_docs():
     """The bundled policies, the fixtures, 200 generated policies and the
-    invalid automata, which miss a move or forward twice."""
+    invalid automata, which miss a move or clash."""
     return (policy_files() + [random_policy_doc(seed) for seed in range(200)]
             + [make_doc(name, automaton) for name, automaton in INVALID.items()])
 
@@ -243,23 +244,43 @@ class TestTemplateEdgeCases:
             (DOA, "Api#app"), (NEW_API, "Api#app"), (DOB, "Api#app")]
         assert outcome.records[0].synthesized[0].instance == "Api#app"
 
-    def test_two_inputs_step_emits_both_and_on_event_delivers_one(self):
-        # Unvalidated: validate reports multiple-forwards for this template.
-        automaton = one_state(
-            loop(Guard.exactly(DOA), (fwd(), OutputItem(DOB), fwd())),
-            loop(Guard.any_except([DOA]), (fwd(),)))
-        event = Event(DOA, seq=3)
-        _, out = step(automaton, "0", event)
-        assert [e is event for e in out] == [True, False, True]
-        assert out[1].symbol == DOB
+    def test_two_inputs_are_refused(self):
+        with pytest.raises(ValueError, match="forwards the input more than once"):
+            loop(Guard.exactly(DOA), (fwd(), OutputItem(DOB), fwd()))
 
-        enforcer = PolicyEnforcer()
-        enforcer.deploy(make_doc("two-inputs", automaton))
-        outcome = enforcer.on_event(event)
-        assert outcome.delivered[0] is event
-        assert [e.symbol for e in outcome.delivered] == [DOA, DOB]
-        assert not outcome.suppressed
-        assert [e.symbol for e in outcome.records[0].synthesized] == [DOB]
+    def test_every_short_output_is_refused_or_delivered_as_step_emits(self):
+        """All 40 outputs of at most three items: Transition refuses exactly
+        those that forward the input twice or more, and for every other one
+        on_event delivers what step emits, with cached args set and unset."""
+        pool = (fwd(), OutputItem(DOB), OutputItem(NEW_API, ArgSource.CACHED))
+        outputs = [o for n in range(4) for o in itertools.product(pool, repeat=n)]
+        assert len(outputs) == 40
+        refused = 0
+        for output in outputs:
+            doubled = output.count(fwd()) > 1
+            try:
+                transition = loop(Guard.exactly(DOA), output)
+            except ValueError:
+                assert doubled, output
+                refused += 1
+                continue
+            assert not doubled, output
+            automaton = one_state(transition, loop(Guard.any_except([DOA]), (fwd(),)))
+            enforcer = PolicyEnforcer(RecordingSink())
+            module = enforcer.deploy(make_doc("short", automaton))
+            for cached in CACHED_CHOICES:
+                event = Event(DOA, seq=3)
+                module.state, module.cached_ctor_args = "0", cached
+
+                def emitted():
+                    _, out = step(automaton, "0", event, BindingContext(cached))
+                    return shapes(out, event)
+
+                def delivered():
+                    return shapes(enforcer.on_event(event).delivered, event)
+
+                assert outcome_of(delivered) == outcome_of(emitted), (output, cached)
+        assert refused == 8
 
     def test_bare_suppression_logs_a_record(self):
         automaton = one_state(loop(Guard.exactly(DOA), ()),
