@@ -9,6 +9,7 @@ instantiates every edit and builds its record, an immutable tuple made with
 `tuple.__new__`; the synthesized events then execute, only constructors
 through `_execute`, and are never re-offered to any module, so enforcement
 cannot recurse.  An idle watcher has no move: one dict probe passes it.
+Each call returns the events it delivered as one `EnforcementOutcome` tuple.
 
 Modules enter only through `PolicyEnforcer.deploy`, which files each one
 as a (policy name, module, moves) triple in name order under every symbol
@@ -20,7 +21,6 @@ deploy tests two sets; pairs are listed only to report a conflict.
 
 from __future__ import annotations
 
-import operator
 from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
@@ -120,17 +120,28 @@ class InterventionRecord(_InterventionFields):
 
 
 class EnforcementOutcome(tuple):
-    """What one on_event did: a (delivered, records, suppressed) tuple built
-    from one iterable; with no __new__ of its own, its call is tuple's, in C."""
+    """The events one on_event delivered, in execution order; its call is
+    tuple's, in C.  `records`, () by class default, is set once as an edit's
+    outcome is built, and equality compares it; `suppressed` reads it."""
 
-    __slots__ = ()
-    _fields = __match_args__ = ("delivered", "records", "suppressed")
-    delivered = property(operator.itemgetter(0))
-    records = property(operator.itemgetter(1))
-    suppressed = property(operator.itemgetter(2))
+    records: tuple[InterventionRecord, ...] = ()
+    __match_args__ = ("delivered", "records", "suppressed")
+    delivered = property(lambda self: self)  # the outcome itself: no copy
+    suppressed = property(lambda self: any(r.suppressed for r in self.records))
+    __hash__ = tuple.__hash__
+    __setattr__, __delattr__ = Event.__setattr__, Event.__delattr__  # frozen as Event is
+
+    def __eq__(self, other):
+        if isinstance(other, EnforcementOutcome) and self.records != other.records:
+            return False
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __repr__(self) -> str:
-        return "EnforcementOutcome(delivered=%r, records=%r, suppressed=%r)" % self
+        return "EnforcementOutcome(delivered=%s, records=%r, suppressed=%r)" % (
+            tuple.__repr__(self), self.records, self.suppressed)
 
 
 _tuple_new = tuple.__new__
@@ -208,7 +219,7 @@ class PolicyEnforcer:
                     module.state = move[0]
                     if constructor:
                         module.cached_ctor_args = event.args
-            return EnforcementOutcome(((event,), (), False))
+            return EnforcementOutcome((event,))
         # Each move's (module, next state, next cached constructor args); the
         # inserted events that execute before the input, then those after it,
         # and the records, in policy-name order, made only at the first edit.
@@ -278,9 +289,11 @@ class PolicyEnforcer:
             module.state = next_state
             module.cached_ctor_args = cached_ctor_args
         if records is None:
-            return EnforcementOutcome(((event,), (), False))
+            return EnforcementOutcome((event,))
         self.intervention_log.extend(records)
-        return EnforcementOutcome((tuple(delivered), tuple(records), suppressed))
+        outcome = EnforcementOutcome(delivered)
+        outcome.__dict__["records"] = tuple(records)  # past __setattr__'s refusal
+        return outcome
 
     def _execute(self, event: Event) -> Event:
         """Execute a constructor on the sink and bind its instance.  The
@@ -300,6 +313,6 @@ class PolicyEnforcer:
         records: list[InterventionRecord] = []
         for event in trace:
             outcome = self.on_event(event)
-            emitted.extend(outcome.delivered)
+            emitted.extend(outcome)
             records.extend(outcome.records)
         return Trace.of(emitted), records

@@ -227,7 +227,7 @@ def _parse_call(lp: _LineParser) -> ScenarioStep:
     if symbol.interface not in INTERFACES:
         lp.fail("semantic", lp.pos - 1,
                 f"unknown interface {symbol.interface!r}")
-    if (symbol.kind is Kind.API_CALL
+    if (symbol.kind is _API_CALL
             and (symbol.interface, symbol.method) not in _PROTOCOLS):
         lp.fail("semantic", lp.pos - 1,
                 f"{symbol.interface} has no method {symbol.method!r}")

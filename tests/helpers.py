@@ -579,7 +579,7 @@ class ReferenceEnforcer(PolicyEnforcer):
             for module, next_state, cached_ctor_args in moved:
                 module.state = next_state
                 module.cached_ctor_args = cached_ctor_args
-            return EnforcementOutcome(((event,), (), False))
+            return EnforcementOutcome((event,))
 
         suppressed = False
         records: list[InterventionRecord] = []
@@ -612,7 +612,9 @@ class ReferenceEnforcer(PolicyEnforcer):
             module.state = next_state
             module.cached_ctor_args = cached_ctor_args
         self.intervention_log.extend(records)
-        return EnforcementOutcome((tuple(delivered), tuple(records), suppressed))
+        outcome = EnforcementOutcome(delivered)
+        outcome.__dict__["records"] = tuple(records)
+        return outcome
 
     def _execute_synthesized(self, module: ProactiveModule, event: Event) -> Event:
         try:

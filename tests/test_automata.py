@@ -729,7 +729,9 @@ class TestMissingTransitionFromUndeclaredStates:
         module = enforcer.deploy(make_doc("stuck", automaton))
         module.state = "nowhere"
         event = Event(DOB, seq=1)
-        assert enforcer.on_event(event) == ((event,), (), False)
+        outcome = enforcer.on_event(event)
+        assert (outcome.delivered, outcome.records, outcome.suppressed) \
+            == ((event,), (), False)
         assert module.state == "nowhere"
 
 

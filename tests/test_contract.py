@@ -98,7 +98,8 @@ def test_transparency(name):
             assert move is not _MISSING and move[1] is None, \
                 (name, module.state, event)
         outcome = enforcer.on_event(event)
-        assert outcome == ((event,), (), False), (name, event)
+        assert (outcome.delivered, outcome.records, outcome.suppressed) \
+            == ((event,), (), False), (name, event)
         assert enforcer.sink.events == [event]
         assert module.state == checked
         return checked

@@ -1,6 +1,7 @@
 import collections
 import copy
 import dis
+import gc
 import itertools
 import pickle
 import random
@@ -31,11 +32,12 @@ from proactive.enforcer import (
     EnforcementOutcome,
     HealingFailureError,
     InterferenceError,
+    InterventionRecord,
     PolicyEnforcer,
     ProactiveModule,
     RecordingSink,
 )
-from proactive.sim import SimProtocolError, SimWorld, run_scenario
+from proactive.sim import SimProtocolError, SimWorld, _parse_call, run_scenario
 
 from helpers import (
     DOA,
@@ -666,7 +668,9 @@ class TestFastPathCommits:
         assert "1" not in automaton.moves[STOP_REC]
         commits = watch_commits(enforcer)
         event = Event(STOP_REC, seq=1)
-        assert enforcer.on_event(event) == ((event,), (), False)
+        outcome = enforcer.on_event(event)
+        assert (outcome.delivered, outcome.records, outcome.suppressed) \
+            == ((event,), (), False)
         assert commits == []
         assert hearhere.state == "1" and hearhere.cached_ctor_args is cached
         assert enforcer.sink.events == [event]
@@ -780,8 +784,9 @@ class TestQuietSymbols:
 
 
 class TestHotPathBytecode:
-    """Dispatch reads enum members from module globals: on CPython 3.11 a
-    `Kind.X` or `Origin.X` read runs EnumType.__getattr__, about 120 ns.
+    """Dispatch, and the reader of a `.scn` call step, read enum members from
+    module globals: on CPython 3.11 a `Kind.X` or `Origin.X` read runs
+    EnumType.__getattr__, about 120 ns.
     Nor does it close over a local: each call would allocate its cell.
     Nor does it look up a `__new__` or call the Event class: on 3.11
     `tuple.__new__(cls, ...)` costs a type attribute lookup and a method
@@ -799,7 +804,8 @@ class TestHotPathBytecode:
 
     @pytest.mark.parametrize("function", [
         PolicyEnforcer.on_event, PolicyEnforcer._execute,
-        instantiate, run_scenario, BindingContext.observe, Event.__new__])
+        instantiate, run_scenario, BindingContext.observe, Event.__new__,
+        _parse_call])
     def test_loads_no_enum_class(self, function):
         loaded = self.loaded_globals(function.__code__)
         assert loaded, function
@@ -845,55 +851,127 @@ class TestEnforcementOutcome:
         assert outcome.records
         return outcome
 
-    def test_is_a_delivered_records_suppressed_tuple(self):
-        assert EnforcementOutcome._fields == ("delivered", "records",
-                                              "suppressed")
+    @staticmethod
+    def with_records(delivered, records):
+        outcome = EnforcementOutcome(delivered)
+        outcome.__dict__["records"] = records  # as on_event sets it
+        return outcome
+
+    def test_is_the_tuple_of_delivered_events(self):
+        assert EnforcementOutcome.__match_args__ == ("delivered", "records",
+                                                     "suppressed")
         event = Event(DOA, seq=1)
         outcome = PolicyEnforcer().on_event(event)
-        delivered, records, suppressed = outcome
-        assert outcome == ((event,), (), False)
-        assert (delivered, records, suppressed) \
-            == (outcome.delivered, outcome.records, outcome.suppressed)
+        assert type(outcome) is EnforcementOutcome
+        assert tuple(outcome) == (event,) and outcome.delivered is outcome
+        assert (outcome.records, outcome.suppressed) == ((), False)
+        assert EnforcementOutcome.records == ()  # the class default
+        healed = self.healed()
+        assert healed.delivered is healed and len(healed) > 1
+        assert healed.suppressed == any(r.suppressed for r in healed.records)
+        with pytest.raises(ValueError):
+            delivered, records, suppressed = outcome
 
     def test_is_built_from_one_iterable(self):
-        delivered, records = (Event(DOA, seq=1),), ()
-        outcome = EnforcementOutcome((delivered, records, True))
+        delivered = (Event(DOA, seq=1), Event(DOB, seq=2))
+        outcome = EnforcementOutcome(iter(delivered))
         assert type(outcome) is EnforcementOutcome
-        assert outcome == (delivered, records, True)
-        assert (outcome.delivered, outcome.records, outcome.suppressed) \
-            == (delivered, records, True)
+        assert outcome == delivered and outcome.delivered == delivered
+        assert (outcome.records, outcome.suppressed) == ((), False)
         assert EnforcementOutcome(iter(outcome)) == outcome
-        assert not hasattr(outcome, "__dict__")
-        with pytest.raises(AttributeError):
-            outcome.suppressed = False
+        with pytest.raises(TypeError):
+            EnforcementOutcome(delivered, (), False)
+
+    @pytest.mark.parametrize("name", ["delivered", "records", "suppressed",
+                                      "other"])
+    def test_no_attribute_can_be_set_or_deleted(self, name):
+        for outcome in (EnforcementOutcome((Event(DOA, seq=1),)), self.healed()):
+            before = repr(outcome)
+            with pytest.raises(AttributeError):
+                setattr(outcome, name, ())
+            with pytest.raises(AttributeError):
+                delattr(outcome, name)
+            assert repr(outcome) == before
+
+    def test_a_forwarded_outcome_is_one_object_holding_its_event(self):
+        # Its class aside (every instance of a class statement's class
+        # refers to it), the outcome refers to the event alone: no dict,
+        # no inner tuple of events, no records.
+        enforcer = PolicyEnforcer()
+        enforcer.deploy(release_policy())
+        quiet, unedited = Event(NEW_AR, seq=1), Event(ON_STOP, seq=2)
+        assert NEW_AR not in enforcer._editable and ON_STOP in enforcer._editable
+        for event in (quiet, unedited):
+            outcome = enforcer.on_event(event)
+            assert gc.get_referents(outcome) == [EnforcementOutcome, event]
+            assert gc.get_referents(outcome)[1] is event
+            assert gc.is_tracked(outcome)
+
+    def test_its_call_runs_no_python_code(self):
+        # on_event's forwarded returns are a C tuple build, nothing more.
+        assert EnforcementOutcome.__new__ is tuple.__new__
+        assert EnforcementOutcome.__init__ is object.__init__
+
+    def test_a_healed_outcome_holds_its_events_and_one_records_dict(self):
+        healed = self.healed()
+        referents = gc.get_referents(healed)
+        assert referents[:2] == [{"records": healed.records}, EnforcementOutcome]
+        assert sorted(map(id, referents[2:])) == sorted(map(id, healed))
+        assert type(healed.records) is tuple and healed.records
+
+    def test_equality_compares_records(self):
+        healed = self.healed()
+        same_events = EnforcementOutcome(healed)
+        assert tuple(same_events) == tuple(healed)
+        assert same_events != healed and not same_events == healed
+        other = self.with_records(healed, healed.records[:-1] + (
+            healed.records[-1]._replace(policy="elsewhere"),))
+        assert other != healed and not other == healed
+        assert self.with_records(healed, healed.records) == healed
+        assert hash(other) == hash(healed) == hash(tuple(healed))
+        # Against a plain tuple an outcome compares as its events do.
+        assert healed == tuple(healed) and healed.delivered == tuple(healed)
+
+    def test_suppressed_is_read_off_the_records(self):
+        event = Event(DOA, seq=1)
+        dropped = InterventionRecord(event, "p", (), True)
+        inserted = InterventionRecord(event, "q", (Event(DOB, seq=1),), False)
+        assert self.with_records((), (dropped,)).suppressed
+        assert not self.with_records((event,), (inserted,)).suppressed
+        assert self.with_records((), (inserted, dropped)).suppressed
 
     def test_matches_its_fields_by_position(self):
         outcome = self.healed()
         match outcome:
             case EnforcementOutcome(delivered, records, suppressed):
-                assert (delivered, records, suppressed) == tuple(outcome)
+                assert delivered is outcome
+                assert (records, suppressed) == (outcome.records,
+                                                 outcome.suppressed)
             case _:
                 pytest.fail("no match")
 
     def test_repr_names_each_field(self):
         event = Event(DOA, seq=1)
-        outcome = EnforcementOutcome(((event,), (), False))
+        outcome = EnforcementOutcome((event,))
         assert repr(outcome) == (f"EnforcementOutcome(delivered=({event!r},), "
                                  "records=(), suppressed=False)")
         healed = self.healed()
         assert repr(healed) == (
-            f"EnforcementOutcome(delivered={healed.delivered!r}, "
+            f"EnforcementOutcome(delivered={tuple(healed)!r}, "
             f"records={healed.records!r}, suppressed={healed.suppressed!r})")
 
     @pytest.mark.parametrize("round_trip", [
         lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy],
         ids=["pickle", "copy", "deepcopy"])
     def test_round_trips(self, round_trip):
-        outcome = self.healed()
-        restored = round_trip(outcome)
-        assert type(restored) is EnforcementOutcome
-        assert restored == outcome and hash(restored) == hash(outcome)
-        assert repr(restored) == repr(outcome)
+        for outcome in (self.healed(), EnforcementOutcome((Event(DOA, seq=1),))):
+            restored = round_trip(outcome)
+            assert type(restored) is EnforcementOutcome
+            assert restored.records == outcome.records
+            assert restored == outcome and hash(restored) == hash(outcome)
+            assert repr(restored) == repr(outcome)
+            with pytest.raises(AttributeError):
+                restored.records = ()
 
 
 class TestCopiedSymbols:
@@ -912,8 +990,12 @@ class TestCopiedSymbols:
             outcome = outcome_or_failure(enforcer, event)
             assert outcome_or_failure(copied, clone) == outcome, event
             assert enforcer_state(copied) == enforcer_state(enforcer), event
-            if outcome[0] is PolicyAuthoringError:
+            if not isinstance(outcome, EnforcementOutcome):
+                assert outcome[0] is PolicyAuthoringError, outcome
                 return None
+            assert outcome.suppressed == any(r.suppressed
+                                             for r in outcome.records), event
+            assert any(e is event for e in outcome) != outcome.suppressed, event
             interventions += len(outcome.records)
             return ()
 
@@ -968,6 +1050,10 @@ class TestMatchesTwoPassReference:
                 assert one_pass == two_pass, (n, event)
                 assert enforcer_state(enforcers[0]) == enforcer_state(enforcers[1])
                 if isinstance(one_pass, EnforcementOutcome):
+                    assert one_pass.suppressed == any(
+                        r.suppressed for r in one_pass.records), (n, event)
+                    assert sum(e.origin is Origin.APP for e in one_pass) \
+                        == (not one_pass.suppressed), (n, event)
                     seen["records"] += len(one_pass.records)
                     seen["suppressed"] += one_pass.suppressed
                 else:
