@@ -21,12 +21,12 @@ to the end of the line; strings are double-quoted, with the escapes \",
             | (a transition may instead emit the single keyword `none`,
                which suppresses the matched input)
 
-Each line of a policy, a `.scn` scenario or the pack manifest is lexed
-into token strings (`line_parsers`): cut at its first '#', spaced around
-each of {}(), and split if it holds no '"', else by one regex findall,
-which a lone '"' (a string with no closing quote) ends with a lexical
-diagnostic.  A diagnostic finds its column by scanning its line again
-with that regex, so valid text never computes one.
+Each line of a policy, a `.scn` scenario or the pack manifest is lexed by
+`tokenize`: cut at its first '#', spaced around each of {}(), and split if
+it holds no '"', else by one regex findall, which a lone '"' ends with a
+lexical diagnostic.  `parse` tests each token in place, by its index; `.scn`
+and manifest lines go through a cursor (`line_parsers`).  A diagnostic finds
+its column by scanning its line again, so valid text never computes one.
 
 Canonical form uses LF line endings, single-space token separation,
 states sorted by id and transitions sorted by (from, guard text).
@@ -107,8 +107,28 @@ def _column(raw: str, index: int) -> int:
     return [m.start() for m in _LEXEME.finditer(raw)][index] + 1
 
 
+def _fail(tokens: list[str], raw: str, lineno: int, at: Optional[int], kind: str,
+          message: str, expected: Optional[str] = None) -> NoReturn:
+    """Raise a diagnostic at token `at` of the line: just past the last
+    token when `at` is the token count, and at column 1 when it is None."""
+    if at is None:
+        column = 1
+    elif at < len(tokens):
+        column = _column(raw, at)
+    else:
+        column = _column(raw, at - 1) + len(tokens[at - 1])
+    raise LineError(DslDiagnostic(kind, lineno, column, message, expected))
+
+
+def _unexpected(tokens: list[str], raw: str, lineno: int, at: int, expected: str) -> NoReturn:
+    """Fail at token `at`, which is missing or is not what was expected."""
+    _fail(tokens, raw, lineno, at, "syntax", f"unexpected token {tokens[at]!r}"
+          if at < len(tokens) else "unexpected end of line", expected)
+
+
 class _LineParser:
-    """Cursor over one line's token texts; errors carry position + hint."""
+    """Cursor over one line's token texts, for `.scn` and manifest lines;
+    errors carry position + hint."""
 
     __slots__ = ("tokens", "raw", "lineno", "pos")
 
@@ -117,18 +137,7 @@ class _LineParser:
 
     def fail(self, kind: str, at: Optional[int], message: str,
              expected: Optional[str] = None) -> NoReturn:
-        """Raise a diagnostic at token `at`: just past the last token when
-        `at` is the token count, and at column 1 when it is None."""
-        if at is None:
-            column = 1
-        elif at < len(self.tokens):
-            column = _column(self.raw, at)
-        else:
-            column = _column(self.raw, at - 1) + len(self.tokens[at - 1])
-        raise LineError(DslDiagnostic(kind, self.lineno, column, message, expected))
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        _fail(self.tokens, self.raw, self.lineno, at, kind, message, expected)
 
     def next(self, expected: str) -> str:
         pos = self.pos
@@ -136,15 +145,6 @@ class _LineParser:
             self.fail("syntax", pos, "unexpected end of line", expected)
         self.pos = pos + 1
         return self.tokens[pos]
-
-    def expect(self, literal: str) -> int:
-        """Consume literal; return its token index."""
-        pos = self.pos
-        if pos < len(self.tokens) and self.tokens[pos] == literal:
-            self.pos = pos + 1
-            return pos
-        tok = self.next(repr(literal))
-        self.fail("syntax", pos, f"unexpected token {tok!r}", repr(literal))
 
     def bare(self) -> None:
         """Reject a string or any of {}(), (.scn and manifest lines hold words)."""
@@ -160,147 +160,160 @@ class _LineParser:
 
 
 class LineError(Exception):
-    """One positioned diagnostic; a line's cursor raises it."""
+    """One positioned diagnostic; a line's reader raises it."""
 
     def __init__(self, diagnostic: DslDiagnostic) -> None:
         self.diagnostic = diagnostic
         super().__init__(str(diagnostic))
 
 
-def line_parsers(lines: list[str],
-                 diags: list[DslDiagnostic]) -> Iterator[_LineParser]:
-    """A cursor over the token texts of each of lines that has any, up to
-    an unterminated string, whose lexical diagnostic is appended to diags
-    before its line's cursor is handed on.  Lines are numbered from 1."""
+def tokenize(raw: str, lineno: int, diags: list[DslDiagnostic]) -> list[str]:
+    """The token texts of line `lineno`, up to an unterminated string, whose
+    lexical diagnostic is appended to diags."""
+    if '"' not in raw:  # _LEXEME's tokens, by str methods at a third the cost
+        return (raw.partition("#")[0].replace("{", " { ").replace("}", " } ")
+                .replace("(", " ( ").replace(")", " ) ").replace(",", " , ")
+                .split())
+    tokens = _LEXEME.findall(raw)
+    if tokens and tokens[-1][0] == "#":
+        tokens.pop()
+    if '"' in tokens:
+        bad = tokens.index('"')
+        diags.append(DslDiagnostic("lexical", lineno, _column(raw, bad),
+                                   "unterminated string or bad character '\"'"))
+        del tokens[bad:]
+    return tokens
+
+
+def line_parsers(lines: list[str], diags: list[DslDiagnostic]) -> Iterator[_LineParser]:
+    """A cursor over the tokens of each of lines that has any (`.scn` and
+    manifest lines).  Lines are numbered from 1."""
     for lineno, raw in enumerate(lines, start=1):
-        if '"' not in raw:  # _LEXEME's tokens, by str methods at a third the cost
-            tokens = (raw.partition("#")[0].replace("{", " { ").replace("}", " } ")
-                      .replace("(", " ( ").replace(")", " ) ").replace(",", " , ")
-                      .split())
-        else:
-            tokens = _LEXEME.findall(raw)
-            if tokens and tokens[-1][0] == "#":
-                tokens.pop()
-            if '"' in tokens:
-                bad = tokens.index('"')
-                diags.append(DslDiagnostic(
-                    "lexical", lineno, _column(raw, bad),
-                    "unterminated string or bad character '\"'"))
-                del tokens[bad:]
-        if tokens:
+        if tokens := tokenize(raw, lineno, diags):
             yield _LineParser(tokens, raw, lineno)
 
 
-def _name(lp: _LineParser, expected: str) -> str:
-    """The next token, a name or state id: a word, as bare() checks."""
-    pos = lp.pos
-    if pos == len(lp.tokens):  # as next() does, with no second call per name
-        lp.fail("syntax", pos, "unexpected end of line", expected)
-    tok = lp.tokens[pos]
-    if tok[0] in '"{}(),':
-        lp.fail("syntax", pos, f"unexpected token {tok!r}", expected)
-    lp.pos = pos + 1
-    return tok
+# What a symbol atom's second token names, by its first.
+_ATOM_NAME = {"call": "<interface>.<method>", "callback": "callback method name",
+              "new": "interface name"}
 
 
-def call_target(lp: _LineParser) -> ActionSymbol:
-    """The `<interface>.<method>` after a `call`: one dot, both names non-empty."""
-    ref = _name(lp, "<interface>.<method>")
-    iface, dot, method = ref.partition(".")
-    if not (iface and dot and method) or "." in method:
-        lp.fail("syntax", lp.pos - 1, f"malformed call target {ref!r}",
-                "<interface>.<method>")
-    return ActionSymbol(_API_CALL, iface, method)
+def read_atom(t: list[str], i: int, raw: str, lineno: int) -> ActionSymbol:
+    """The symbol at t[i:i + 2] in a guard, an inserted item or a `.scn` step:
+    `call <iface>.<method>` (one dot, two names), `callback <m>` or `new <iface>`."""
+    if i + 1 < len(t) and t[i + 1][0] not in '"{}(),':
+        head, name = t[i], t[i + 1]
+        if head == "call":
+            iface, dot, method = name.partition(".")
+            if iface and dot and method and "." not in method:
+                return ActionSymbol(_API_CALL, iface, method)
+            _fail(t, raw, lineno, i + 1, "syntax", f"malformed call target {name!r}",
+                  "<interface>.<method>")
+        if head == "callback":
+            return ActionSymbol.callback(name)
+        if head == "new":
+            return ActionSymbol.constructor(name)
+    if i == len(t) or t[i] not in _ATOM_NAME:
+        _unexpected(t, raw, lineno, i, "'call', 'callback' or 'new'")
+    _unexpected(t, raw, lineno, i + 1, _ATOM_NAME[t[i]])
 
 
-def _parse_symbol_atom(lp: _LineParser) -> ActionSymbol:
-    head = lp.next("'call', 'callback' or 'new'")
-    if head == "call":
-        return call_target(lp)
-    if head == "callback":
-        return ActionSymbol.callback(_name(lp, "callback method name"))
-    if head == "new":
-        return ActionSymbol.constructor(_name(lp, "interface name"))
-    lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
-            "'call', 'callback' or 'new'")
-
-
-def _parse_guard(lp: _LineParser) -> Guard:
-    kind = lp.peek()
-    if kind is None:
-        lp.fail("syntax", None, "missing guard", "guard")
+def _parse_guard(t: list[str], raw: str, lineno: int) -> tuple[Guard, int]:
+    """The guard after an `on`, and the index past it."""
+    n = len(t)
+    if n == 1:
+        _fail(t, raw, lineno, None, "syntax", "missing guard", "guard")
+    kind = t[1]
     if kind == "any":
-        lp.pos += 1
-        return Guard.any()
-    if kind not in ("any-of", "any-except"):
-        return Guard(_EXACTLY, frozenset((_parse_symbol_atom(lp),)))
-    lp.pos += 1
-    opener = lp.expect("{")
-    symbols: set[ActionSymbol] = set()
-    while (tok := lp.peek()) != "}":
-        if tok is None:
-            lp.fail("syntax", opener, "unclosed symbol set", "'}'")
-        symbols.add(_parse_symbol_atom(lp))
-    lp.pos += 1
+        return Guard.any(), 2
+    if kind != "any-of" and kind != "any-except":
+        return Guard(_EXACTLY, frozenset((read_atom(t, 1, raw, lineno),))), 3
+    if n == 2 or t[2] != "{":
+        _unexpected(t, raw, lineno, 2, "'{'")
+    symbols, i = set(), 3
+    while i < n and t[i] != "}":
+        symbols.add(read_atom(t, i, raw, lineno))
+        i += 2
+    if i == n:
+        _fail(t, raw, lineno, 2, "syntax", "unclosed symbol set", "'}'")
     if not symbols:
-        lp.fail("semantic", opener, f"{kind} guard has an empty symbol set")
-    return Guard(_ANY_OF if kind == "any-of" else _ANY_EXCEPT, frozenset(symbols))
+        _fail(t, raw, lineno, 2, "semantic", f"{kind} guard has an empty symbol set")
+    return Guard(_ANY_OF if kind == "any-of" else _ANY_EXCEPT, frozenset(symbols)), i + 1
 
 
-def _parse_item(lp: _LineParser) -> OutputItem:
-    head = lp.next("'input' or 'insert'")
-    if head == "input":
-        return OutputItem.forward()
-    if head != "insert":
-        lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
-                "'input' or 'insert'")
-    symbol = _parse_symbol_atom(lp)
-    if lp.peek() != "args":
-        return OutputItem(symbol)
-    lp.pos += 1
-    source = lp.next("'cached', 'none' or '('")
+def _parse_item(t: list[str], i: int, raw: str,
+                lineno: int) -> tuple[OutputItem, int]:
+    """The output item at t[i], and the index past it."""
+    n = len(t)
+    if i < n and t[i] == "input":
+        return _FORWARD_ONLY[0], i + 1
+    if i == n or t[i] != "insert":
+        _unexpected(t, raw, lineno, i, "'input' or 'insert'")
+    symbol = read_atom(t, i + 1, raw, lineno)
+    i += 3
+    if i == n or t[i] != "args":
+        return OutputItem(symbol), i
+    source = t[i + 1] if i + 1 < n else None
     if source == "cached":
-        return OutputItem(symbol, ArgSource.CACHED)
+        return OutputItem(symbol, ArgSource.CACHED), i + 2
     if source == "none":
-        return OutputItem(symbol)
+        return OutputItem(symbol), i + 2
     if source != "(":
-        lp.fail("syntax", lp.pos - 1, f"unexpected token {source!r}",
-                "'cached', 'none' or '('")
-    values: list = []  # the literals, through the closing ')'
-    while (tok := lp.next("literal or ')'")) != ")":
-        if tok.startswith('"'):
+        _unexpected(t, raw, lineno, i + 1, "'cached', 'none' or '('")
+    values, i = [], i + 2  # the literals, through the closing ')'
+    while i < n and (tok := t[i]) != ")":
+        if tok[0] == '"':
             values.append(unquote(tok))
         elif INTEGER.fullmatch(tok):
             values.append(int(tok))
         else:
-            lp.fail("syntax", lp.pos - 1, f"bad literal {tok!r}",
-                    "integer or quoted string")
-    return OutputItem(symbol, ArgSource.LITERALS, tuple(values))
+            _fail(t, raw, lineno, i, "syntax", f"bad literal {tok!r}",
+                  "integer or quoted string")
+        i += 1
+    if i == n:
+        _unexpected(t, raw, lineno, i, "literal or ')'")
+    return OutputItem(symbol, ArgSource.LITERALS, tuple(values)), i + 1
 
 
-def _parse_transition(lp: _LineParser) -> Transition:
-    guard = _parse_guard(lp)
-    lp.expect("from")
-    source = _name(lp, "state id")
-    lp.expect("to")
-    target = _name(lp, "state id")
-    lp.expect("emit")
-    if lp.tokens[lp.pos:] == ["input"]:  # most transitions: one shared output
-        lp.pos += 1
-        return Transition(source, guard, _FORWARD_ONLY, target, lp.lineno)
-    if lp.peek() == "none":  # parse checks that the line ends here
-        lp.pos += 1
-        return Transition(source, guard, (), target, lp.lineno)
-    items = [_parse_item(lp)]
-    while lp.pos < len(lp.tokens):
-        if lp.tokens[lp.pos] != ",":
-            lp.fail("syntax", lp.pos, f"unexpected token {lp.tokens[lp.pos]!r}",
-                    "',' or end of line")
-        lp.pos += 1
-        items.append(_parse_item(lp))
-        if items[-1].symbol is None and items.count(items[-1]) > 1:
-            lp.fail("semantic", lp.pos - 1, "the output forwards the input twice")
-    return Transition(source, guard, tuple(items), target, lp.lineno)
+# The five tokens after an `on` line's guard (None: a state id), each with its
+# hint: tested at once, and walked only to find the one that failed.
+_STEP = (("from", "'from'"), (None, "state id"), ("to", "'to'"),
+         (None, "state id"), ("emit", "'emit'"))
+
+
+def _parse_transition(t: list[str], raw: str, lineno: int) -> Transition:
+    guard, i = _parse_guard(t, raw, lineno)
+    n = len(t)
+    if not (i + 4 < n and t[i] == "from" and t[i + 2] == "to" and t[i + 4] == "emit"
+            and t[i + 1][0] not in '"{}(),' and t[i + 3][0] not in '"{}(),'):
+        for at, (word, expected) in enumerate(_STEP, start=i):
+            if at == n or (t[at] != word if word else t[at][0] in '"{}(),'):
+                _unexpected(t, raw, lineno, at, expected)
+    source, target, i = t[i + 1], t[i + 3], i + 5
+    if i == n - 1 and t[i] == "input":  # most transitions: one shared output
+        return Transition(source, guard, _FORWARD_ONLY, target, lineno)
+    if i < n and t[i] == "none":
+        if i + 1 < n:
+            _fail(t, raw, lineno, i + 1, "syntax", f"trailing token {t[i + 1]!r}",
+                  "end of line")
+        return Transition(source, guard, (), target, lineno)
+    item, i = _parse_item(t, i, raw, lineno)
+    items = [item]
+    while i < n:
+        if t[i] != ",":
+            _unexpected(t, raw, lineno, i, "',' or end of line")
+        item, i = _parse_item(t, i + 1, raw, lineno)
+        if item.symbol is None and item in items:
+            _fail(t, raw, lineno, i - 1, "semantic",
+                  "the output forwards the input twice")
+        items.append(item)
+    return Transition(source, guard, tuple(items), target, lineno)
+
+
+# What a directive's first argument is, for a diagnostic where it is missing.
+_ARGUMENT = {"policy": "policy name", "version": "non-negative integer",
+             "statement": "quoted statement text", "target": "interface name",
+             "states": "state id", "initial": "state id"}
 
 
 def parse(text: str) -> PolicyDoc:
@@ -318,49 +331,59 @@ def parse(text: str) -> PolicyDoc:
     seen: dict[str, int] = {}  # single-use directive -> its line
 
     lines = text.splitlines()
-    for lp in line_parsers(lines, diags):
-        head, lp.pos = lp.tokens[0], 1  # a cursor has at least one token
+    for lineno, raw in enumerate(lines, start=1):
+        if not (t := tokenize(raw, lineno, diags)):
+            continue
+        head, n, end = t[0], len(t), 2  # most directives take one word
         try:
             if head in seen:
-                lp.fail("semantic", 0, f"duplicate {head!r} directive "
-                        f"(first on line {seen[head]})")
+                _fail(t, raw, lineno, 0, "semantic", f"duplicate {head!r} "
+                      f"directive (first on line {seen[head]})")
             if head in _SINGLE_USE:
-                seen[head] = lp.lineno
+                seen[head] = lineno
             if head == "on":  # most of a policy's lines
-                transitions.append(_parse_transition(lp))
-            elif head == "policy":
-                tok = lp.next("policy name")
-                if not _IDENT.match(tok):
-                    lp.fail("semantic", 1, f"invalid policy name {tok!r}")
-                name = tok
+                transitions.append(_parse_transition(t, raw, lineno))
+                continue
+            if n == 1 and head in _ARGUMENT:
+                _unexpected(t, raw, lineno, 1, _ARGUMENT[head])
+            if head == "policy":
+                if not _IDENT.match(t[1]):
+                    _fail(t, raw, lineno, 1, "semantic", f"invalid policy name {t[1]!r}")
+                name = t[1]
             elif head == "version":
-                tok = lp.next("non-negative integer")
-                if not _VERSION.fullmatch(tok):
-                    lp.fail("semantic", 1, f"invalid version {tok!r}")
-                version = int(tok)
+                if not _VERSION.fullmatch(t[1]):
+                    _fail(t, raw, lineno, 1, "semantic", f"invalid version {t[1]!r}")
+                version = int(t[1])
             elif head == "experimental":
-                experimental = True
+                experimental, end = True, 1
             elif head == "statement":
-                tok = lp.next("quoted statement text")
-                if not tok.startswith('"'):
-                    lp.fail("syntax", 1, "statement text must be quoted",
-                            '"<text>"')
-                statement = unquote(tok)
-            elif head == "target":
-                target = _name(lp, "interface name")
-            elif head == "states":  # at least one id (states is empty until now)
-                while not states or lp.peek() is not None:
-                    tok = _name(lp, "state id")
-                    if tok in states:
-                        lp.fail("semantic", lp.pos - 1, f"duplicate state {tok!r}")
-                    states.append(tok)
-            elif head == "initial":
-                initial = _name(lp, "state id")
+                if t[1][0] != '"':
+                    _fail(t, raw, lineno, 1, "syntax", "statement text must be quoted",
+                          '"<text>"')
+                statement = unquote(t[1])
+            elif head == "target" or head == "initial":
+                if t[1][0] in '"{}(),':
+                    _unexpected(t, raw, lineno, 1, _ARGUMENT[head])
+                if head == "target":
+                    target = t[1]
+                else:
+                    initial = t[1]
+            elif head == "states":  # states is empty until now
+                for end in range(1, n):
+                    if t[end][0] in '"{}(),':
+                        _unexpected(t, raw, lineno, end, "state id")
+                    if t[end] in states:
+                        _fail(t, raw, lineno, end, "semantic",
+                              f"duplicate state {t[end]!r}")
+                    states.append(t[end])
+                end = n
             else:
-                lp.fail("syntax", 0, f"unknown directive {head!r}",
-                        "'policy', 'version', 'experimental', 'statement', "
-                        "'target', 'states', 'initial' or 'on'")
-            lp.done()
+                _fail(t, raw, lineno, 0, "syntax", f"unknown directive {head!r}",
+                      "'policy', 'version', 'experimental', 'statement', "
+                      "'target', 'states', 'initial' or 'on'")
+            if end < n:
+                _fail(t, raw, lineno, end, "syntax", f"trailing token {t[end]!r}",
+                      "end of line")
         except LineError as error:
             diags.append(error.diagnostic)
 

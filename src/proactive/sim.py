@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import ActionSymbol, Event, Kind, PolicyAuthoringError, _API_CALL, _APP
-from .dsl import (INTEGER, DslDiagnostic, LineError, _LineParser,
-                  _parse_symbol_atom, call_target, line_parsers)
+from .dsl import (INTEGER, DslDiagnostic, LineError, _LineParser, line_parsers,
+                  read_atom)
 from .enforcer import HealingFailureError, InterventionRecord, PolicyEnforcer
 
 
@@ -222,17 +222,19 @@ def parse_scenario(text: str, name: str,
 
 
 def _parse_call(lp: _LineParser) -> ScenarioStep:
-    """A `call new <iface> [args]` or `call <iface>.<method> [args]` step."""
-    symbol = _parse_symbol_atom(lp) if lp.peek() == "new" else call_target(lp)
+    """A `call new <iface> [args]` or `call <iface>.<method> [args]` step:
+    the symbol atom at `new`, or the whole `call <iface>.<method>`."""
+    at = 1 if lp.tokens[1:2] == ["new"] else 0
+    symbol = read_atom(lp.tokens, at, lp.raw, lp.lineno)
     if symbol.interface not in INTERFACES:
-        lp.fail("semantic", lp.pos - 1,
+        lp.fail("semantic", at + 1,
                 f"unknown interface {symbol.interface!r}")
     if (symbol.kind is _API_CALL
             and (symbol.interface, symbol.method) not in _PROTOCOLS):
-        lp.fail("semantic", lp.pos - 1,
+        lp.fail("semantic", at + 1,
                 f"{symbol.interface} has no method {symbol.method!r}")
     args = tuple(int(a) if INTEGER.fullmatch(a) else a
-                 for a in lp.tokens[lp.pos:])
+                 for a in lp.tokens[at + 2:])
     return ScenarioStep("call", symbol=symbol, args=args, line=lp.lineno)
 
 

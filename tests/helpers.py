@@ -8,8 +8,10 @@ forms of the compiled moves, the item-by-item reference form of step,
 the all-pairs reference form of the deploy gate, the four-intersection
 reference form of check_pair, the two-pass reference form of the
 enforcer's on_event, the character-walking reference form of the `.pol`
-lexer, the whitespace-splitting reference form of the `.scn` parser with
-a seeded generator of valid scenario texts, the parse corpus whose
+lexer, the cursor-reading reference form of the `.pol` line readers with
+seeded token-level mutations of the policy files, the whitespace-splitting
+reference form of the `.scn` parser with a seeded generator of valid
+scenario texts, the parse corpus whose
 results tests/record_parse_digests.py records, and the `proactive run`
 outputs that tests/record_run_reports.py records."""
 
@@ -43,17 +45,30 @@ from proactive.automata import (
     PolicyAuthoringError,
     Trace,
     Transition,
+    _ANY_EXCEPT,
+    _ANY_OF,
+    _API_CALL,
     _APP,
     _CONSTRUCTOR,
+    _EXACTLY,
+    _FORWARD_ONLY,
     instantiate,
     state_sort_key,
+    unquote,
+    validate,
 )
 from proactive.cli import main
 from proactive.dsl import (
+    _IDENT,
+    _SINGLE_USE,
+    _VERSION,
     INTEGER,
     DslDiagnostic,
+    LineError,
     PolicyDoc,
     PolicyParseError,
+    _LineParser,
+    line_parsers,
     parse,
     serialize,
 )
@@ -874,6 +889,252 @@ def mutated_policy_text(rng: random.Random, text: str) -> str:
     return text
 
 
+# -- reference parser ----------------------------------------------------
+# The `.pol` line readers as they were before they indexed each line's
+# tokens: one cursor per line, read token by token through peek, next,
+# expect and _name.
+
+class _ReferenceCursor(_LineParser):
+    __slots__ = ()
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def expect(self, literal: str) -> int:
+        """Consume literal; return its token index."""
+        pos = self.pos
+        if pos < len(self.tokens) and self.tokens[pos] == literal:
+            self.pos = pos + 1
+            return pos
+        tok = self.next(repr(literal))
+        self.fail("syntax", pos, f"unexpected token {tok!r}", repr(literal))
+
+
+def _reference_name(lp: _ReferenceCursor, expected: str) -> str:
+    """The next token, a name or state id: a word, as bare() checks."""
+    pos = lp.pos
+    if pos == len(lp.tokens):
+        lp.fail("syntax", pos, "unexpected end of line", expected)
+    tok = lp.tokens[pos]
+    if tok[0] in '"{}(),':
+        lp.fail("syntax", pos, f"unexpected token {tok!r}", expected)
+    lp.pos = pos + 1
+    return tok
+
+
+def _reference_call_target(lp: _ReferenceCursor) -> ActionSymbol:
+    ref = _reference_name(lp, "<interface>.<method>")
+    iface, dot, method = ref.partition(".")
+    if not (iface and dot and method) or "." in method:
+        lp.fail("syntax", lp.pos - 1, f"malformed call target {ref!r}",
+                "<interface>.<method>")
+    return ActionSymbol(_API_CALL, iface, method)
+
+
+def _reference_atom(lp: _ReferenceCursor) -> ActionSymbol:
+    head = lp.next("'call', 'callback' or 'new'")
+    if head == "call":
+        return _reference_call_target(lp)
+    if head == "callback":
+        return ActionSymbol.callback(_reference_name(lp, "callback method name"))
+    if head == "new":
+        return ActionSymbol.constructor(_reference_name(lp, "interface name"))
+    lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
+            "'call', 'callback' or 'new'")
+
+
+def _reference_guard(lp: _ReferenceCursor) -> Guard:
+    kind = lp.peek()
+    if kind is None:
+        lp.fail("syntax", None, "missing guard", "guard")
+    if kind == "any":
+        lp.pos += 1
+        return Guard.any()
+    if kind not in ("any-of", "any-except"):
+        return Guard(_EXACTLY, frozenset((_reference_atom(lp),)))
+    lp.pos += 1
+    opener = lp.expect("{")
+    symbols: set[ActionSymbol] = set()
+    while (tok := lp.peek()) != "}":
+        if tok is None:
+            lp.fail("syntax", opener, "unclosed symbol set", "'}'")
+        symbols.add(_reference_atom(lp))
+    lp.pos += 1
+    if not symbols:
+        lp.fail("semantic", opener, f"{kind} guard has an empty symbol set")
+    return Guard(_ANY_OF if kind == "any-of" else _ANY_EXCEPT, frozenset(symbols))
+
+
+def _reference_item(lp: _ReferenceCursor) -> OutputItem:
+    head = lp.next("'input' or 'insert'")
+    if head == "input":
+        return OutputItem.forward()
+    if head != "insert":
+        lp.fail("syntax", lp.pos - 1, f"unexpected token {head!r}",
+                "'input' or 'insert'")
+    symbol = _reference_atom(lp)
+    if lp.peek() != "args":
+        return OutputItem(symbol)
+    lp.pos += 1
+    source = lp.next("'cached', 'none' or '('")
+    if source == "cached":
+        return OutputItem(symbol, ArgSource.CACHED)
+    if source == "none":
+        return OutputItem(symbol)
+    if source != "(":
+        lp.fail("syntax", lp.pos - 1, f"unexpected token {source!r}",
+                "'cached', 'none' or '('")
+    values: list = []
+    while (tok := lp.next("literal or ')'")) != ")":
+        if tok.startswith('"'):
+            values.append(unquote(tok))
+        elif INTEGER.fullmatch(tok):
+            values.append(int(tok))
+        else:
+            lp.fail("syntax", lp.pos - 1, f"bad literal {tok!r}",
+                    "integer or quoted string")
+    return OutputItem(symbol, ArgSource.LITERALS, tuple(values))
+
+
+def _reference_transition(lp: _ReferenceCursor) -> Transition:
+    guard = _reference_guard(lp)
+    lp.expect("from")
+    source = _reference_name(lp, "state id")
+    lp.expect("to")
+    target = _reference_name(lp, "state id")
+    lp.expect("emit")
+    if lp.tokens[lp.pos:] == ["input"]:
+        lp.pos += 1
+        return Transition(source, guard, _FORWARD_ONLY, target, lp.lineno)
+    if lp.peek() == "none":
+        lp.pos += 1
+        return Transition(source, guard, (), target, lp.lineno)
+    items = [_reference_item(lp)]
+    while lp.pos < len(lp.tokens):
+        if lp.tokens[lp.pos] != ",":
+            lp.fail("syntax", lp.pos, f"unexpected token {lp.tokens[lp.pos]!r}",
+                    "',' or end of line")
+        lp.pos += 1
+        items.append(_reference_item(lp))
+        if items[-1].symbol is None and items.count(items[-1]) > 1:
+            lp.fail("semantic", lp.pos - 1, "the output forwards the input twice")
+    return Transition(source, guard, tuple(items), target, lp.lineno)
+
+
+def reference_parse(text: str) -> PolicyDoc:
+    """dsl.parse as it read each line through a cursor."""
+    diags: list[DslDiagnostic] = []
+    name = statement = target = initial = None
+    version = 0
+    experimental = False
+    states: list[str] = []
+    transitions: list[Transition] = []
+    seen: dict[str, int] = {}
+
+    lines = text.splitlines()
+    for line in line_parsers(lines, diags):
+        lp = _ReferenceCursor(line.tokens, line.raw, line.lineno)
+        head, lp.pos = lp.tokens[0], 1
+        try:
+            if head in seen:
+                lp.fail("semantic", 0, f"duplicate {head!r} directive "
+                        f"(first on line {seen[head]})")
+            if head in _SINGLE_USE:
+                seen[head] = lp.lineno
+            if head == "on":
+                transitions.append(_reference_transition(lp))
+            elif head == "policy":
+                tok = lp.next("policy name")
+                if not _IDENT.match(tok):
+                    lp.fail("semantic", 1, f"invalid policy name {tok!r}")
+                name = tok
+            elif head == "version":
+                tok = lp.next("non-negative integer")
+                if not _VERSION.fullmatch(tok):
+                    lp.fail("semantic", 1, f"invalid version {tok!r}")
+                version = int(tok)
+            elif head == "experimental":
+                experimental = True
+            elif head == "statement":
+                tok = lp.next("quoted statement text")
+                if not tok.startswith('"'):
+                    lp.fail("syntax", 1, "statement text must be quoted",
+                            '"<text>"')
+                statement = unquote(tok)
+            elif head == "target":
+                target = _reference_name(lp, "interface name")
+            elif head == "states":
+                while not states or lp.peek() is not None:
+                    tok = _reference_name(lp, "state id")
+                    if tok in states:
+                        lp.fail("semantic", lp.pos - 1, f"duplicate state {tok!r}")
+                    states.append(tok)
+            elif head == "initial":
+                initial = _reference_name(lp, "state id")
+            else:
+                lp.fail("syntax", 0, f"unknown directive {head!r}",
+                        "'policy', 'version', 'experimental', 'statement', "
+                        "'target', 'states', 'initial' or 'on'")
+            lp.done()
+        except LineError as error:
+            diags.append(error.diagnostic)
+
+    last = len(lines) or 1
+    for directive in ("policy", "statement", "target", "initial", "states"):
+        if directive not in seen:
+            diags.append(DslDiagnostic("syntax", last, 1,
+                                       f"missing {directive!r} directive",
+                                       f"{directive} ..."))
+    if diags:
+        raise PolicyParseError(diags)
+    automaton = EditAutomaton(frozenset(states), initial, tuple(transitions))
+    for d in validate(automaton):
+        if d.transition is not None:
+            line = d.transition.line
+        else:
+            line = seen["initial" if d.code == "bad-initial" else "states"]
+        diags.append(DslDiagnostic("semantic", line, 1, str(d)))
+    if diags:
+        raise PolicyParseError(diags)
+    return PolicyDoc(name, statement, target, automaton, version, experimental)
+
+
+# Tokens a token-level mutation puts in place of another.
+_TOKEN_REPLACEMENTS = ("from", "to", "emit", "input", "insert", "none", "args",
+                       "cached", "{", "}", "(", ")", ",", "call", "callback",
+                       "new", "any", "any-of", "any-except", "Camera..open",
+                       '"x"', "1_0")
+
+
+def token_mutations(text: str, count: int, seed: int) -> list[str]:
+    """count seeded copies of text, each with one token of one `on` or
+    directive line dropped, repeated, swapped with the next, replaced from
+    _TOKEN_REPLACEMENTS, or made the line's last."""
+    rng = random.Random(seed)
+    lines = text.split("\n")
+    targets = [n for n, raw in enumerate(lines)
+               if reference_tokenize_line(raw, n + 1)[0]]
+    texts = []
+    for _ in range(count):
+        n = rng.choice(targets)
+        tokens = [t for t, _, _ in reference_tokenize_line(lines[n], n + 1)[0]]
+        i = rng.randrange(len(tokens))
+        edit = rng.randrange(5)
+        if edit == 0:
+            del tokens[i]
+        elif edit == 1:
+            tokens.insert(i, tokens[i])
+        elif edit == 2:
+            j = i + 1 if i + 1 < len(tokens) else i - 1
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif edit == 3:
+            tokens[i] = rng.choice(_TOKEN_REPLACEMENTS)
+        else:
+            del tokens[i + 1:]
+        texts.append("\n".join(lines[:n] + [" ".join(tokens)] + lines[n + 1:]))
+    return texts
+
+
 def parse_corpus() -> list[str]:
     """The `.pol` files, then 2000 seeded mutations of them."""
     texts = policy_texts()
@@ -885,11 +1146,11 @@ def parse_corpus() -> list[str]:
 PARSE_DIGESTS = FIXTURES / "parse-digests.json"
 
 
-def parse_result(text: str) -> str:
-    """What parse makes of text: the canonical form, or every
-    diagnostic's (kind, line, column, message, expected)."""
+def parse_result(text: str, parser=parse) -> str:
+    """What parser (dsl.parse unless given) makes of text: the canonical
+    form, or every diagnostic's (kind, line, column, message, expected)."""
     try:
-        return serialize(parse(text))
+        return serialize(parser(text))
     except PolicyParseError as exc:
         return "\n".join(repr((d.kind, d.line, d.column, d.message, d.expected))
                          for d in exc.diagnostics)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -147,3 +148,52 @@ class TestBenchPairsTool:
             assert compared["change_worse_by"] == round((-10 if lower else 10) / 21, 4)
             assert compared["parent_iqr_over_median"] == round(2 / 21, 4)
             assert compared["medians_apart_over_parent_iqr"] == 5.0
+            assert compared["claim_rule_met"] is lower  # the change wins 3/3 or 0/3
+            assert compared["within_bound"] is lower
+            assert compared["unresolved"] is False
+
+
+def load_bench_pairs():
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairsVerdicts:
+    """compare's verdicts apply the claim rule, the bound and the spread."""
+
+    PARENT = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+
+    def test_a_seven_percent_gain_winning_eight_of_ten_pairs_is_not_met(self):
+        change = [92, 93, 91, 93, 94, 90, 93, 93, 105, 106]
+        compared = load_bench_pairs().compare(self.PARENT, change, "lower", 0.25)
+        assert compared["change_worse_by"] == -0.07 and compared["change_wins"] == 8
+        assert compared["medians_apart_over_parent_iqr"] > 1
+        assert compared["claim_rule_met"] is False
+        assert compared["within_bound"] is True and compared["unresolved"] is False
+
+    @pytest.mark.parametrize("better", ["lower", "higher"])
+    def test_ten_of_ten_wins_with_medians_1_2_iqrs_apart_is_met(self, better):
+        bench_pairs = load_bench_pairs()
+        q1, q3 = bench_pairs.quartiles(self.PARENT)
+        gain = 1.2 * (q3 - q1) * (1 if better == "higher" else -1)
+        change = [p + gain for p in self.PARENT]
+        compared = bench_pairs.compare(self.PARENT, change, better, 0.25)
+        assert (compared["change_wins"], compared["pairs"]) == (10, 10)
+        assert compared["medians_apart_over_parent_iqr"] == 1.2
+        assert compared["claim_rule_met"] is True
+        assert compared["within_bound"] is True and compared["unresolved"] is False
+        # The same distance on the worse side meets no claim.
+        worse = bench_pairs.compare(self.PARENT, [p - gain for p in self.PARENT],
+                                    better, 0.01)
+        assert worse["claim_rule_met"] is False and worse["within_bound"] is False
+
+    def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_wins(self):
+        bench_pairs = load_bench_pairs()
+        parent = [80, 120, 90, 110, 100, 85, 115, 95, 105, 100]
+        assert bench_pairs.compare(parent, [p - 1 for p in parent], "lower",
+                                   0.05)["unresolved"] is True
+        assert bench_pairs.compare(parent, [70] * 10, "lower", 0.05)["unresolved"] is False
+        assert bench_pairs.compare(parent, [70] * 10, "lower", 0.5)["unresolved"] is False

@@ -13,6 +13,7 @@ from proactive.automata import (
     unquote,
     validate,
 )
+from proactive import dsl
 from proactive.dsl import (
     _LEXEME,
     PolicyParseError,
@@ -35,7 +36,9 @@ from helpers import (
     parse_digest,
     parse_result,
     policy_texts,
+    token_mutations,
     random_policy_doc,
+    reference_parse,
     reference_tokenize_line,
     reference_unquote,
 )
@@ -487,6 +490,44 @@ class TestLexerAgreesWithReference:
             except PolicyParseError as exc:
                 found = [d for d in exc.diagnostics if d.kind == "lexical"]
             assert found == expected, text
+
+
+class TestParseAgreesWithReference:
+    """The index-reading line readers give the cursor-reading reference's
+    canonical form or diagnostics (kind, line, column, message, expected)."""
+
+    def test_corpus(self):
+        for text in parse_corpus():
+            assert parse_result(text) == parse_result(text, reference_parse), text
+
+    def test_token_level_mutations_of_every_policy_file(self):
+        texts = [mutant for seed, text in enumerate(policy_texts())
+                 for mutant in token_mutations(text, 600, seed)]
+        assert len(texts) >= 5000
+        kinds = set()
+        for text in texts:
+            result = parse_result(text)
+            assert result == parse_result(text, reference_parse), text
+            kinds.add(result.split(",")[0] if result.startswith("(") else "parsed")
+        # Some mutants stay valid, and both syntax and semantic errors show.
+        assert {"parsed", "('syntax'", "('semantic'"} <= kinds
+
+
+class TestParseBuildsNoCursor:
+    """A valid `.pol` line is read by index: no cursor, no per-token call."""
+
+    def test_policy_files_parse_without_a_cursor(self, monkeypatch):
+        calls = []
+        for name in ("__init__", "peek", "next", "expect"):
+            method = getattr(dsl._LineParser, name, None)
+            if method is not None:
+                def counting(*args, _name=name, _method=method, **kwargs):
+                    calls.append(_name)
+                    return _method(*args, **kwargs)
+                monkeypatch.setattr(dsl._LineParser, name, counting)
+        for text in policy_texts():
+            parse(text)
+        assert calls == []
 
 
 class TestQuoteFreeLinesLexLikeTheRegex:

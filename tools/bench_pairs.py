@@ -17,7 +17,15 @@ pairs the change won (ties count for neither), change_worse_by (the
 relative change of the median in the metric's worse direction, so
 negative is better), the metric's bound, the parent's interquartile
 distance over its median, and the distance between the medians over
-that interquartile distance.
+that interquartile distance.  Three verdicts follow from these:
+
+  claim_rule_met  the change won at least nine tenths of the pairs, its
+                  median is on the better side, and the medians are
+                  further apart than the parent's interquartile distance
+  within_bound    change_worse_by is at most the bound
+  unresolved      the parent's interquartile distance over its median
+                  exceeds the bound, and not every change run is better
+                  than every parent run
 """
 
 from __future__ import annotations
@@ -63,19 +71,28 @@ def compare(parent: list[float], change: list[float], better: str,
     parent_q, change_q = quartiles(parent), quartiles(change)
     iqr = parent_q[1] - parent_q[0]
     apart = abs(change_median - parent_median)
+    wins = sum(worse * (c - p) < 0 for p, c in zip(parent, change))
+    worse_by = (worse * (change_median - parent_median) / parent_median
+                if parent_median else None)
+    spread = iqr / parent_median if parent_median else None
     return {
         "parent_median": round(parent_median, 6),
         "change_median": round(change_median, 6),
         "parent_quartiles": [round(q, 6) for q in parent_q],
         "change_quartiles": [round(q, 6) for q in change_q],
-        "change_wins": sum(worse * (c - p) < 0 for p, c in zip(parent, change)),
+        "change_wins": wins,
         "pairs": len(parent),
-        "change_worse_by": (round(worse * (change_median - parent_median)
-                                  / parent_median, 4) if parent_median else None),
+        "change_worse_by": round(worse_by, 4) if worse_by is not None else None,
         "bound": bound,
-        "parent_iqr_over_median": (round(iqr / parent_median, 4)
-                                   if parent_median else None),
+        "parent_iqr_over_median": round(spread, 4) if spread is not None else None,
         "medians_apart_over_parent_iqr": round(apart / iqr, 2) if iqr else None,
+        "claim_rule_met": (10 * wins >= 9 * len(parent)
+                           and worse * (change_median - parent_median) < 0
+                           and apart > iqr),
+        "within_bound": worse_by is not None and worse_by <= bound,
+        "unresolved": (spread is not None and spread > bound
+                       and max(worse * c for c in change)
+                       >= min(worse * p for p in parent)),
     }
 
 
